@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/mem"
 )
 
 // opCap bounds the operations one task attempt may issue. Inconsistent
@@ -18,46 +19,115 @@ const opCap = 1 << 24
 // opCapPanic is the sentinel thrown when a task attempt exhausts opCap.
 type opCapPanic struct{}
 
-// readRec is one read-set entry: the first value and version a task
-// observed at an address. Later loads of the same address return the
-// cached value, so a task can never see two versions of one word
-// (repeatable reads); cross-address inconsistency is caught by commit
-// validation, the panic path, or the op cap.
-type readRec struct {
-	val, ver uint64
-}
-
 // taskEnv implements guest.TaskEnv for one task attempt: reads come from
 // the committed store (recorded in the read set), writes and child
 // enqueues stay buffered until commit. The DebugChecks commit-time
-// re-execution uses a second, fresh taskEnv and compares the buffered
-// write/child sets for divergence. A taskEnv lives on one worker
-// goroutine; nothing here locks beyond the store's shard read-locks.
+// re-execution uses a second taskEnv and compares the buffered write,
+// child and free sets for divergence.
+//
+// A taskEnv is an attempt buffer the scheduler recycles: it takes one from
+// its free list at dispatch, and gets it back when the attempt commits or
+// aborts. While the attempt runs it belongs to one worker goroutine, and
+// nothing here locks; from the attempt's finish to its commit or abort
+// only the scheduler, under its lock, reads it. The sets are slices that
+// keep their capacity across attempts, so a steady-state attempt
+// allocates nothing.
 type taskEnv struct {
 	r    *Runtime
 	desc guest.TaskDesc
 
-	reads    map[uint64]readRec
-	writes   map[uint64]uint64
-	order    []uint64 // write addresses in first-write order (determinism)
-	children []guest.TaskDesc
-	frees    []span
-	ops      uint64
-	forks    uint64 // fork indices handed out by this attempt
-	allocd   bool   // the attempt called Alloc (see Runtime.recheckLocked)
+	// reads holds each address the attempt read from the store, in
+	// first-read order; readRecs[i] is what reads.addrs[i] returned.
+	reads    addrSet
+	readRecs []readRec
+	// writes holds each written address in first-write order, which
+	// makes commits deterministic; writeVals[i] is its latest value.
+	writes    addrSet
+	writeVals []uint64
+	children  []guest.TaskDesc
+	frees     []span
+	ops       uint64
+	forks     uint64 // fork indices handed out by this attempt
+	allocd    bool   // the attempt called Alloc (see Runtime.recheckLocked)
+}
+
+// readRec is the first value and version a task observed at an address.
+// Later loads of the same address return the cached value, so a task can
+// never see two versions of one word (repeatable reads); cross-address
+// inconsistency is caught by commit validation, the panic path, or the op
+// cap.
+type readRec struct {
+	val, ver uint64
 }
 
 type span struct {
 	addr, n uint64
 }
 
-func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
-	return &taskEnv{
-		r:      r,
-		desc:   desc,
-		reads:  make(map[uint64]readRec),
-		writes: make(map[uint64]uint64),
+// indexAt is the set size up to which addrSet searches linearly. Almost
+// every task touches a handful of words, and scanning a few contiguous
+// addresses beats hashing; larger sets build an index map.
+const indexAt = 32
+
+// addrSet is an insertion-ordered set of guest addresses.
+type addrSet struct {
+	addrs []uint64
+	index map[uint64]int // built once len(addrs) exceeds indexAt
+}
+
+// find returns addr's position, or -1.
+func (a *addrSet) find(addr uint64) int {
+	if len(a.addrs) <= indexAt {
+		for i, x := range a.addrs {
+			if x == addr {
+				return i
+			}
+		}
+		return -1
 	}
+	if i, ok := a.index[addr]; ok {
+		return i
+	}
+	return -1
+}
+
+// add appends addr, which must not be in the set.
+func (a *addrSet) add(addr uint64) {
+	a.addrs = append(a.addrs, addr)
+	switch n := len(a.addrs); {
+	case n == indexAt+1:
+		if a.index == nil {
+			a.index = make(map[uint64]int)
+		}
+		for i, x := range a.addrs {
+			a.index[x] = i
+		}
+	case n > indexAt+1:
+		a.index[addr] = n - 1
+	}
+}
+
+func (a *addrSet) reset() {
+	if len(a.addrs) > indexAt {
+		clear(a.index)
+	}
+	a.addrs = a.addrs[:0]
+}
+
+func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
+	return &taskEnv{r: r, desc: desc}
+}
+
+// reset empties the buffers for a new attempt of desc.
+func (e *taskEnv) reset(desc guest.TaskDesc) {
+	e.desc = desc
+	e.reads.reset()
+	e.readRecs = e.readRecs[:0]
+	e.writes.reset()
+	e.writeVals = e.writeVals[:0]
+	e.children = e.children[:0]
+	e.frees = e.frees[:0]
+	e.ops, e.forks, e.allocd = 0, 0, false
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -71,24 +141,30 @@ func (e *taskEnv) step(n uint64) {
 // the committed store (recording the observed version).
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
-	if v, ok := e.writes[addr]; ok {
-		return v
+	if i := e.writes.find(addr); i >= 0 {
+		return e.writeVals[i]
 	}
-	if r, ok := e.reads[addr]; ok {
-		return r.val
+	if i := e.reads.find(addr); i >= 0 {
+		return e.readRecs[i].val
 	}
 	val, ver := e.r.store.read(addr)
-	e.reads[addr] = readRec{val: val, ver: ver}
+	e.reads.add(addr)
+	e.readRecs = append(e.readRecs, readRec{val: val, ver: ver})
 	return val
 }
 
 // Store implements guest.Env: buffered until commit.
 func (e *taskEnv) Store(addr, val uint64) {
 	e.step(1)
-	if _, ok := e.writes[addr]; !ok {
-		e.order = append(e.order, addr)
+	if !mem.WordAligned(addr) {
+		panic(fmt.Sprintf("mem: misaligned store at %#x", addr))
 	}
-	e.writes[addr] = val
+	if i := e.writes.find(addr); i >= 0 {
+		e.writeVals[i] = val
+		return
+	}
+	e.writes.add(addr)
+	e.writeVals = append(e.writeVals, val)
 }
 
 // Work implements guest.Env. The native runtime executes for real, so
@@ -169,7 +245,7 @@ func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
 }
 
 // EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
-// every attempt (each attempt runs on a fresh taskEnv), so a retried
+// every attempt (each attempt starts from a reset taskEnv), so a retried
 // task buffers an identical child set — which the DebugChecks
 // re-execution comparison requires.
 func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {

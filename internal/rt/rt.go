@@ -28,7 +28,7 @@ package rt
 import (
 	"errors"
 	"fmt"
-	"reflect"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,7 +84,7 @@ func New(cfg core.Config) (*Runtime, error) {
 		heap: mem.NewAllocator(),
 	}
 	r.store = newStore(r.base)
-	r.sched = newSched(r, cfg.Tiles, name == "rt-conservative")
+	r.sched = newSched(r, cfg.Cores(), name == "rt-conservative")
 	return r, nil
 }
 
@@ -129,7 +129,7 @@ func (r *Runtime) EnqueueRootDesc(d guest.TaskDesc) {
 func (r *Runtime) QueuedTasks() int {
 	r.sched.mu.Lock()
 	defer r.sched.mu.Unlock()
-	return r.sched.readyN
+	return len(r.sched.ready)
 }
 
 // Start marks the runtime live. It exists for surface parity with the
@@ -171,25 +171,23 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	start := [4]uint64{s.commits, s.aborts, s.enqueues, s.dequeues}
 	s.mu.Unlock()
 
+	r.store.beginPhase()
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	for w := 0; w < r.cfg.Cores(); w++ {
+	for w := range r.cfg.Cores() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				t := s.next()
-				if t == nil {
-					return
-				}
-				r.execute(t)
-			}
+			r.work(w)
 		}()
 	}
 	wg.Wait()
 	wall := uint64(time.Since(t0))
 	r.wallNS += wall
 	r.running = false
+	// Fold committed words into guest memory even when the phase failed:
+	// its committed prefix is the state Mem promises between phases.
+	r.store.flush()
 
 	s.mu.Lock()
 	err := s.err
@@ -198,7 +196,6 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	if err != nil {
 		return core.PhaseStats{}, err
 	}
-	r.store.flush()
 	return core.PhaseStats{
 		Phase:      r.phase,
 		WallNS:     wall,
@@ -231,27 +228,34 @@ func (r *Runtime) Snapshot() core.Stats {
 	}
 }
 
-// execute runs one attempt outside the scheduler lock and routes the
-// outcome: normal completion joins the commit queue, a panic goes
-// through suspected-misspeculation triage.
-func (r *Runtime) execute(t *task) {
-	env := newTaskEnv(r, t.desc)
-	panicked, pval := r.runBody(t, env)
-	if panicked {
-		r.sched.handlePanic(t, env, pval)
-		return
+// work is worker w's loop: take a task, run one attempt of it outside the
+// scheduler lock, and hand it back when taking the next. A panicking
+// attempt goes through suspected-misspeculation triage instead.
+func (r *Runtime) work(w int) {
+	var finished *task
+	for {
+		t := r.sched.next(w, finished)
+		if t == nil {
+			return
+		}
+		finished = nil
+		t.env.reset(t.desc)
+		if panicked, pval := r.runBody(t.env); panicked {
+			r.sched.handlePanic(w, t, pval)
+			continue
+		}
+		finished = t
 	}
-	r.sched.finish(t, env)
 }
 
 // runBody invokes the guest function, capturing any panic.
-func (r *Runtime) runBody(t *task, env *taskEnv) (panicked bool, pval any) {
+func (r *Runtime) runBody(env *taskEnv) (panicked bool, pval any) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked, pval = true, v
 		}
 	}()
-	r.fns[t.desc.Fn](env)
+	r.fns[env.desc.Fn](env)
 	return false, nil
 }
 
@@ -268,14 +272,17 @@ func (r *Runtime) recheckLocked(t *task) error {
 	if t.env.allocd {
 		return nil
 	}
-	env := newTaskEnv(r, t.desc)
-	panicked, pval := r.runBody(t, env)
-	if panicked {
+	env := r.sched.getEnvLocked()
+	defer r.sched.putEnvLocked(env)
+	env.reset(t.desc)
+	if panicked, pval := r.runBody(env); panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}
-	if !reflect.DeepEqual(env.writes, t.env.writes) ||
-		!reflect.DeepEqual(env.children, t.env.children) ||
-		!reflect.DeepEqual(env.frees, t.env.frees) {
+	// Compare by content: a nil set equals an empty one.
+	if !slices.Equal(env.writes.addrs, t.env.writes.addrs) ||
+		!slices.Equal(env.writeVals, t.env.writeVals) ||
+		!slices.Equal(env.children, t.env.children) ||
+		!slices.Equal(env.frees, t.env.frees) {
 		return r.taskErr(t, "diverged on re-execution — task bodies must be pure functions of guest memory")
 	}
 	return nil

@@ -457,3 +457,149 @@ func TestHintedEnqueue(t *testing.T) {
 		}
 	}
 }
+
+// TestFailedPhaseKeepsCommits: a phase that fails still folds its
+// committed prefix into guest memory, which Mem promises holds exactly
+// the committed state between phases.
+func TestFailedPhaseKeepsCommits(t *testing.T) {
+	const cell = uint64(1 << 12)
+	set := func(e guest.TaskEnv) { e.Store(cell, 7) }
+	runaway := func(e guest.TaskEnv) {
+		for {
+			e.Work(1 << 16)
+		}
+	}
+	r, _, err := runProgram(t, testConfig(t, 1, "rt"),
+		[]guest.TaskFn{set, runaway}, []string{"set", "spin"},
+		[]guest.TaskDesc{{Fn: 0, TS: 0}, {Fn: 1, TS: 1}})
+	if err == nil || !strings.Contains(err.Error(), "infinite loop") {
+		t.Fatalf("err = %v, want op-cap error", err)
+	}
+	if c := r.Snapshot().Commits; c != 1 || !r.Quiesced() {
+		t.Fatalf("commits = %d, quiesced = %v; want 1 commit, quiesced", c, r.Quiesced())
+	}
+	if got := r.Mem().Load(cell); got != 7 {
+		t.Errorf("committed word = %d after the failed phase, want 7", got)
+	}
+}
+
+// incArg0 increments the word at its first argument.
+func incArg0(e guest.TaskEnv) {
+	a := e.Arg(0)
+	e.Store(a, e.Load(a)+1)
+}
+
+// independentRuntime returns a started runtime with n queued root tasks
+// that each increment their own word: no conflicts, no children.
+func independentRuntime(tb testing.TB, workers, n int) *Runtime {
+	cfg := core.DefaultConfig(workers)
+	cfg.Backend = "rt"
+	r, err := New(cfg)
+	if err != nil {
+		tb.Fatalf("New: %v", err)
+	}
+	r.SetProgram([]guest.TaskFn{incArg0}, []string{"inc"})
+	if err := r.Start(); err != nil {
+		tb.Fatalf("Start: %v", err)
+	}
+	base := r.SetupAlloc(uint64(n) * 8)
+	for i := range uint64(n) {
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: i, Args: [3]uint64{base + i*8}})
+	}
+	return r
+}
+
+// raceEnabled is set by race_test.go.
+var raceEnabled bool
+
+// TestAllocsPerTask pins the hot path's heap allocations: enqueueing,
+// dispatching and committing a task allocates its task record and
+// nothing per attempt, since attempt buffers are recycled.
+func TestAllocsPerTask(t *testing.T) {
+	if raceEnabled {
+		// The race detector randomizes goroutine scheduling. A worker
+		// parked while holding the earliest task lets its peer run far
+		// ahead, and every attempt waiting to commit holds a buffer, so
+		// the buffer pool grows by an amount the schedule decides.
+		t.Skip("allocation counts depend on the schedule under -race")
+	}
+	const n = 10000
+	for _, workers := range []int{1, 2} {
+		var commits uint64
+		allocs := testing.AllocsPerRun(3, func() {
+			ps, err := independentRuntime(t, workers, n).RunPhase()
+			if err != nil {
+				t.Fatalf("RunPhase: %v", err)
+			}
+			commits = ps.Commits
+		})
+		if commits != n {
+			t.Fatalf("workers=%d: %d commits, want %d", workers, commits, n)
+		}
+		if per := allocs / n; per > 2 {
+			t.Errorf("workers=%d: %.2f allocations per committed task, want at most 2", workers, per)
+		}
+	}
+}
+
+// TestLargeAttemptSets: attempts whose read and write sets outgrow the
+// linear search keep read-own-writes and repeatable reads, and commit the
+// same result under the DebugChecks re-execution.
+func TestLargeAttemptSets(t *testing.T) {
+	const base, n, tasks = uint64(1 << 12), 4 * indexAt, 20
+	sumCell := base + n*8
+	body := func(e guest.TaskEnv) {
+		for i := uint64(0); i < n; i++ {
+			a := base + i*8
+			e.Store(a, e.Load(a)+e.Timestamp())
+		}
+		sum := uint64(0)
+		for i := uint64(0); i < n; i++ {
+			v := e.Load(base + i*8)
+			e.Store(base+i*8, v) // a rewrite updates the buffered word
+			sum += v
+		}
+		e.Store(sumCell, e.Load(sumCell)+sum)
+	}
+	cfg := testConfig(t, 4, "rt")
+	cfg.DebugChecks = true
+	var roots []guest.TaskDesc
+	want := uint64(0)
+	for ts := uint64(1); ts <= tasks; ts++ {
+		roots = append(roots, guest.TaskDesc{Fn: 0, TS: ts})
+		want += n * ts * (ts + 1) / 2
+	}
+	r, _, err := runProgram(t, cfg, []guest.TaskFn{body}, []string{"wide"}, roots)
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if got := r.Mem().Load(base + 8*(n-1)); got != tasks*(tasks+1)/2 {
+		t.Errorf("last word = %d, want %d", got, tasks*(tasks+1)/2)
+	}
+	if got := r.Mem().Load(sumCell); got != want {
+		t.Errorf("sum = %d, want %d", got, want)
+	}
+}
+
+// TestMisalignedAccessPanics: like mem.Memory under the simulator, a task
+// panics on a misaligned load or store.
+func TestMisalignedAccessPanics(t *testing.T) {
+	r, err := New(testConfig(t, 1, "rt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	env := newTaskEnv(r, guest.TaskDesc{})
+	for name, access := range map[string]func(){
+		"load":  func() { env.Load(1<<12 + 1) },
+		"store": func() { env.Store(1<<12+7, 1) },
+	} {
+		func() {
+			defer func() {
+				if s, _ := recover().(string); !strings.Contains(s, "misaligned "+name) {
+					t.Errorf("misaligned %s: recovered %q, want the mem panic", name, s)
+				}
+			}()
+			access()
+		}()
+	}
+}

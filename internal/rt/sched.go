@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"container/heap"
 	"sync"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -34,53 +33,87 @@ func (a vtime) less(b vtime) bool {
 }
 
 // task is one schedulable unit. vt is fixed at creation and survives
-// aborts; env holds the attempt's read/write/child buffers once the task
-// has executed and is sitting in the commit queue.
+// aborts; env is the attempt buffer, held from dispatch until the attempt
+// commits or aborts.
 type task struct {
 	desc guest.TaskDesc
 	vt   vtime
 	env  *taskEnv
 }
 
-// taskHeap is a min-heap of tasks by vtime.
+// taskHeap is a binary min-heap of tasks by vtime.
 type taskHeap []*task
 
-func (h taskHeap) Len() int           { return len(h) }
-func (h taskHeap) Less(i, j int) bool { return h[i].vt.less(h[j].vt) }
-func (h taskHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *taskHeap) Push(x any)        { *h = append(*h, x.(*task)) }
-func (h *taskHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return t
+func (h *taskHeap) push(t *task) {
+	q := append(*h, t)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 2
+		if !t.vt.less(q[p].vt) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = t
+	*h = q
 }
 
-// sched is the software task unit + commit queue: a sharded timestamp-
-// ordered ready queue feeding worker goroutines, a running set, and a
-// commit queue drained strictly in vtime order. One mutex guards it all;
-// tasks execute outside the lock, so the lock only serializes dispatch
-// and commit — the runtime's software stand-in for the simulator's
-// per-tile task units and GVT-gated commit queues.
+func (h *taskHeap) pop() *task {
+	q := *h
+	top, n := q[0], len(q)-1
+	last := q[n]
+	q[n] = nil
+	q = q[:n]
+	if n > 0 {
+		i := 0
+		for {
+			c := 2*i + 1
+			if c >= n {
+				break
+			}
+			if c+1 < n && q[c+1].vt.less(q[c].vt) {
+				c++
+			}
+			if !q[c].vt.less(last.vt) {
+				break
+			}
+			q[i] = q[c]
+			i = c
+		}
+		q[i] = last
+	}
+	*h = q
+	return top
+}
+
+// sched is the software task unit + commit queue: one timestamp-ordered
+// ready heap feeding worker goroutines, one running slot per worker, and
+// a commit queue drained strictly in vtime order. One mutex guards it
+// all; tasks execute outside the lock, so the lock only serializes
+// dispatch and commit — the runtime's software stand-in for the
+// simulator's per-tile task units and GVT-gated commit queues. A worker
+// takes the lock once per task: next retires its finished attempt and
+// hands it the next task in one critical section.
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
-	// cond wakes workers when ready work appears, a commit frees the
-	// commit queue head, or the phase drains.
-	cond *sync.Cond
+	// cond parks idle workers. A worker that takes a task while more
+	// work is runnable wakes one idle worker with Signal, which does the
+	// same, so new work fans out one wakeup at a time. Only draining or
+	// poisoning the phase wakes them all.
+	cond sync.Cond
 
-	// ready holds runnable tasks, sharded by sequence number the way the
-	// simulator spreads tasks over tiles; a pop scans the shard heads for
-	// the global minimum vtime.
-	ready  []taskHeap
-	readyN int
-	// running is the set of dispatched, not-yet-finished attempts.
-	running map[*task]struct{}
+	// ready holds runnable tasks.
+	ready taskHeap
+	// running[w] is worker w's dispatched, not-yet-finished attempt, or
+	// nil.
+	running []*task
 	// commitQ holds executed tasks awaiting their turn to validate and
 	// commit in vtime order.
 	commitQ taskHeap
+	// envs holds recycled attempt buffers.
+	envs []*taskEnv
 
 	// conservative restricts dispatch to tasks at the minimum uncommitted
 	// timestamp (level-synchronous waves): no task runs ahead of virtual
@@ -95,22 +128,10 @@ type sched struct {
 	enqueues, dequeues       uint64
 }
 
-func newSched(r *Runtime, shards int, conservative bool) *sched {
-	s := &sched{
-		r:            r,
-		ready:        make([]taskHeap, shards),
-		running:      make(map[*task]struct{}),
-		conservative: conservative,
-	}
-	s.cond = sync.NewCond(&s.mu)
+func newSched(r *Runtime, workers int, conservative bool) *sched {
+	s := &sched{r: r, running: make([]*task, workers), conservative: conservative}
+	s.cond.L = &s.mu
 	return s
-}
-
-// pushReadyLocked makes a task (new or retried) runnable.
-func (s *sched) pushReadyLocked(t *task) {
-	t.env = nil
-	heap.Push(&s.ready[t.vt.seq%uint64(len(s.ready))], t)
-	s.readyN++
 }
 
 // enqueueLocked admits a new descriptor, assigning the next sequence
@@ -120,130 +141,115 @@ func (s *sched) pushReadyLocked(t *task) {
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	s.pushReadyLocked(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
+	s.ready.push(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
 }
 
-// minActiveLocked returns the minimum vtime over ready and running tasks
-// — the bound a commit queue head must beat to be certain no earlier
-// task can still appear before it.
-func (s *sched) minActiveLocked() (vtime, bool) {
+// minRunningLocked returns the minimum vtime over running attempts. It
+// scans one slot per worker.
+func (s *sched) minRunningLocked() (vtime, bool) {
 	var best vtime
 	ok := false
-	for i := range s.ready {
-		if len(s.ready[i]) > 0 {
-			if v := s.ready[i][0].vt; !ok || v.less(best) {
-				best, ok = v, true
-			}
-		}
-	}
-	for t := range s.running {
-		if !ok || t.vt.less(best) {
+	for _, t := range s.running {
+		if t != nil && (!ok || t.vt.less(best)) {
 			best, ok = t.vt, true
 		}
 	}
 	return best, ok
 }
 
-// minUncommittedTSLocked returns the smallest guest timestamp among all
-// uncommitted tasks: the conservative mode's dispatch frontier. The
-// frontier is deliberately timestamp-only — a conservative wave spans a
-// whole timestamp slot including its nested fork subtasks, which may run
-// concurrently within the wave; the commit queue still retires them in
-// full (ts, path, seq) order.
-func (s *sched) minUncommittedTSLocked() (uint64, bool) {
-	min, ok := s.minActiveLocked()
-	ts, any := min.ts, ok
-	if s.commitQ.Len() > 0 {
-		if h := s.commitQ[0].vt.ts; !any || h < ts {
-			ts, any = h, true
-		}
+// runnableLocked reports whether the ready minimum may dispatch now.
+// Speculative mode dispatches it regardless of what is still uncommitted.
+// Conservative mode holds it back until its timestamp is the minimum
+// uncommitted timestamp. That frontier is deliberately timestamp-only: a
+// conservative wave spans a whole timestamp slot including its nested
+// fork subtasks, which may run concurrently within the wave; the commit
+// queue still retires them in full (ts, path, seq) order.
+func (s *sched) runnableLocked() bool {
+	if len(s.ready) == 0 {
+		return false
 	}
-	return ts, any
+	if !s.conservative {
+		return true
+	}
+	ts := s.ready[0].vt.ts
+	if run, ok := s.minRunningLocked(); ok && run.ts < ts {
+		return false
+	}
+	return len(s.commitQ) == 0 || s.commitQ[0].vt.ts >= ts
 }
 
-// popEligibleLocked dispatches the minimum-vtime ready task, or nil if
-// none is runnable. Speculative mode dispatches the global ready minimum
-// regardless of what is still uncommitted; conservative mode holds tasks
-// back until their timestamp is the minimum uncommitted timestamp.
-func (s *sched) popEligibleLocked() *task {
-	best := -1
-	for i := range s.ready {
-		if len(s.ready[i]) == 0 {
-			continue
-		}
-		if best < 0 || s.ready[i][0].vt.less(s.ready[best][0].vt) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return nil
-	}
-	if s.conservative {
-		if frontier, ok := s.minUncommittedTSLocked(); ok && s.ready[best][0].vt.ts > frontier {
-			return nil
-		}
-	}
-	t := heap.Pop(&s.ready[best]).(*task)
-	s.readyN--
-	return t
-}
-
-// next blocks until it can hand the calling worker a task, or returns
-// nil when the phase is drained (or poisoned by err). It also drives the
-// commit queue: every wakeup drains whatever has become committable.
-func (s *sched) next() *task {
+// next retires the calling worker's finished attempt, if any, and blocks
+// until it can hand worker w a task, or returns nil when the phase is
+// drained (or poisoned by err). Retiring an attempt queues it for commit
+// and drains whatever has become committable.
+func (s *sched) next(w int, finished *task) *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for {
-		if s.err != nil || s.done {
-			return nil
-		}
+	if finished != nil {
+		s.running[w] = nil
+		s.commitQ.push(finished)
 		s.tryCommitsLocked()
-		if s.err != nil {
-			return nil
-		}
-		if t := s.popEligibleLocked(); t != nil {
-			s.running[t] = struct{}{}
+	}
+	for s.err == nil && !s.done {
+		if s.runnableLocked() {
+			t := s.ready.pop()
+			s.running[w] = t
 			s.dequeues++
+			t.env = s.getEnvLocked()
+			if s.runnableLocked() {
+				s.cond.Signal()
+			}
 			return t
 		}
-		if s.readyN == 0 && len(s.running) == 0 && s.commitQ.Len() == 0 {
-			s.done = true
-			s.cond.Broadcast()
-			return nil
+		if len(s.ready) == 0 && len(s.commitQ) == 0 {
+			if _, busy := s.minRunningLocked(); !busy {
+				s.done = true
+				s.cond.Broadcast()
+				return nil
+			}
 		}
 		s.cond.Wait()
 	}
+	return nil
 }
 
-// finish moves an executed attempt to the commit queue and drains any
-// newly committable prefix.
-func (s *sched) finish(t *task, env *taskEnv) {
-	s.mu.Lock()
-	delete(s.running, t)
-	t.env = env
-	heap.Push(&s.commitQ, t)
-	s.tryCommitsLocked()
-	s.cond.Broadcast()
-	s.mu.Unlock()
+// getEnvLocked takes an attempt buffer from the free list; the caller
+// resets it for its task.
+func (s *sched) getEnvLocked() *taskEnv {
+	n := len(s.envs)
+	if n == 0 {
+		return newTaskEnv(s.r, guest.TaskDesc{})
+	}
+	e := s.envs[n-1]
+	s.envs = s.envs[:n-1]
+	return e
 }
 
-// handlePanic resolves a panic thrown during speculative execution. A
-// task that read an inconsistent snapshot can do anything a wrong branch
-// allows — index out of range, misaligned address, runaway loop — so a
-// panic is first treated as suspected misspeculation: if the read set no
-// longer validates, the attempt aborts and retries like any conflict.
-// If the reads were consistent the panic is real: an op-cap overrun
-// becomes a runtime error (infinite loop in guest code), anything else
-// re-panics exactly as it would under the simulator.
-func (s *sched) handlePanic(t *task, env *taskEnv, pval any) {
+func (s *sched) putEnvLocked(e *taskEnv) { s.envs = append(s.envs, e) }
+
+// abortLocked discards t's attempt and makes t runnable again.
+func (s *sched) abortLocked(t *task) {
+	s.aborts++
+	s.retries++
+	s.putEnvLocked(t.env)
+	t.env = nil
+	s.ready.push(t)
+}
+
+// handlePanic resolves a panic thrown during worker w's speculative
+// execution of t. A task that read an inconsistent snapshot can do
+// anything a wrong branch allows — index out of range, misaligned
+// address, runaway loop — so a panic is first treated as suspected
+// misspeculation: if the read set no longer validates, the attempt aborts
+// and retries like any conflict. If the reads were consistent the panic
+// is real: an op-cap overrun becomes a runtime error (infinite loop in
+// guest code), anything else re-panics exactly as it would under the
+// simulator.
+func (s *sched) handlePanic(w int, t *task, pval any) {
 	s.mu.Lock()
-	delete(s.running, t)
-	if !s.validLocked(env) {
-		s.aborts++
-		s.retries++
-		s.pushReadyLocked(t)
-		s.cond.Broadcast()
+	s.running[w] = nil
+	if !s.validLocked(t.env) {
+		s.abortLocked(t)
 		s.mu.Unlock()
 		return
 	}
@@ -271,8 +277,8 @@ func (s *sched) failLocked(err error) {
 // validLocked checks an attempt's read set against current committed
 // versions. Commits only happen under s.mu, so the check is stable.
 func (s *sched) validLocked(env *taskEnv) bool {
-	for addr, rec := range env.reads {
-		if s.r.store.version(addr) != rec.ver {
+	for i, addr := range env.reads.addrs {
+		if s.r.store.version(addr) != env.readRecs[i].ver {
 			return false
 		}
 	}
@@ -286,19 +292,18 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // requeue the task; since the requeued task now precedes the rest of the
 // commit queue, the drain stops and the retry runs first. The minimum-
 // vtime uncommitted task can never be invalidated while running (nothing
-// may commit under it), so every task eventually commits.
+// may commit under it), so every task eventually commits. The running
+// set cannot change during the drain, so its minimum is taken once.
 func (s *sched) tryCommitsLocked() {
-	for s.commitQ.Len() > 0 && s.err == nil {
-		head := s.commitQ[0]
-		if min, ok := s.minActiveLocked(); ok && min.less(head.vt) {
+	run, running := s.minRunningLocked()
+	for len(s.commitQ) > 0 && s.err == nil {
+		if running && run.less(s.commitQ[0].vt) || len(s.ready) > 0 && s.ready[0].vt.less(s.commitQ[0].vt) {
 			return
 		}
-		heap.Pop(&s.commitQ)
-		if !s.validLocked(head.env) {
-			s.aborts++
-			s.retries++
-			s.pushReadyLocked(head)
-			s.cond.Broadcast()
+		head := s.commitQ.pop()
+		env := head.env
+		if !s.validLocked(env) {
+			s.abortLocked(head)
 			continue
 		}
 		if s.r.cfg.DebugChecks {
@@ -307,9 +312,8 @@ func (s *sched) tryCommitsLocked() {
 				return
 			}
 		}
-		env := head.env
-		for _, addr := range env.order {
-			s.r.store.commitWrite(addr, env.writes[addr])
+		for i, addr := range env.writes.addrs {
+			s.r.store.commitWrite(addr, env.writeVals[i])
 		}
 		for _, d := range env.children {
 			s.enqueueLocked(d)
@@ -322,7 +326,8 @@ func (s *sched) tryCommitsLocked() {
 			s.r.heap.ReleaseQuarantine(0)
 			s.r.heapMu.Unlock()
 		}
+		s.putEnvLocked(env)
+		head.env = nil
 		s.commits++
-		s.cond.Broadcast()
 	}
 }
