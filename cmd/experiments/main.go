@@ -39,8 +39,6 @@ func main() {
 			"Native rt backends report zero cycles, so cycle-based figures degenerate")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files to this directory")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations on the host (1 = sequential; results are identical)")
-	simWorkers := flag.Int("simworkers", 1,
-		"shard each simulated machine across N goroutines (results are bit-identical; 1 = single-threaded)")
 	quiet := flag.Bool("quiet", false, "suppress per-task progress lines on stderr")
 	flag.Parse()
 
@@ -60,9 +58,6 @@ func main() {
 	if err := harness.ValidateBackend(*backendF); err != nil {
 		log.Fatal(err)
 	}
-	if err := harness.ValidateSimWorkers(*simWorkers); err != nil {
-		log.Fatal(err)
-	}
 
 	want := map[string]bool{}
 	if *only != "" {
@@ -77,7 +72,6 @@ func main() {
 	s.SetWorkers(*workers)
 	s.SetMapper(*mapper)
 	s.SetBackend(*backendF)
-	s.SetSimWorkers(*simWorkers)
 	if !*quiet {
 		s.SetProgress(func(done, total int, label string, eta time.Duration) {
 			if eta >= time.Second {

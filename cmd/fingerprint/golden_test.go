@@ -20,14 +20,6 @@ var update = flag.Bool("update", false, "rewrite the golden fingerprint corpus")
 // 1-, 4-, 16- and 64-core machines (1 tile through 16 tiles).
 var goldenCores = []int{1, 4, 16, 64}
 
-// goldenSimWorkers are the tile-parallel shard counts pinned next to each
-// serial cell. The simulator promises bit-identical Stats for every
-// SimWorkers value, so these cells are the serial digests re-emitted with
-// a "simworkers=N" tag — the test additionally asserts the bodies match
-// in-run, and the corpus pins them so a future divergence that slips past
-// the differential suite still diffs here.
-var goldenSimWorkers = []int{2, 8}
-
 // TestGoldenFingerprints recomputes the full-Stats digest of every
 // registered app x core count at tiny scale and diffs it against the
 // pinned corpus in testdata. Any unintentional change to simulated
@@ -47,25 +39,6 @@ func TestGoldenFingerprints(t *testing.T) {
 				t.Fatalf("%s @%dc: %v", name, nc, err)
 			}
 			lines = append(lines, cell...)
-			for _, sw := range goldenSimWorkers {
-				cfg := core.DefaultConfig(nc)
-				cfg.SimWorkers = sw
-				par, err := cellLines(b, nc, cfg)
-				if err != nil {
-					t.Fatalf("%s @%dc simworkers=%d: %v", name, nc, sw, err)
-				}
-				if len(par) != len(cell) {
-					t.Fatalf("%s @%dc simworkers=%d: %d digest lines, serial has %d",
-						name, nc, sw, len(par), len(cell))
-				}
-				for i := range par {
-					if par[i] != cell[i] {
-						t.Errorf("%s @%dc simworkers=%d: digest diverges from serial\n  got  %s\n  want %s",
-							name, nc, sw, par[i], cell[i])
-					}
-				}
-				lines = append(lines, tagSimWorkers(par, sw)...)
-			}
 		}
 	}
 	got := strings.Join(lines, "\n") + "\n"

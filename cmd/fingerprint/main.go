@@ -37,8 +37,6 @@ func main() {
 	backendFlag := flag.String("backend", "sim",
 		"execution backend: "+strings.Join(core.BackendNames(), ", ")+
 			"; native rt digests cover only the deterministic counters")
-	simWorkersFlag := flag.Int("simworkers", 1,
-		"shard each simulated machine across N goroutines; digests must stay byte-identical to -simworkers 1 (lines are tagged when N > 1)")
 	flag.Parse()
 
 	scale, err := bench.ParseScale(*scaleFlag)
@@ -70,12 +68,11 @@ func main() {
 			cfg := core.DefaultConfig(nc)
 			cfg.Mapper = *mapperFlag
 			cfg.Backend = *backendFlag
-			cfg.SimWorkers = *simWorkersFlag
 			lines, err := cellLines(b, nc, cfg)
 			if err != nil {
 				fatal(fmt.Errorf("%s @%dc: %w", name, nc, err))
 			}
-			for _, l := range tagSimWorkers(lines, cfg.SimWorkers) {
+			for _, l := range lines {
 				fmt.Println(l)
 			}
 		}
@@ -88,22 +85,6 @@ func sortStrings(names []string) []string {
 	s := append([]string(nil), names...)
 	sort.Strings(s)
 	return s
-}
-
-// tagSimWorkers marks digest lines produced by a tile-parallel machine
-// (simworkers > 1). The digest body is untouched: the simulator guarantees
-// bit-identical Stats for every SimWorkers value, so a tagged line must
-// equal its untagged twin up to the tag — which is exactly what the golden
-// corpus pins.
-func tagSimWorkers(lines []string, simWorkers int) []string {
-	if simWorkers <= 1 {
-		return lines
-	}
-	out := make([]string, len(lines))
-	for i, l := range lines {
-		out[i] = fmt.Sprintf("%s simworkers=%d", l, simWorkers)
-	}
-	return out
 }
 
 // cellLines fingerprints one (app, cores) cell. Single-phase apps emit
@@ -176,16 +157,16 @@ func phaseDigest(app string, cores, nPhases int, ph core.PhaseStats) string {
 // digest renders every deterministic Stats field on one line, including
 // the cache-hierarchy counters (a change that perturbs only cache-level
 // accounting must not produce an identical fingerprint) and the mapper
-// placement view — steal counts plus FNV digests of the per-tile
-// occupancy and traffic vectors, so two runs that differ only in *where*
-// tasks landed cannot fingerprint identically.
+// placement view — FNV digests of the per-tile occupancy and traffic
+// vectors, so two runs that differ only in *where* tasks landed cannot
+// fingerprint identically.
 func digest(app string, cores int, st core.Stats) string {
 	c := st.Cache
 	return fmt.Sprintf("%s cores=%d events=%d cycles=%d commits=%d aborts=%d enq=%d deq=%d nacks=%d polAborts=%d spilled=%d "+
 		"commitCyc=%d abortCyc=%d spillCyc=%d stallCyc=%d bloom=%d vtcmp=%d gvt=%d tqOcc=%.6f cqOcc=%.6f "+
 		"trafMem=%d trafEnq=%d trafAbort=%d trafGVT=%d "+
 		"ld=%d st=%d l1h=%d l2h=%d l3h=%d mem=%d canary=%d gchk=%d inval=%d wb=%d flash=%d stickyFilt=%d "+
-		"mapper=%s stolen=%d tileOcc=%x tileTraf=%x",
+		"mapper=%s tileOcc=%x tileTraf=%x",
 		app, cores, st.Events, st.Cycles, st.Commits, st.Aborts, st.Enqueues, st.Dequeues, st.NACKs,
 		st.PolicyAborts, st.SpilledTasks,
 		st.CommittedCycles, st.AbortedCycles, st.SpillCycles, st.StallCycles,
@@ -196,7 +177,7 @@ func digest(app string, cores int, st core.Stats) string {
 		c.Loads, c.Stores, c.L1Hits, c.L2Hits, c.L3Hits, c.MemAccesses,
 		c.CanaryFails, c.GlobalChecks, c.Invalidations, c.Writebacks,
 		c.L1FlashClears, c.StickyChecksFiltered,
-		st.Mapper, st.StolenTasks, tileOccDigest(st), tileTrafDigest(st))
+		st.Mapper, tileOccDigest(st), tileTrafDigest(st))
 }
 
 // tileOccDigest folds the per-tile average queue occupancies into one

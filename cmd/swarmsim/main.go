@@ -48,8 +48,6 @@ func main() {
 	csvOut := flag.Bool("csv", false,
 		"emit one machine-readable CSV row per app instead of the report (-impl swarm only; swarmd serves the same format)")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations for multi-benchmark runs")
-	simWorkers := flag.Int("simworkers", 1,
-		"shard one simulated machine across N goroutines (results are bit-identical; 1 = single-threaded)")
 	flag.Parse()
 
 	// Validate every selector flag up front against the registries, before
@@ -70,9 +68,6 @@ func main() {
 		log.Fatal(err)
 	}
 	if err := harness.ValidateBackend(*backendF); err != nil {
-		log.Fatal(err)
-	}
-	if err := harness.ValidateSimWorkers(*simWorkers); err != nil {
 		log.Fatal(err)
 	}
 	if *csvOut && *impl != "swarm" {
@@ -113,7 +108,6 @@ func main() {
 			cfg.Seed = *seed
 			cfg.Mapper = *mapper
 			cfg.Backend = *backendF
-			cfg.SimWorkers = *simWorkers
 			if *cq > 0 {
 				cfg.CommitQPerCore = *cq
 			}
@@ -215,8 +209,8 @@ func printStats(w io.Writer, app string, st core.Stats) {
 		100*float64(st.SpillCycles)/tot, 100*float64(st.StallCycles)/tot)
 	fmt.Fprintf(w, "  avg occupancy: task queue %.0f, commit queue %.0f\n",
 		st.AvgTaskQueueOcc, st.AvgCommitQueueOcc)
-	fmt.Fprintf(w, "  mapper %s: task-queue imbalance %.2f (max/mean), stolen tasks %d\n",
-		st.Mapper, st.TaskQOccImbalance(), st.StolenTasks)
+	fmt.Fprintf(w, "  mapper %s: task-queue imbalance %.2f (max/mean)\n",
+		st.Mapper, st.TaskQOccImbalance())
 	fmt.Fprintf(w, "  bloom checks      %12d (VT compares: %d)\n", st.BloomChecks, st.VTCompares)
 	fmt.Fprintf(w, "  NoC GB/s per tile: mem %.2f, enqueue %.2f, abort %.2f, gvt %.2f\n",
 		st.TrafficGBps(noc.ClassMem), st.TrafficGBps(noc.ClassEnqueue),

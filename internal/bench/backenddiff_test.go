@@ -41,6 +41,15 @@ import (
 
 var rtBackends = []string{"rt", "rt-conservative"}
 
+// diffCores is the matrix's machine-size axis: every size in full mode,
+// the 1- and 16-core corners under -short.
+func diffCores(short bool) []int {
+	if short {
+		return []int{1, 16}
+	}
+	return []int{1, 4, 16, 64}
+}
+
 // tieSensitive marks apps whose committed memory legitimately depends
 // on the unspecified equal-timestamp commit order.
 var tieSensitive = map[string]bool{"msf": true, "kcore": true, "des": true}

@@ -11,11 +11,9 @@ import (
 // task-mapping policy on a 16-core (4-tile) machine. Each run's result is
 // verified against the host reference inside RunSwarm, and each (app,
 // mapper) cell must be run-to-run deterministic — the golden fingerprint
-// corpus pins only the random policy, so this is the coverage for hint,
-// stealing and roundrobin placement (and for the stealing epoch, the one
-// mapper that migrates queued tasks between tiles mid-run).
+// corpus pins only the random policy, so this is the coverage for hint
+// placement.
 func TestAllAppsUnderAllMappers(t *testing.T) {
-	sawSteals := false
 	for _, name := range AppNames() {
 		b, err := New(name, ScaleTiny)
 		if err != nil {
@@ -31,10 +29,6 @@ func TestAllAppsUnderAllMappers(t *testing.T) {
 			if st1.Mapper != mp {
 				t.Fatalf("%s: Stats.Mapper = %q, want %q", name, st1.Mapper, mp)
 			}
-			if mp != "stealing" && st1.StolenTasks != 0 {
-				t.Fatalf("%s mapper=%s stole %d tasks", name, mp, st1.StolenTasks)
-			}
-			sawSteals = sawSteals || st1.StolenTasks > 0
 			st2, err := b.RunSwarm(cfg)
 			if err != nil {
 				t.Fatalf("%s mapper=%s rerun: %v", name, mp, err)
@@ -43,10 +37,5 @@ func TestAllAppsUnderAllMappers(t *testing.T) {
 				t.Fatalf("%s mapper=%s: nondeterministic Stats across identical runs", name, mp)
 			}
 		}
-	}
-	// At least one app must actually exercise the steal path at this
-	// machine size (silo does, heavily) or the policy is untested.
-	if !sawSteals {
-		t.Error("stealing mapper never stole a task across the whole suite")
 	}
 }

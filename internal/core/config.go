@@ -92,19 +92,6 @@ type Config struct {
 	// (commit-order checks); used by the test suite.
 	DebugChecks bool
 
-	// SimWorkers shards simulation execution across host goroutines: guest
-	// task bodies run ahead on per-tile-group workers and GVT rounds reduce
-	// in parallel (see parallel.go). Results are bit-identical for every
-	// value — Stats, PhaseStats and committed memory match SimWorkers=1
-	// exactly. 0 or 1 selects the plain single-goroutine path.
-	SimWorkers int
-
-	// SimPerturb, when non-zero, seeds randomized yield/sleep points in the
-	// SimWorkers runtime — the differential suite's adversarial-scheduling
-	// mode. It shifts host-side worker timing only and can never change
-	// simulation results; 0 (the default) disables it.
-	SimPerturb int64
-
 	// Backend names the execution engine that runs the program. "" or
 	// "sim" is the cycle-level simulator (this package); "rt" is the
 	// native speculative host runtime (internal/rt) and "rt-conservative"
@@ -206,12 +193,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxChildren < 1 {
 		return fmt.Errorf("core: MaxChildren must be >= 1")
-	}
-	if c.SimWorkers < 0 {
-		return fmt.Errorf("core: SimWorkers must be >= 0 (0 or 1 = single-threaded), got %d", c.SimWorkers)
-	}
-	if c.SimWorkers > 1024 {
-		return fmt.Errorf("core: SimWorkers %d exceeds the 1024 sanity limit", c.SimWorkers)
 	}
 	if c.LocalEnqueue && c.Mapper != "" && c.Mapper != "random" {
 		// LocalEnqueue is an ablation of the random policy; under any

@@ -269,12 +269,6 @@ func (m *Machine) abortTask(t *task, discard bool) {
 	if debugAbortHook != nil {
 		debugAbortHook(m, t, discard)
 	}
-	if t.parJob != nil {
-		// Parallel mode: a shard worker may still be running t's next guest
-		// segment. Join and discard it before unwinding the coroutine.
-		m.par.abandon(t)
-	}
-
 	// 1. Notify children to abort and be removed from their task queues.
 	children := t.children
 	t.children = nil

@@ -19,56 +19,31 @@ func (m *Machine) gvtRound() {
 		return // no reschedule: the event queue drains and Run returns
 	}
 
-	// Load-aware mappers migrate queued work at epoch boundaries, before
-	// the GVT bound is computed so moved tasks are counted where they land.
-	m.mapper.epoch(m)
-
 	now := m.eng.Now()
 	gvt := vt.Infinity
-	if m.par != nil {
-		// Two-phase reduction: shard workers compute per-tile minima and
-		// occupancy partials over their own tile groups in parallel; the
-		// sequencer folds the partials in shard order. Min and sum are
-		// exact under any grouping, so gvt and every statistic below are
-		// bit-identical to the serial loop. NoC accounting stays here: the
-		// mesh is sequencer-owned state.
-		var tq, cq uint64
-		gvt, tq, cq = m.par.gvtReduce(now)
-		for _, tt := range m.tiles {
-			m.mesh.Account(tt.id, noc.ClassGVT, noc.GVTMsgBytes)
+	for _, tt := range m.tiles {
+		tv := m.tileMinVT(tt, now)
+		if tv.Less(gvt) {
+			gvt = tv
 		}
+		m.mesh.Account(tt.id, noc.ClassGVT, noc.GVTMsgBytes)
+	}
+	// Queue occupancy sampling (Fig 15) — before the commit round, which
+	// drains the commit queues (sampling after would always see the
+	// post-commit minimum). Per-tile sums feed the mapper diagnostics
+	// (placement skew is invisible in the machine-wide averages).
+	for i, tt := range m.tiles {
+		tq := uint64(tt.nTasks)
+		cq := uint64(tt.commitQ.Len() + tt.finishWait.Len())
 		m.st.tqOccSum += tq
 		m.st.cqOccSum += cq
-	} else {
-		for _, tt := range m.tiles {
-			tv := m.tileMinVT(tt, now)
-			if tv.Less(gvt) {
-				gvt = tv
-			}
-			m.mesh.Account(tt.id, noc.ClassGVT, noc.GVTMsgBytes)
-		}
-		// Queue occupancy sampling (Fig 15) — before the commit round,
-		// which drains the commit queues (sampling after would always see
-		// the post-commit minimum). Per-tile sums feed the mapper
-		// diagnostics (placement skew is invisible in the machine-wide
-		// averages). The parallel branch accumulates the same sums inside
-		// the reduction.
-		for i, tt := range m.tiles {
-			tq := uint64(tt.nTasks)
-			cq := uint64(tt.commitQ.Len() + tt.finishWait.Len())
-			m.st.tqOccSum += tq
-			m.st.cqOccSum += cq
-			m.st.tileTqOccSum[i] += tq
-			m.st.tileCqOccSum[i] += cq
-		}
+		m.st.tileTqOccSum[i] += tq
+		m.st.tileCqOccSum[i] += cq
 	}
 	// Arbiter broadcast (the arbiter sits by tile 0).
 	m.mesh.Account(0, noc.ClassGVT, noc.GVTMsgBytes*m.cfg.Tiles)
 	m.gvt = gvt
 	m.st.gvtUpdates++
-	if m.cfg.DebugChecks && m.st.gvtUpdates%2000 == 0 {
-		fmt.Printf("DBG cycle=%d %s\n", now, m.describeState())
-	}
 	m.st.occSamples++
 
 	prevCommits := m.st.commits

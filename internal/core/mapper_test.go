@@ -21,7 +21,7 @@ func TestNewMapperNames(t *testing.T) {
 	}
 	if _, err := newMapper("bogus"); err == nil {
 		t.Error("newMapper(bogus) should fail")
-	} else if want := `core: unknown mapper "bogus" (valid: hint, random, roundrobin, stealing)`; err.Error() != want {
+	} else if want := `core: unknown mapper "bogus" (valid: hint, random)`; err.Error() != want {
 		t.Errorf("error text:\n got: %s\nwant: %s", err, want)
 	}
 	badCfg := DefaultConfig(4)
@@ -69,13 +69,6 @@ func TestHintTile(t *testing.T) {
 func TestMapperPlacement(t *testing.T) {
 	m := &Machine{cfg: Config{Tiles: 4}}
 	var d guest.TaskDesc
-
-	rr := &rrMapper{}
-	for i := 0; i < 10; i++ {
-		if got, want := rr.place(m, d, 2), i%4; got != want {
-			t.Fatalf("roundrobin placement %d = %d, want %d", i, got, want)
-		}
-	}
 
 	h := &hintMapper{}
 	hinted := d.WithHint(42)

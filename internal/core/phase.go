@@ -14,18 +14,18 @@ type phaseSnap struct {
 	cycle  uint64
 	events uint64
 
-	commits, aborts      uint64
-	enqueues, dequeues   uint64
-	nacks, policyAborts  uint64
-	spilledTasks, stolen uint64
-	gvtUpdates           uint64
-	tqOccSum, cqOccSum   uint64
-	occSamples           uint64
-	committedCyc         uint64
-	abortedCyc           uint64
-	spillCyc             uint64
-	trafficBytes         uint64
-	bloomChecks, vtCmps  uint64
+	commits, aborts     uint64
+	enqueues, dequeues  uint64
+	nacks, policyAborts uint64
+	spilledTasks        uint64
+	gvtUpdates          uint64
+	tqOccSum, cqOccSum  uint64
+	occSamples          uint64
+	committedCyc        uint64
+	abortedCyc          uint64
+	spillCyc            uint64
+	trafficBytes        uint64
+	bloomChecks, vtCmps uint64
 }
 
 func (m *Machine) takeSnap() phaseSnap {
@@ -39,7 +39,6 @@ func (m *Machine) takeSnap() phaseSnap {
 		nacks:        m.st.nacks,
 		policyAborts: m.st.policyAborts,
 		spilledTasks: m.st.spilledTasks,
-		stolen:       m.st.stolen,
 		gvtUpdates:   m.st.gvtUpdates,
 		tqOccSum:     m.st.tqOccSum,
 		cqOccSum:     m.st.cqOccSum,
@@ -83,7 +82,6 @@ type PhaseStats struct {
 	NACKs        uint64
 	PolicyAborts uint64
 	SpilledTasks uint64
-	StolenTasks  uint64
 	GVTUpdates   uint64
 
 	// Core-cycle breakdown within the phase (Fig 14, per phase).
@@ -124,7 +122,6 @@ func (m *Machine) phaseStats() PhaseStats {
 		NACKs:           end.nacks - m.snap.nacks,
 		PolicyAborts:    end.policyAborts - m.snap.policyAborts,
 		SpilledTasks:    end.spilledTasks - m.snap.spilledTasks,
-		StolenTasks:     end.stolen - m.snap.stolen,
 		GVTUpdates:      end.gvtUpdates - m.snap.gvtUpdates,
 		CommittedCycles: end.committedCyc - m.snap.committedCyc,
 		AbortedCycles:   end.abortedCyc - m.snap.abortedCyc,

@@ -58,13 +58,12 @@ func spillable(t *task) bool {
 }
 
 // movableTasks returns up to max of the tile's idle, parentless worker
-// tasks strictly later than the queue head — the set that may leave the
-// tile's hardware queue, by spilling to memory (coalescer) or migrating
-// to another tile (the stealing mapper). Only tasks strictly later than
-// the tile's earliest timestamp qualify: moving the head would
-// immediately force it back (and can livelock the tile in ping-pong
-// while real work starves). Highest timestamps come first — the work
-// farthest from the GVT and least likely to be needed soon.
+// tasks strictly later than the queue head — the set the coalescer may
+// spill to memory. Only tasks strictly later than the tile's earliest
+// timestamp qualify: spilling the head would immediately force it back
+// (and can livelock the tile in ping-pong while real work starves).
+// Highest timestamps come first — the work farthest from the GVT and
+// least likely to be needed soon.
 func movableTasks(tt *tile, max int) []*task {
 	var minDesc guest.TaskDesc
 	if minT := tt.idleQ.Min(); minT != nil {

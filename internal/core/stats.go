@@ -12,7 +12,6 @@ type internalStats struct {
 	overflowed         uint64
 	policyAborts       uint64
 	spilledTasks       uint64
-	stolen             uint64
 	bloomChecks        uint64
 	vtCompares         uint64
 	gvtUpdates         uint64
@@ -80,9 +79,6 @@ type Stats struct {
 
 	// Mapper is the task-mapping policy the machine ran with.
 	Mapper string
-	// StolenTasks counts idle tasks migrated between tiles by load-aware
-	// mappers (the "stealing" policy's GVT-epoch re-leveling).
-	StolenTasks uint64
 	// TileTaskQOcc and TileCommitQOcc are per-tile average queue
 	// occupancies (same sampling as the Avg* aggregates): the placement-
 	// skew view a mapper change moves even when the averages stand still.
@@ -159,7 +155,6 @@ func (m *Machine) collectStats() Stats {
 		VTCompares:   m.st.vtCompares,
 		GVTUpdates:   m.st.gvtUpdates,
 		Mapper:       m.mapper.name(),
-		StolenTasks:  m.st.stolen,
 		Cache:        m.hier.Stats(),
 		TrafficBytes: m.mesh.TotalBytes(),
 	}

@@ -91,12 +91,6 @@ type task struct {
 	pendDesc    guest.TaskDesc
 	pendAttempt int
 
-	// parJob is the task's in-flight offloaded continuation (parallel mode
-	// only, see parallel.go): set when the scheduled event's guest segment
-	// was handed to a shard worker, cleared when the sequencer joins it at
-	// fire time (collect) or discards it on abort (abandon).
-	parJob *parJob
-
 	// splitter payload: id of the spilled batch in Machine.spillStore.
 	batch uint64
 

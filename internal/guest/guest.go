@@ -15,13 +15,9 @@
 // body touches only coroutine-local state (locals, its Env, read-only
 // captured data) — every machine-visible effect flows through a yielded
 // Op. The contract is what makes simulations deterministic, and it is
-// what lets the tile-parallel machine (core.Config.SimWorkers) run a
-// coroutine's next segment ahead of its event on another goroutine: the
-// segment's only output is the next Op, consumed by the sequencer at the
-// exact cycle the serial machine would produce it. A Coroutine is never
-// resumed concurrently, but consecutive Resume calls may come from
-// different goroutines (iter.Pull supports sequential cross-goroutine
-// use); the parallel runtime orders each handoff with an atomic flag.
+// what lets the native runtime (internal/rt) re-execute a task body —
+// after an abort, or under DebugChecks to compare a committed attempt
+// against a fresh one — and get the same operations back.
 package guest
 
 import (

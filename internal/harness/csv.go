@@ -17,19 +17,19 @@ import (
 // answer against the one-shot CLI byte for byte.
 const StatsCSVHeader = "app,cores,cycles,commits,aborts,spilled,nacks,enqueues,dequeues," +
 	"committed_cycles,aborted_cycles,spill_cycles,stall_cycles,taskq_occ,commitq_occ," +
-	"bloom_checks,vt_compares,traffic_bytes,stolen_tasks,mapper,backend,wall_ns,retries"
+	"bloom_checks,vt_compares,traffic_bytes,mapper,backend,wall_ns,retries"
 
 // StatsCSVRow formats one run as a StatsCSVHeader row (no newline). The
 // trailing backend columns carry the native runtimes' metrics (wall_ns
 // and retries are zero under the simulator, as cycle columns are under
 // the native backends).
 func StatsCSVRow(app string, st core.Stats) string {
-	return fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%d,%s,%s,%d,%d",
+	return fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s,%s,%d,%d",
 		app, st.Cores, st.Cycles, st.Commits, st.Aborts, st.SpilledTasks, st.NACKs,
 		st.Enqueues, st.Dequeues,
 		st.CommittedCycles, st.AbortedCycles, st.SpillCycles, st.StallCycles,
 		st.AvgTaskQueueOcc, st.AvgCommitQueueOcc,
-		st.BloomChecks, st.VTCompares, st.TotalTrafficBytes(), st.StolenTasks, st.Mapper,
+		st.BloomChecks, st.VTCompares, st.TotalTrafficBytes(), st.Mapper,
 		st.Backend, st.WallNS, st.Retries)
 }
 
@@ -103,12 +103,12 @@ func WriteTrafficCSV(w io.Writer, results []ScalingResult) error {
 
 // WriteMapperCSV emits the task-mapping sweep: one row per (mapper, app).
 func WriteMapperCSV(w io.Writer, pts []MapperPoint) error {
-	if _, err := fmt.Fprintln(w, "mapper,app,cycles,speedup_vs_random,aborts,noc_bytes,stolen_tasks,taskq_imbalance"); err != nil {
+	if _, err := fmt.Fprintln(w, "mapper,app,cycles,speedup_vs_random,aborts,noc_bytes,taskq_imbalance"); err != nil {
 		return err
 	}
 	for _, p := range pts {
-		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.3f,%d,%d,%d,%.3f\n",
-			p.Mapper, p.App, p.Cycles, p.Speedup, p.Aborts, p.NoCBytes, p.Stolen, p.Imbalance); err != nil {
+		if _, err := fmt.Fprintf(w, "%s,%s,%d,%.3f,%d,%d,%.3f\n",
+			p.Mapper, p.App, p.Cycles, p.Speedup, p.Aborts, p.NoCBytes, p.Imbalance); err != nil {
 			return err
 		}
 	}

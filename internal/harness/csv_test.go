@@ -174,7 +174,7 @@ func TestMapperCSV(t *testing.T) {
 	var buf bytes.Buffer
 	pts := []MapperPoint{
 		{Mapper: "random", App: "bfs", Cycles: 100, Speedup: 1.0, Aborts: 3, NoCBytes: 500},
-		{Mapper: "hint", App: "bfs", Cycles: 90, Speedup: 1.111, Aborts: 2, NoCBytes: 350, Stolen: 0, Imbalance: 1.5},
+		{Mapper: "hint", App: "bfs", Cycles: 90, Speedup: 1.111, Aborts: 2, NoCBytes: 350, Imbalance: 1.5},
 	}
 	if err := WriteMapperCSV(&buf, pts); err != nil {
 		t.Fatal(err)

@@ -174,11 +174,11 @@ func PrintPhases(w io.Writer, pts []PhasePoint) {
 // over the random mapper plus the placement diagnostics behind it.
 func PrintMapperSweep(w io.Writer, cores int, pts []MapperPoint) {
 	fmt.Fprintf(w, "task-mapping policies at %d cores (speedup vs random; NoC = total injected bytes)\n", cores)
-	fmt.Fprintf(w, "%-11s %-8s %12s %8s %10s %12s %8s %7s\n",
-		"mapper", "app", "cycles", "speedup", "aborts", "noc_bytes", "stolen", "imbal")
+	fmt.Fprintf(w, "%-11s %-8s %12s %8s %10s %12s %7s\n",
+		"mapper", "app", "cycles", "speedup", "aborts", "noc_bytes", "imbal")
 	for _, p := range pts {
-		fmt.Fprintf(w, "%-11s %-8s %12d %7.2fx %10d %12d %8d %7.2f\n",
-			p.Mapper, p.App, p.Cycles, p.Speedup, p.Aborts, p.NoCBytes, p.Stolen, p.Imbalance)
+		fmt.Fprintf(w, "%-11s %-8s %12d %7.2fx %10d %12d %7.2f\n",
+			p.Mapper, p.App, p.Cycles, p.Speedup, p.Aborts, p.NoCBytes, p.Imbalance)
 	}
 }
 

@@ -89,12 +89,3 @@ func ValidateBackend(name string) error {
 	}
 	return fmt.Errorf("unknown backend %q (valid: %s)", name, optionList(core.BackendNames()))
 }
-
-// ValidateSimWorkers checks a tile-parallel shard count (0 and 1 both
-// select the single-threaded simulator).
-func ValidateSimWorkers(n int) error {
-	if n < 0 {
-		return fmt.Errorf("invalid simworkers %d (valid: 0 or more; 0 and 1 run single-threaded)", n)
-	}
-	return nil
-}

@@ -27,10 +27,10 @@ func TestValidateFlags(t *testing.T) {
 		// -mapper
 		{"mapper", "random", false, nil},
 		{"mapper", "hint", false, nil},
-		{"mapper", "stealing", false, nil},
-		{"mapper", "roundrobin", false, nil},
 		{"mapper", "", false, nil}, // default
-		{"mapper", "rnd", true, []string{`unknown mapper "rnd"`, "random", "hint", "stealing", "roundrobin"}},
+		{"mapper", "rnd", true, []string{`unknown mapper "rnd"`, "(valid: hint, random)"}},
+		{"mapper", "stealing", true, []string{`unknown mapper "stealing"`, "(valid: hint, random)"}},
+		{"mapper", "roundrobin", true, []string{`unknown mapper "roundrobin"`, "(valid: hint, random)"}},
 
 		// -scale
 		{"scale", "tiny", false, nil},
@@ -88,7 +88,11 @@ func TestValidatorMessagesSorted(t *testing.T) {
 		{"app-empty", func() error { _, err := ResolveApps(""); return err }(),
 			`no app named (valid: ` + appList + `; a comma list; or all)`},
 		{"mapper", ValidateMapper("rnd"),
-			`unknown mapper "rnd" (valid: hint, random, roundrobin, stealing)`},
+			`unknown mapper "rnd" (valid: hint, random)`},
+		{"mapper-stealing", ValidateMapper("stealing"),
+			`unknown mapper "stealing" (valid: hint, random)`},
+		{"mapper-roundrobin", ValidateMapper("roundrobin"),
+			`unknown mapper "roundrobin" (valid: hint, random)`},
 		{"backend", ValidateBackend("native"),
 			`unknown backend "native" (valid: rt, rt-conservative, sim)`},
 	}
@@ -127,16 +131,5 @@ func TestValidateCores(t *testing.T) {
 		} else if !strings.Contains(err.Error(), "multiple of 4") {
 			t.Errorf("ValidateCores(%d): error %q does not name the valid counts", n, err)
 		}
-	}
-}
-
-func TestValidateSimWorkers(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 8} {
-		if err := ValidateSimWorkers(n); err != nil {
-			t.Errorf("ValidateSimWorkers(%d): %v", n, err)
-		}
-	}
-	if err := ValidateSimWorkers(-1); err == nil {
-		t.Error("ValidateSimWorkers(-1): want error")
 	}
 }

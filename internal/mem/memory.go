@@ -72,25 +72,10 @@ func (m *Memory) Store(addr, val uint64) {
 	m.page(addr)[(addr>>WordShift)&(pageWords-1)] = val
 }
 
-// Peek returns the 64-bit word at addr without mutating the memory: no
-// page materialization and no last-page cache update. Unlike Load it is
-// safe for concurrent readers while no writer runs.
-func (m *Memory) Peek(addr uint64) uint64 {
-	if !WordAligned(addr) {
-		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
-	}
-	p, ok := m.pages[addr>>pageShift]
-	if !ok {
-		return 0
-	}
-	return p[(addr>>WordShift)&(pageWords-1)]
-}
-
 // EachPage calls f with the address of the first word of every
-// materialized page and the page's words, in no particular order. Like
-// Peek it materializes nothing, and f must only read the words: the
-// native runtime builds its phase-long read view of the frozen memory
-// from them.
+// materialized page and the page's words, in no particular order. It
+// materializes nothing, and f must only read the words: the native
+// runtime builds its phase-long read view of the frozen memory from them.
 func (m *Memory) EachPage(f func(addr uint64, words []uint64)) {
 	for pn, p := range m.pages {
 		f(pn<<pageShift, p)

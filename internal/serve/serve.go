@@ -1,16 +1,15 @@
 // Package serve implements swarmd, the simulation-as-a-service daemon:
 // a long-running HTTP/JSON front end over the deterministic simulator.
-// Clients POST simulation jobs (app, scale, cores, mapper, backend,
-// simworkers, seed, phases); the daemon runs them on a bounded harness
-// worker pool and serves results as JSON or CSV. Because every
-// simulation is a pure function of its specification, identical
-// concurrent submissions are deduplicated through a singleflight result
-// cache — the error-evicting harness.Memo, so one transient failure
-// never poisons a configuration — and a job's answer is byte-identical
-// to a one-shot `swarmsim` run of the same configuration. (Native rt
-// backends are the one caveat: their committed results are
-// deterministic but their wall-clock and abort counts are not, so a
-// cache hit replays the first run's timing.)
+// Clients POST simulation jobs (app, scale, cores, mapper, backend, seed,
+// phases); the daemon runs them on a bounded harness worker pool and
+// serves results as JSON or CSV. Because every simulation is a pure
+// function of its specification, identical concurrent submissions are
+// deduplicated through a singleflight result cache — the error-evicting
+// harness.Memo, so one transient failure never poisons a configuration —
+// and a job's answer is byte-identical to a one-shot `swarmsim` run of
+// the same configuration. (Native rt backends are the one caveat: their
+// committed results are deterministic but their wall-clock and abort
+// counts are not, so a cache hit replays the first run's timing.)
 //
 // The service splits two listeners, cozy-stack style: the public API
 // (jobs, sessions, app registry, health) and an admin port carrying

@@ -288,7 +288,8 @@ func TestBadRequests(t *testing.T) {
 		{"bad scale", `{"app": "bfs", "scale": "galactic"}`, "tiny"},
 		{"bad cores", `{"app": "bfs", "cores": 7}`, "multiple of 4"},
 		{"bad mapper", `{"app": "bfs", "mapper": "psychic"}`, "random"},
-		{"negative workers", `{"app": "bfs", "simworkers": -2}`, "simworkers"},
+		{"removed simworkers option", `{"app": "bfs", "simworkers": 4}`, "simworkers"},
+		{"removed stealing mapper", `{"app": "bfs", "mapper": "stealing"}`, "hint, random"},
 		{"phases on single-phase app", `{"app": "bfs", "phases": true}`, "incsssp"},
 	}
 	for _, tc := range cases {

@@ -17,7 +17,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -31,11 +30,6 @@ import (
 // milliseconds so -bench converges quickly.
 var simcoreApps = []string{"sssp", "des"}
 
-// simcoreWorkers are the measured SimWorkers points: the single-threaded
-// simulator and the tile-parallel machine at two shard counts. Results are
-// bit-identical across all of them; only host throughput differs.
-var simcoreWorkers = []int{1, 2, 8}
-
 // simcoreBackends are the measured native-runtime points: swarm-rt
 // executes the same guest programs on host goroutines, so its
 // committed-tasks-per-second sits next to the simulator's events-per-
@@ -48,14 +42,11 @@ const (
 	simcoreCores = 64
 )
 
-// runSimcoreOnce runs one app once with the given shard count and returns
-// its stats.
-func runSimcoreOnce(tb testing.TB, b bench.Benchmark, simWorkers int) core.Stats {
-	cfg := core.DefaultConfig(simcoreCores)
-	cfg.SimWorkers = simWorkers
-	st, err := b.RunSwarm(cfg)
+// runSimcoreOnce runs one app once on the simulator and returns its stats.
+func runSimcoreOnce(tb testing.TB, b bench.Benchmark) core.Stats {
+	st, err := b.RunSwarm(core.DefaultConfig(simcoreCores))
 	if err != nil {
-		tb.Fatalf("%s simworkers=%d: %v", b.Name(), simWorkers, err)
+		tb.Fatalf("%s: %v", b.Name(), err)
 	}
 	return st
 }
@@ -77,25 +68,22 @@ func BenchmarkSimcore(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, sw := range simcoreWorkers {
-			sw := sw
-			b.Run(fmt.Sprintf("%s/simworkers=%d", name, sw), func(b *testing.B) {
-				b.ReportAllocs()
-				var events, cycles uint64
-				for i := 0; i < b.N; i++ {
-					st := runSimcoreOnce(b, app, sw)
-					events += st.Events
-					cycles += st.Cycles
-				}
-				sec := b.Elapsed().Seconds()
-				if sec > 0 {
-					b.ReportMetric(float64(events)/sec, "events/sec")
-				}
-				if cycles > 0 {
-					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/sim-cycle")
-				}
-			})
-		}
+		b.Run(name+"/backend=sim", func(b *testing.B) {
+			b.ReportAllocs()
+			var events, cycles uint64
+			for i := 0; i < b.N; i++ {
+				st := runSimcoreOnce(b, app)
+				events += st.Events
+				cycles += st.Cycles
+			}
+			sec := b.Elapsed().Seconds()
+			if sec > 0 {
+				b.ReportMetric(float64(events)/sec, "events/sec")
+			}
+			if cycles > 0 {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cycles), "ns/sim-cycle")
+			}
+		})
 		for _, bkname := range simcoreBackends {
 			bkname := bkname
 			b.Run(fmt.Sprintf("%s/backend=%s", name, bkname), func(b *testing.B) {
@@ -113,12 +101,10 @@ func BenchmarkSimcore(b *testing.B) {
 }
 
 // SimcoreRecord is the schema of BENCH_simcore.json: one measurement of
-// simulator-core host performance per (app, simworkers) point, plus host
-// metadata. Each run replaces the file with the current snapshot; the
-// trajectory lives in version control (one committed snapshot per change),
-// which is what makes host-side regressions visible. Serial and parallel
-// entries for one app sit side by side, so the scaling (or, on a
-// single-CPU host, the sharding overhead) is read directly off the file.
+// host performance per (app, backend) point, plus host metadata. Each run
+// replaces the file with the current snapshot; the trajectory lives in
+// version control (one committed snapshot per change), which is what
+// makes host-side regressions visible.
 type SimcoreRecord struct {
 	GoVersion string            `json:"go_version"`
 	NumCPU    int               `json:"num_cpu"`
@@ -127,15 +113,13 @@ type SimcoreRecord struct {
 	Apps      []SimcoreAppEntry `json:"apps"`
 }
 
-// SimcoreAppEntry is one (app, simworkers) host-performance measurement.
-// SimWorkers == 1 is the single-threaded simulator. Entries with a
-// Backend are native-runtime points: no events or cycles exist there, so
-// the throughput number is committed guest tasks per second instead
-// (SimWorkers is zero — the runtime sizes itself from the core count).
+// SimcoreAppEntry is one (app, backend) host-performance measurement.
+// Entries without a Backend are the simulator. Entries with one are
+// native-runtime points: no events or cycles exist there, so the
+// throughput number is committed guest tasks per second instead.
 type SimcoreAppEntry struct {
 	App           string  `json:"app"`
 	Backend       string  `json:"backend,omitempty"`
-	SimWorkers    int     `json:"sim_workers"`
 	EventsPerSec  float64 `json:"events_per_sec"`
 	TasksPerSec   float64 `json:"tasks_per_sec,omitempty"`
 	NsPerSimCycle float64 `json:"ns_per_sim_cycle"`
@@ -146,7 +130,7 @@ type SimcoreAppEntry struct {
 	SimCycles     uint64  `json:"sim_cycles"`
 }
 
-// TestWriteSimcoreBenchJSON measures every simcore (app, simworkers) point
+// TestWriteSimcoreBenchJSON measures every simcore (app, backend) point
 // via testing.Benchmark and writes BENCH_simcore.json. Gated behind
 // SWARM_BENCH_JSON so normal test runs don't spend minutes benchmarking;
 // CI's bench jobs set the variable and upload the artifact.
@@ -165,41 +149,29 @@ func TestWriteSimcoreBenchJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var serial *core.Stats
-		for _, sw := range simcoreWorkers {
-			var last core.Stats
-			res := testing.Benchmark(func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					last = runSimcoreOnce(b, app, sw)
-				}
-			})
-			if sw == 1 {
-				serial = &last
-			} else if serial != nil && !reflect.DeepEqual(last, *serial) {
-				// The JSON record must never ship numbers from a divergent
-				// parallel run; the differential suite is the real guard,
-				// this is a last-resort tripwire.
-				t.Fatalf("%s simworkers=%d: Stats diverge from the serial run", name, sw)
+		var last core.Stats
+		res := testing.Benchmark(func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				last = runSimcoreOnce(b, app)
 			}
-			nsPerOp := res.NsPerOp()
-			entry := SimcoreAppEntry{
-				App:         name,
-				SimWorkers:  sw,
-				NsPerOp:     nsPerOp,
-				AllocsPerOp: res.AllocsPerOp(),
-				BytesPerOp:  res.AllocedBytesPerOp(),
-				Events:      last.Events,
-				SimCycles:   last.Cycles,
-			}
-			if nsPerOp > 0 {
-				entry.EventsPerSec = float64(last.Events) / (float64(nsPerOp) / 1e9)
-				entry.NsPerSimCycle = float64(nsPerOp) / float64(last.Cycles)
-			}
-			rec.Apps = append(rec.Apps, entry)
-			t.Logf("%s simworkers=%d: %.0f events/sec, %.1f ns/sim-cycle, %d allocs/op, %d B/op",
-				name, sw, entry.EventsPerSec, entry.NsPerSimCycle, entry.AllocsPerOp, entry.BytesPerOp)
+		})
+		nsPerOp := res.NsPerOp()
+		entry := SimcoreAppEntry{
+			App:         name,
+			NsPerOp:     nsPerOp,
+			AllocsPerOp: res.AllocsPerOp(),
+			BytesPerOp:  res.AllocedBytesPerOp(),
+			Events:      last.Events,
+			SimCycles:   last.Cycles,
 		}
+		if nsPerOp > 0 {
+			entry.EventsPerSec = float64(last.Events) / (float64(nsPerOp) / 1e9)
+			entry.NsPerSimCycle = float64(nsPerOp) / float64(last.Cycles)
+		}
+		rec.Apps = append(rec.Apps, entry)
+		t.Logf("%s: %.0f events/sec, %.1f ns/sim-cycle, %d allocs/op, %d B/op",
+			name, entry.EventsPerSec, entry.NsPerSimCycle, entry.AllocsPerOp, entry.BytesPerOp)
 		for _, bkname := range simcoreBackends {
 			var last core.Stats
 			res := testing.Benchmark(func(b *testing.B) {

@@ -59,8 +59,6 @@ type FnID = guest.FnID
 type Task = guest.TaskDesc
 
 // Config describes the simulated machine (Table 3 of the paper).
-// Config.SimWorkers > 1 shards the simulation across host goroutines
-// with bit-identical results (see DESIGN.md, "Tile-parallel simulation").
 // Config.Backend selects the execution engine: the cycle-level simulator
 // (the default) or the native speculative runtime (see BackendNames and
 // DESIGN.md, "Execution backends").
