@@ -34,7 +34,7 @@ func main() {
 	cores := flag.Int("cores", 64, "core count (machine scales per Table 3)")
 	impl := flag.String("impl", "swarm", "implementation: swarm, serial, parallel")
 	scaleF := flag.String("scale", "small", "input scale: tiny, small, medium, large")
-	cq := flag.Int("commitq", 0, "override commit queue entries per core")
+	cq := flag.Int("commitq", 0, "override commit queue entries per core (on rt backends too)")
 	gvt := flag.Uint64("gvt", 0, "override GVT update period (cycles)")
 	trace := flag.Uint64("trace", 0, "emit a per-tile trace sample every N cycles")
 	seed := flag.Int64("seed", 1, "enqueue-placement seed (random mapper only)")

@@ -34,12 +34,18 @@ import (
 // between — its committed memory is tie-independent (and is held to the
 // full cross-backend comparison) but its committed-task count is not.
 //
-// Full mode runs every app x cores {1,4,16,64} x both runtimes; -short
-// trims to corner cells. Small machines additionally run with
-// DebugChecks, turning on the runtimes' commit-time re-execution
-// (divergence) checks.
+// Full mode runs every app x cores {1,4,16,64} x both runtimes, each at
+// the default commit queue and at one entry per core; -short trims to
+// corner cells. Small machines additionally run with DebugChecks, turning
+// on the runtimes' commit-time re-execution (divergence) checks.
 
 var rtBackends = []string{"rt", "rt-conservative"}
+
+// commitQSizes are the runtimes' commit-queue sizes per core in the
+// matrix: the default, and 1, the smallest, at which workers stall on a
+// full queue most often, so progress rests on the bound admitting the
+// earliest uncommitted task.
+var commitQSizes = []int{core.DefaultConfig(1).CommitQPerCore, 1}
 
 // diffCores is the matrix's machine-size axis: every size in full mode,
 // the 1- and 16-core corners under -short.
@@ -99,31 +105,34 @@ func TestBackendDifferentialApps(t *testing.T) {
 			rtBase := map[string]map[uint64]uint64{}
 			for _, cores := range diffCores(testing.Short()) {
 				simMem, simStats := backendRun(t, app, core.DefaultConfig(cores))
-				for _, name := range rtBackends {
-					cfg := core.DefaultConfig(cores)
-					cfg.Backend = name
-					// Re-execution checks on the small machines, where
-					// re-running every committed body stays cheap.
-					cfg.DebugChecks = cores <= 4
-					gotMem, gotStats := backendRun(t, app, cfg)
-					if tieSensitive[meta.Name] {
-						if base, ok := rtBase[name]; !ok {
-							rtBase[name] = gotMem
-						} else if !reflect.DeepEqual(gotMem, base) {
-							t.Fatalf("cores=%d %s: committed memory diverges from the backend's own smaller-machine run — the runtime's determinism guarantee is broken", cores, name)
+				for _, commitQ := range commitQSizes {
+					for _, name := range rtBackends {
+						cfg := core.DefaultConfig(cores)
+						cfg.Backend = name
+						cfg.CommitQPerCore = commitQ
+						// Re-execution checks on the small machines, where
+						// re-running every committed body stays cheap.
+						cfg.DebugChecks = cores <= 4
+						gotMem, gotStats := backendRun(t, app, cfg)
+						if tieSensitive[meta.Name] {
+							if base, ok := rtBase[name]; !ok {
+								rtBase[name] = gotMem
+							} else if !reflect.DeepEqual(gotMem, base) {
+								t.Fatalf("cores=%d commitq=%d %s: committed memory diverges from the backend's own first run — the runtime's determinism guarantee is broken", cores, commitQ, name)
+							}
+						} else {
+							if !reflect.DeepEqual(gotMem, simMem) {
+								t.Fatalf("cores=%d commitq=%d %s: committed memory diverges from the simulator (%d vs %d nonzero words)",
+									cores, commitQ, name, len(gotMem), len(simMem))
+							}
+							if !tieCountSensitive[meta.Name] && gotStats.Commits != simStats.Commits {
+								t.Fatalf("cores=%d commitq=%d %s: %d commits, simulator committed %d",
+									cores, commitQ, name, gotStats.Commits, simStats.Commits)
+							}
 						}
-					} else {
-						if !reflect.DeepEqual(gotMem, simMem) {
-							t.Fatalf("cores=%d %s: committed memory diverges from the simulator (%d vs %d nonzero words)",
-								cores, name, len(gotMem), len(simMem))
+						if gotStats.Backend != name {
+							t.Fatalf("cores=%d: stats report backend %q, want %q", cores, gotStats.Backend, name)
 						}
-						if !tieCountSensitive[meta.Name] && gotStats.Commits != simStats.Commits {
-							t.Fatalf("cores=%d %s: %d commits, simulator committed %d",
-								cores, name, gotStats.Commits, simStats.Commits)
-						}
-					}
-					if gotStats.Backend != name {
-						t.Fatalf("cores=%d: stats report backend %q, want %q", cores, gotStats.Backend, name)
 					}
 				}
 			}

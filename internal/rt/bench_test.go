@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/mem"
 )
 
@@ -60,5 +62,30 @@ func BenchmarkDispatchCommit(b *testing.B) {
 				b.Fatal(err)
 			}
 		})
+	}
+}
+
+// BenchmarkAttemptReset is one 40-word attempt on a recycled buffer that
+// once held a 4096-word attempt: resetting the buffer and reading the
+// words. Its cost must not depend on the largest set the buffer held.
+func BenchmarkAttemptReset(b *testing.B) {
+	cfg := core.DefaultConfig(1)
+	cfg.Backend = "rt"
+	r, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	env := newTaskEnv(r, guest.TaskDesc{})
+	attempt := func(words uint64) {
+		env.reset(guest.TaskDesc{})
+		for i := range words {
+			sink += env.Load(1<<20 + i*8)
+		}
+	}
+	attempt(4096)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		attempt(40)
 	}
 }

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/mem"
@@ -66,13 +67,25 @@ type span struct {
 
 // indexAt is the set size up to which addrSet searches linearly. Almost
 // every task touches a handful of words, and scanning a few contiguous
-// addresses beats hashing; larger sets build an index map.
+// addresses beats hashing; larger sets build a hash index.
 const indexAt = 32
 
 // addrSet is an insertion-ordered set of guest addresses.
 type addrSet struct {
 	addrs []uint64
-	index map[uint64]int // built once len(addrs) exceeds indexAt
+	// slots indexes addrs once the set outgrows indexAt: an open-
+	// addressing table with linear probing whose slots hold a position in
+	// addrs plus one, or 0 when empty. Its length is a power of two at
+	// least twice the set's, 1<<(64-shift). It keeps that length across
+	// resets, and reset empties only the slots the set filled, so a small
+	// set costs the same after a recycled buffer once held a large one.
+	slots []int32
+	shift uint
+}
+
+// home returns addr's first probe slot (Fibonacci hashing).
+func (a *addrSet) home(addr uint64) int {
+	return int(addr * 0x9E3779B97F4A7C15 >> a.shift)
 }
 
 // find returns addr's position, or -1.
@@ -85,31 +98,62 @@ func (a *addrSet) find(addr uint64) int {
 		}
 		return -1
 	}
-	if i, ok := a.index[addr]; ok {
-		return i
+	mask := len(a.slots) - 1
+	for j := a.home(addr); ; j = (j + 1) & mask {
+		p := a.slots[j]
+		if p == 0 {
+			return -1
+		}
+		if a.addrs[p-1] == addr {
+			return int(p - 1)
+		}
 	}
-	return -1
 }
 
 // add appends addr, which must not be in the set.
 func (a *addrSet) add(addr uint64) {
 	a.addrs = append(a.addrs, addr)
-	switch n := len(a.addrs); {
-	case n == indexAt+1:
-		if a.index == nil {
-			a.index = make(map[uint64]int)
-		}
-		for i, x := range a.addrs {
-			a.index[x] = i
-		}
+	n := len(a.addrs)
+	switch {
+	case n <= indexAt:
+		return
+	case 2*n > len(a.slots):
+		// Grow to a quarter full.
+		k := uint(bits.Len(uint(4*n - 1)))
+		a.slots, a.shift = make([]int32, 1<<k), 64-k
 	case n > indexAt+1:
-		a.index[addr] = n - 1
+		a.insert(n - 1)
+		return
+	}
+	// The table is new, or the set just outgrew the linear search.
+	for i := range a.addrs {
+		a.insert(i)
 	}
 }
 
+// insert indexes addrs[i].
+func (a *addrSet) insert(i int) {
+	mask := len(a.slots) - 1
+	j := a.home(a.addrs[i])
+	for a.slots[j] != 0 {
+		j = (j + 1) & mask
+	}
+	a.slots[j] = int32(i + 1)
+}
+
+// reset empties the set in time proportional to its size: each indexed
+// address's slot lies on its probe path, past slots that may already be
+// emptied.
 func (a *addrSet) reset() {
 	if len(a.addrs) > indexAt {
-		clear(a.index)
+		mask := len(a.slots) - 1
+		for i, addr := range a.addrs {
+			j := a.home(addr)
+			for a.slots[j] != int32(i+1) {
+				j = (j + 1) & mask
+			}
+			a.slots[j] = 0
+		}
 	}
 	a.addrs = a.addrs[:0]
 }

@@ -68,7 +68,9 @@ type Runtime struct {
 
 // New builds a native runtime for cfg. cfg.Backend selects the variant
 // ("rt" or "rt-conservative"); cfg.Cores() bounds worker parallelism;
-// cfg.DebugChecks enables the commit-time purity re-execution check.
+// cfg.CommitQPerCore x cfg.Cores() bounds the software commit queue, as
+// in the simulated machine, unless cfg.UnboundedQueues; cfg.DebugChecks
+// enables the commit-time purity re-execution check.
 func New(cfg core.Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,7 +86,7 @@ func New(cfg core.Config) (*Runtime, error) {
 		heap: mem.NewAllocator(),
 	}
 	r.store = newStore(r.base)
-	r.sched = newSched(r, cfg.Cores(), name == "rt-conservative")
+	r.sched = newSched(r, name == "rt-conservative")
 	return r, nil
 }
 

@@ -2,6 +2,7 @@ package rt
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -489,22 +490,48 @@ func incArg0(e guest.TaskEnv) {
 	e.Store(a, e.Load(a)+1)
 }
 
-// independentRuntime returns a started runtime with n queued root tasks
-// that each increment their own word: no conflicts, no children.
-func independentRuntime(tb testing.TB, workers, n int) *Runtime {
+// chainStep increments the word at its first argument and, while its
+// second argument (the steps left) is nonzero, enqueues the next step one
+// timestamp later.
+func chainStep(e guest.TaskEnv) {
+	incArg0(e)
+	if left := e.Arg(1); left > 0 {
+		e.EnqueueArgs(0, e.Timestamp()+1, [3]uint64{e.Arg(0), left - 1})
+	}
+}
+
+// startedRuntime returns a started rt runtime whose program is fn, and a
+// setup allocation of words words.
+func startedRuntime(tb testing.TB, workers int, fn guest.TaskFn, words uint64) (*Runtime, uint64) {
 	cfg := core.DefaultConfig(workers)
 	cfg.Backend = "rt"
 	r, err := New(cfg)
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
-	r.SetProgram([]guest.TaskFn{incArg0}, []string{"inc"})
+	r.SetProgram([]guest.TaskFn{fn}, []string{"fn"})
 	if err := r.Start(); err != nil {
 		tb.Fatalf("Start: %v", err)
 	}
-	base := r.SetupAlloc(uint64(n) * 8)
+	return r, r.SetupAlloc(words * 8)
+}
+
+// independentRuntime returns a started runtime with n queued root tasks
+// that each increment their own word: no conflicts, no children.
+func independentRuntime(tb testing.TB, workers, n int) *Runtime {
+	r, base := startedRuntime(tb, workers, incArg0, uint64(n))
 	for i := range uint64(n) {
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: i, Args: [3]uint64{base + i*8}})
+	}
+	return r
+}
+
+// chainRuntime returns a started runtime with n queued root tasks, each
+// heading a chain of length children that increment the root's word.
+func chainRuntime(tb testing.TB, workers, n int, length uint64) *Runtime {
+	r, base := startedRuntime(tb, workers, chainStep, uint64(n))
+	for i := range uint64(n) {
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, Args: [3]uint64{base + i*8, length}})
 	}
 	return r
 }
@@ -512,32 +539,110 @@ func independentRuntime(tb testing.TB, workers, n int) *Runtime {
 // raceEnabled is set by race_test.go.
 var raceEnabled bool
 
-// TestAllocsPerTask pins the hot path's heap allocations: enqueueing,
-// dispatching and committing a task allocates its task record and
-// nothing per attempt, since attempt buffers are recycled.
+// TestAllocsPerTask pins the hot path's heap allocations: dispatching and
+// committing a task allocates nothing, since attempt buffers and task
+// records are recycled. A flood of roots allocates one record per root at
+// setup; chains of children reuse the records of committed tasks.
 func TestAllocsPerTask(t *testing.T) {
 	if raceEnabled {
-		// The race detector randomizes goroutine scheduling. A worker
-		// parked while holding the earliest task lets its peer run far
-		// ahead, and every attempt waiting to commit holds a buffer, so
-		// the buffer pool grows by an amount the schedule decides.
+		// The race detector randomizes goroutine scheduling, so how many
+		// attempts wait to commit at once, each holding a buffer, and with
+		// it the size of the buffer pool, is up to the schedule.
 		t.Skip("allocation counts depend on the schedule under -race")
 	}
-	const n = 10000
-	for _, workers := range []int{1, 2} {
-		var commits uint64
-		allocs := testing.AllocsPerRun(3, func() {
-			ps, err := independentRuntime(t, workers, n).RunPhase()
-			if err != nil {
-				t.Fatalf("RunPhase: %v", err)
+	const roots, length = 64, 200
+	for _, in := range []struct {
+		name  string
+		tasks uint64
+		limit float64
+		build func(workers int) *Runtime
+	}{
+		{"flood", 10000, 2, func(w int) *Runtime { return independentRuntime(t, w, 10000) }},
+		{"chains", roots * (length + 1), 0.1, func(w int) *Runtime { return chainRuntime(t, w, roots, length) }},
+	} {
+		for _, workers := range []int{1, 2} {
+			var commits uint64
+			allocs := testing.AllocsPerRun(3, func() {
+				ps, err := in.build(workers).RunPhase()
+				if err != nil {
+					t.Fatalf("%s workers=%d: RunPhase: %v", in.name, workers, err)
+				}
+				commits = ps.Commits
+			})
+			if commits != in.tasks {
+				t.Fatalf("%s workers=%d: %d commits, want %d", in.name, workers, commits, in.tasks)
 			}
-			commits = ps.Commits
-		})
-		if commits != n {
-			t.Fatalf("workers=%d: %d commits, want %d", workers, commits, n)
+			if per := allocs / float64(in.tasks); per > in.limit {
+				t.Errorf("%s workers=%d: %.3f allocations per committed task, want at most %g",
+					in.name, workers, per, in.limit)
+			}
 		}
-		if per := allocs / n; per > 2 {
-			t.Errorf("workers=%d: %.2f allocations per committed task, want at most 2", workers, per)
+	}
+}
+
+// TestCommitQueueBound: while the earliest task is slow, the other
+// workers run ahead until the commit queue holds CommitQPerCore x Cores
+// finished attempts, and then wait (§4.7). Attempts already running when
+// the queue fills still join it, at most one per worker. UnboundedQueues
+// lifts the bound.
+func TestCommitQueueBound(t *testing.T) {
+	const array, arrayWords = uint64(1 << 24), uint64(1 << 17)
+	const quick, workers = 1024, 4
+	// Give every worker a thread, so the quick tasks run while the slow
+	// one does even on a one-CPU host.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, runtime.GOMAXPROCS(0))))
+	slow := func(e guest.TaskEnv) {
+		sum := uint64(0)
+		for i := range arrayWords {
+			sum += e.Load(array + i*8)
+		}
+		e.Store(array, sum)
+	}
+	for _, unbounded := range []bool{false, true} {
+		cfg := testConfig(t, workers, "rt")
+		cfg.UnboundedQueues = unbounded
+		roots := []guest.TaskDesc{{Fn: 0}}
+		for i := range uint64(quick) {
+			roots = append(roots, guest.TaskDesc{Fn: 1, TS: 1 + i, Args: [3]uint64{array + (arrayWords+i)*8}})
+		}
+		r, ps, err := runProgram(t, cfg, []guest.TaskFn{slow, incArg0}, []string{"slow", "inc"}, roots)
+		if err != nil {
+			t.Fatalf("unbounded=%v: RunPhase: %v", unbounded, err)
+		}
+		if ps.Commits != quick+1 {
+			t.Fatalf("unbounded=%v: %d commits, want %d", unbounded, ps.Commits, quick+1)
+		}
+		peak, capacity := r.sched.peakCommitQ, cfg.CommitQPerCore*cfg.Cores()
+		t.Logf("unbounded=%v: commit queue peaked at %d, capacity %d", unbounded, peak, capacity)
+		if unbounded && peak <= capacity {
+			t.Errorf("unbounded: commit queue peaked at %d, want more than %d", peak, capacity)
+		}
+		if !unbounded && peak > capacity+cfg.Cores() {
+			t.Errorf("bounded: commit queue peaked at %d, want at most %d + %d", peak, capacity, cfg.Cores())
+		}
+	}
+}
+
+// TestAddrSetReuse: a set indexed by its hash table finds exactly its own
+// addresses after a reset, whether the next set is smaller or larger.
+func TestAddrSetReuse(t *testing.T) {
+	var a addrSet
+	for round, n := range []int{4096, 40, 3, 40, 300} {
+		a.reset()
+		base := uint64(round+1) << 20
+		for i := range n {
+			if a.find(base+uint64(i)*8) >= 0 {
+				t.Fatalf("round %d: %#x found before it was added", round, base+uint64(i)*8)
+			}
+			a.add(base + uint64(i)*8)
+		}
+		for i := range n {
+			if got := a.find(base + uint64(i)*8); got != i {
+				t.Fatalf("round %d: find(%#x) = %d, want %d", round, base+uint64(i)*8, got, i)
+			}
+		}
+		if got := a.find(base - 8); got != -1 {
+			t.Fatalf("round %d: find of an earlier round's address = %d, want -1", round, got)
 		}
 	}
 }

@@ -1,47 +1,41 @@
 package rt
 
 import (
+	"math"
 	"sync"
 
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/tsdom"
+	"github.com/swarm-sim/swarm/internal/vt"
 )
 
-// vtime is a task's unique virtual time: the guest timestamp ordered
-// first, then the nested fork path (tsdom dag order, empty for flat
-// tasks), broken by a global creation sequence number — exactly like the
-// simulator's (timestamp, path, tiebreaker) virtual time (§4.2). Roots
-// take sequence numbers in setup order; children take them at their
-// parent's commit. Commits happen strictly in vtime order and children
+// task is one schedulable unit. vt is its unique virtual time, the
+// simulator's (timestamp, path, tiebreaker) order (§4.2) with a global
+// enqueue sequence number as the tiebreaker (vt.Time's Cycle field).
+// Roots take sequence numbers in setup order; children take them at their
+// parent's commit. Commits happen strictly in vt order and children
 // inherit sequence numbers from a deterministic commit sequence, so the
 // total order — and with it the final guest memory — is independent of
-// worker interleaving.
-type vtime struct {
-	ts   uint64
-	path tsdom.Path
-	seq  uint64
-}
-
-func (a vtime) less(b vtime) bool {
-	if a.ts != b.ts {
-		return a.ts < b.ts
-	}
-	if c := tsdom.Compare(a.path, b.path); c != 0 {
-		return c < 0
-	}
-	return a.seq < b.seq
-}
-
-// task is one schedulable unit. vt is fixed at creation and survives
-// aborts; env is the attempt buffer, held from dispatch until the attempt
-// commits or aborts.
+// worker interleaving. vt is fixed at creation and survives aborts; env
+// is the attempt buffer, held from dispatch until the attempt commits or
+// aborts.
 type task struct {
 	desc guest.TaskDesc
-	vt   vtime
+	vt   vt.Time
 	env  *taskEnv
+	next *task // free-list link
 }
 
-// taskHeap is a binary min-heap of tasks by vtime.
+// before reports whether a precedes b in virtual time. Timestamps
+// decide most comparisons; testing them here, where the call inlines,
+// spares those the out-of-line vt.Time.Less.
+func before(a, b *task) bool {
+	if a.vt.TS != b.vt.TS {
+		return a.vt.TS < b.vt.TS
+	}
+	return a.vt.Less(b.vt)
+}
+
+// taskHeap is a binary min-heap of tasks by virtual time.
 type taskHeap []*task
 
 func (h *taskHeap) push(t *task) {
@@ -49,7 +43,7 @@ func (h *taskHeap) push(t *task) {
 	i := len(q) - 1
 	for i > 0 {
 		p := (i - 1) / 2
-		if !t.vt.less(q[p].vt) {
+		if !before(t, q[p]) {
 			break
 		}
 		q[i] = q[p]
@@ -72,10 +66,10 @@ func (h *taskHeap) pop() *task {
 			if c >= n {
 				break
 			}
-			if c+1 < n && q[c+1].vt.less(q[c].vt) {
+			if c+1 < n && before(q[c+1], q[c]) {
 				c++
 			}
-			if !q[c].vt.less(last.vt) {
+			if !before(q[c], last) {
 				break
 			}
 			q[i] = q[c]
@@ -89,12 +83,12 @@ func (h *taskHeap) pop() *task {
 
 // sched is the software task unit + commit queue: one timestamp-ordered
 // ready heap feeding worker goroutines, one running slot per worker, and
-// a commit queue drained strictly in vtime order. One mutex guards it
-// all; tasks execute outside the lock, so the lock only serializes
-// dispatch and commit — the runtime's software stand-in for the
-// simulator's per-tile task units and GVT-gated commit queues. A worker
-// takes the lock once per task: next retires its finished attempt and
-// hands it the next task in one critical section.
+// a bounded commit queue drained strictly in virtual-time order. One
+// mutex guards it all; tasks execute outside the lock, so the lock only
+// serializes dispatch and commit — the runtime's software stand-in for
+// the simulator's per-tile task units and GVT-gated commit queues. A
+// worker takes the lock once per task: next retires its finished attempt
+// and hands it the next task in one critical section.
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
@@ -110,10 +104,18 @@ type sched struct {
 	// nil.
 	running []*task
 	// commitQ holds executed tasks awaiting their turn to validate and
-	// commit in vtime order.
+	// commit in virtual-time order.
 	commitQ taskHeap
-	// envs holds recycled attempt buffers.
+	// commitCap is the commit queue's capacity, the simulator's
+	// CommitQPerCore x Cores (math.MaxInt under UnboundedQueues). A full
+	// queue admits only tasks that precede its head (§4.7).
+	commitCap int
+	// peakCommitQ is the commit queue's high-water mark.
+	peakCommitQ int
+	// envs holds recycled attempt buffers, and free heads a list of
+	// recycled task records linked through task.next.
 	envs []*taskEnv
+	free *task
 
 	// conservative restricts dispatch to tasks at the minimum uncommitted
 	// timestamp (level-synchronous waves): no task runs ahead of virtual
@@ -128,67 +130,88 @@ type sched struct {
 	enqueues, dequeues       uint64
 }
 
-func newSched(r *Runtime, workers int, conservative bool) *sched {
-	s := &sched{r: r, running: make([]*task, workers), conservative: conservative}
+func newSched(r *Runtime, conservative bool) *sched {
+	s := &sched{
+		r:            r,
+		running:      make([]*task, r.cfg.Cores()),
+		commitCap:    r.cfg.CommitQPerCore * r.cfg.Cores(),
+		conservative: conservative,
+	}
+	if r.cfg.UnboundedQueues {
+		s.commitCap = math.MaxInt
+	}
 	s.cond.L = &s.mu
 	return s
 }
 
-// enqueueLocked admits a new descriptor, assigning the next sequence
-// number. Callers are single-threaded (setup) or hold the commit path's
-// serialization (child enqueue at parent commit), so sequence assignment
-// is deterministic.
+// enqueueLocked admits a new descriptor in a recycled task record,
+// assigning the next sequence number. Callers are single-threaded
+// (setup) or hold the commit path's serialization (child enqueue at
+// parent commit), so sequence assignment is deterministic.
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	s.ready.push(&task{desc: d, vt: vtime{ts: d.TS, path: d.Path, seq: s.seqCtr}})
+	t := s.free
+	if t != nil {
+		s.free, t.next = t.next, nil
+	} else {
+		t = new(task)
+	}
+	t.desc = d
+	t.vt = vt.Time{TS: d.TS, Path: d.Path, Cycle: s.seqCtr}
+	s.ready.push(t)
 }
 
-// minRunningLocked returns the minimum vtime over running attempts. It
+// minRunningLocked returns the earliest running attempt, or nil. It
 // scans one slot per worker.
-func (s *sched) minRunningLocked() (vtime, bool) {
-	var best vtime
-	ok := false
+func (s *sched) minRunningLocked() *task {
+	var best *task
 	for _, t := range s.running {
-		if t != nil && (!ok || t.vt.less(best)) {
-			best, ok = t.vt, true
+		if t != nil && (best == nil || before(t, best)) {
+			best = t
 		}
 	}
-	return best, ok
+	return best
 }
 
 // runnableLocked reports whether the ready minimum may dispatch now.
-// Speculative mode dispatches it regardless of what is still uncommitted.
-// Conservative mode holds it back until its timestamp is the minimum
-// uncommitted timestamp. That frontier is deliberately timestamp-only: a
-// conservative wave spans a whole timestamp slot including its nested
-// fork subtasks, which may run concurrently within the wave; the commit
-// queue still retires them in full (ts, path, seq) order.
+// While the commit queue is full, only a task that precedes its head may
+// run, and otherwise the worker waits: the software form of the
+// simulator's full-commit-queue stall (§4.7). The minimum uncommitted
+// task always passes, so the bound cannot deadlock. Beyond that,
+// speculative mode dispatches regardless of what is still uncommitted.
+// Conservative mode holds the task back until its timestamp is the
+// minimum uncommitted timestamp. That frontier is deliberately
+// timestamp-only: a conservative wave spans a whole timestamp slot
+// including its nested fork subtasks, which may run concurrently within
+// the wave; the commit queue still retires them in full virtual-time
+// order.
 func (s *sched) runnableLocked() bool {
 	if len(s.ready) == 0 {
+		return false
+	}
+	first := s.ready[0]
+	if len(s.commitQ) >= s.commitCap && !before(first, s.commitQ[0]) {
 		return false
 	}
 	if !s.conservative {
 		return true
 	}
-	ts := s.ready[0].vt.ts
-	if run, ok := s.minRunningLocked(); ok && run.ts < ts {
+	if run := s.minRunningLocked(); run != nil && run.vt.TS < first.vt.TS {
 		return false
 	}
-	return len(s.commitQ) == 0 || s.commitQ[0].vt.ts >= ts
+	return len(s.commitQ) == 0 || s.commitQ[0].vt.TS >= first.vt.TS
 }
 
 // next retires the calling worker's finished attempt, if any, and blocks
 // until it can hand worker w a task, or returns nil when the phase is
-// drained (or poisoned by err). Retiring an attempt queues it for commit
-// and drains whatever has become committable.
+// drained (or poisoned by err).
 func (s *sched) next(w int, finished *task) *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if finished != nil {
 		s.running[w] = nil
-		s.commitQ.push(finished)
-		s.tryCommitsLocked()
+		s.retireLocked(finished)
 	}
 	for s.err == nil && !s.done {
 		if s.runnableLocked() {
@@ -202,7 +225,7 @@ func (s *sched) next(w int, finished *task) *task {
 			return t
 		}
 		if len(s.ready) == 0 && len(s.commitQ) == 0 {
-			if _, busy := s.minRunningLocked(); !busy {
+			if s.minRunningLocked() == nil {
 				s.done = true
 				s.cond.Broadcast()
 				return nil
@@ -285,49 +308,80 @@ func (s *sched) validLocked(env *taskEnv) bool {
 	return true
 }
 
-// tryCommitsLocked drains the committable prefix of the commit queue: a
-// task commits only once no ready or running task precedes it in vtime,
-// which makes the commit sequence strictly vtime-ordered — the software
-// equivalent of GVT-gated commit (§4.2). Validation failures abort and
-// requeue the task; since the requeued task now precedes the rest of the
-// commit queue, the drain stops and the retry runs first. The minimum-
-// vtime uncommitted task can never be invalidated while running (nothing
-// may commit under it), so every task eventually commits. The running
-// set cannot change during the drain, so its minimum is taken once.
-func (s *sched) tryCommitsLocked() {
-	run, running := s.minRunningLocked()
+// retireLocked takes a finished attempt. An attempt that precedes every
+// ready, running and queued task commits on the spot, skipping the commit
+// queue (at 1 worker every attempt does); any other, or any attempt of a
+// poisoned phase, joins the queue. Then whatever has become committable
+// commits. The running set cannot change meanwhile, so its minimum is
+// taken once.
+func (s *sched) retireLocked(t *task) {
+	run := s.minRunningLocked()
+	if s.err != nil || run != nil && before(run, t) ||
+		len(s.ready) > 0 && before(s.ready[0], t) ||
+		len(s.commitQ) > 0 && before(s.commitQ[0], t) {
+		s.commitQ.push(t)
+		s.peakCommitQ = max(s.peakCommitQ, len(s.commitQ))
+	} else if !s.commitLocked(t) {
+		return
+	}
+	s.drainLocked(run)
+}
+
+// drainLocked commits the committable prefix of the commit queue: a task
+// commits only once no ready or running task precedes it, which makes
+// the commit sequence strictly ordered by virtual time — the software
+// equivalent of GVT-gated commit (§4.2). run is the earliest running
+// attempt, or nil.
+func (s *sched) drainLocked(run *task) {
 	for len(s.commitQ) > 0 && s.err == nil {
-		if running && run.less(s.commitQ[0].vt) || len(s.ready) > 0 && s.ready[0].vt.less(s.commitQ[0].vt) {
+		head := s.commitQ[0]
+		if run != nil && before(run, head) || len(s.ready) > 0 && before(s.ready[0], head) {
 			return
 		}
-		head := s.commitQ.pop()
-		env := head.env
-		if !s.validLocked(env) {
-			s.abortLocked(head)
-			continue
+		s.commitQ.pop()
+		if !s.commitLocked(head) {
+			return
 		}
-		if s.r.cfg.DebugChecks {
-			if err := s.r.recheckLocked(head); err != nil {
-				s.failLocked(err)
-				return
-			}
-		}
-		for i, addr := range env.writes.addrs {
-			s.r.store.commitWrite(addr, env.writeVals[i])
-		}
-		for _, d := range env.children {
-			s.enqueueLocked(d)
-		}
-		if len(env.frees) > 0 {
-			s.r.heapMu.Lock()
-			for _, f := range env.frees {
-				s.r.heap.Free(0, f.addr, f.n)
-			}
-			s.r.heap.ReleaseQuarantine(0)
-			s.r.heapMu.Unlock()
-		}
-		s.putEnvLocked(env)
-		head.env = nil
-		s.commits++
 	}
+}
+
+// commitLocked validates and commits t, which no uncommitted task
+// precedes, and recycles its record and attempt buffer. A failed
+// validation aborts and requeues t instead, and commitLocked reports
+// false: t is again the minimum uncommitted task, so nothing else may
+// commit before its retry. That minimum can never be invalidated while
+// running (nothing may commit under it), so every task eventually
+// commits. A failed DebugChecks re-execution poisons the phase and also
+// reports false.
+func (s *sched) commitLocked(t *task) bool {
+	env := t.env
+	if !s.validLocked(env) {
+		s.abortLocked(t)
+		return false
+	}
+	if s.r.cfg.DebugChecks {
+		if err := s.r.recheckLocked(t); err != nil {
+			s.failLocked(err)
+			return false
+		}
+	}
+	for i, addr := range env.writes.addrs {
+		s.r.store.commitWrite(addr, env.writeVals[i])
+	}
+	for _, d := range env.children {
+		s.enqueueLocked(d)
+	}
+	if len(env.frees) > 0 {
+		s.r.heapMu.Lock()
+		for _, f := range env.frees {
+			s.r.heap.Free(0, f.addr, f.n)
+		}
+		s.r.heap.ReleaseQuarantine(0)
+		s.r.heapMu.Unlock()
+	}
+	s.putEnvLocked(env)
+	t.env = nil
+	t.next, s.free = s.free, t
+	s.commits++
+	return true
 }

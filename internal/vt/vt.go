@@ -19,6 +19,10 @@ import (
 
 // Time is a unique virtual time. The zero value sorts before every
 // dispatched task's time.
+//
+// (Cycle, Tile) is the tiebreaker. The native runtime (internal/rt) has
+// no cycles or tiles: it puts each task's enqueue sequence number in
+// Cycle and leaves Tile zero, so its tasks order by (TS, Path, sequence).
 type Time struct {
 	TS    uint64     // programmer-assigned timestamp
 	Path  tsdom.Path // nested fork path within the timestamp slot ("" = flat)
@@ -60,13 +64,16 @@ func Compare(t, u Time) int {
 	return 0
 }
 
-// Less reports whether t orders strictly before u.
+// Less reports whether t orders strictly before u. Two flat times skip
+// the path comparison.
 func (t Time) Less(u Time) bool {
 	if t.TS != u.TS {
 		return t.TS < u.TS
 	}
-	if c := tsdom.Compare(t.Path, u.Path); c != 0 {
-		return c < 0
+	if len(t.Path)|len(u.Path) != 0 {
+		if c := tsdom.Compare(t.Path, u.Path); c != 0 {
+			return c < 0
+		}
 	}
 	if t.Cycle != u.Cycle {
 		return t.Cycle < u.Cycle
