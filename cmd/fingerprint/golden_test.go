@@ -2,6 +2,7 @@ package main
 
 import (
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -79,4 +80,63 @@ func TestGoldenFingerprints(t *testing.T) {
 		t.Errorf("%d golden cells missing from this run (app removed? run -update)", extra)
 	}
 	t.Errorf("%d of %d fingerprint cells changed; if the model change is intentional, regenerate with -update and include the diff in review", n, len(lines))
+}
+
+// baselineCores is the pinned machine sweep of the serial and
+// software-parallel baselines (Table 4, Figs 12 and 13).
+var baselineCores = []int{1, 4, 16}
+
+// TestBaselineCycles pins the non-Swarm flavors the golden corpus does
+// not cover: the verified cycle count of every registered app's tuned
+// serial version, and of its software-parallel version where one exists,
+// at tiny scale on each baselineCores machine. A refactor of the
+// benchmark suite that moves a baseline's guest layout or work shows up
+// here as a per-line diff; -update rewrites the file like the corpus.
+func TestBaselineCycles(t *testing.T) {
+	var b strings.Builder
+	for _, name := range bench.AppNames() {
+		app, err := bench.New(name, bench.ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, nc := range baselineCores {
+			cyc, err := app.RunSerial(nc)
+			if err != nil {
+				t.Fatalf("%s serial @%dc: %v", name, nc, err)
+			}
+			fmt.Fprintf(&b, "%s cores=%d impl=serial cycles=%d\n", name, nc, cyc)
+			if !app.HasParallel() {
+				continue
+			}
+			cyc, err = app.RunParallel(nc)
+			if err != nil {
+				t.Fatalf("%s parallel @%dc: %v", name, nc, err)
+			}
+			fmt.Fprintf(&b, "%s cores=%d impl=parallel cycles=%d\n", name, nc, cyc)
+		}
+	}
+	got := b.String()
+
+	path := filepath.Join("testdata", "baselines.golden")
+	if *update {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to create it)", err)
+	}
+	wantLines := strings.Split(string(raw), "\n")
+	gotLines := strings.Split(got, "\n")
+	if len(gotLines) != len(wantLines) {
+		t.Errorf("%d baseline lines, want %d", len(gotLines), len(wantLines))
+	}
+	for i := 0; i < len(gotLines) && i < len(wantLines); i++ {
+		if gotLines[i] != wantLines[i] {
+			t.Errorf("line %d differs:\n  got  %s\n  want %s", i+1, gotLines[i], wantLines[i])
+		}
+	}
 }
