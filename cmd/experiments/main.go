@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/harness"
@@ -45,7 +46,7 @@ func main() {
 	// Validate every selector flag up front against the registries (a bad
 	// value fails here, with the valid options, instead of minutes into
 	// the sweep).
-	scale, err := harness.ValidateScale(*scaleF)
+	scale, err := bench.ParseScale(*scaleF)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func main() {
 	}
 	if enabled("fig13") {
 		step("Fig 13: silo warehouse sensitivity", func() error {
-			txns := map[harness.Scale]int{harness.ScaleTiny: 60, harness.ScaleSmall: 200, harness.ScaleMedium: 800, harness.ScaleLarge: 800}[scale]
+			txns := map[bench.Scale]int{bench.ScaleTiny: 60, bench.ScaleSmall: 200, bench.ScaleMedium: 800, bench.ScaleLarge: 800}[scale]
 			pts, err := s.Fig13([]int{16, 4, 1}, *maxCores, txns)
 			if err != nil {
 				return err

@@ -105,10 +105,11 @@ func TestBaselineCycles(t *testing.T) {
 				t.Fatalf("%s serial @%dc: %v", name, nc, err)
 			}
 			fmt.Fprintf(&b, "%s cores=%d impl=serial cycles=%d\n", name, nc, cyc)
-			if !app.HasParallel() {
+			pb, ok := app.(bench.Parallel)
+			if !ok {
 				continue
 			}
-			cyc, err = app.RunParallel(nc)
+			cyc, err = pb.RunParallel(nc)
 			if err != nil {
 				t.Fatalf("%s parallel @%dc: %v", name, nc, err)
 			}

@@ -95,8 +95,8 @@ func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 	if cfg.Backend != "" && cfg.Backend != "sim" {
 		return nativeCellLines(b, nc, cfg)
 	}
-	if pb, ok := b.(bench.Phased); ok {
-		phases, err := pb.RunSwarmPhases(cfg)
+	if sb, ok := b.(bench.Sessioned); ok {
+		phases, err := bench.RunPhases(sb, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -119,8 +119,8 @@ func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 // depend on host scheduling, so only the deterministic counters go into
 // the digest.
 func nativeCellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
-	if pb, ok := b.(bench.Phased); ok {
-		phases, err := pb.RunSwarmPhases(cfg)
+	if sb, ok := b.(bench.Sessioned); ok {
+		phases, err := bench.RunPhases(sb, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -18,6 +18,7 @@ import (
 	"os"
 	"runtime"
 
+	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/harness"
 )
 
@@ -27,7 +28,7 @@ func main() {
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent per-app analyses on the host")
 	flag.Parse()
 
-	scale, err := harness.ParseScale(*scaleF)
+	scale, err := bench.ParseScale(*scaleF)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -53,7 +53,7 @@ func main() {
 	// Validate every selector flag up front against the registries, before
 	// any input generation runs: a typo fails in milliseconds with the
 	// valid options in the message instead of minutes later without them.
-	scale, err := harness.ValidateScale(*scaleF)
+	scale, err := bench.ParseScale(*scaleF)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -95,10 +95,11 @@ func main() {
 			}
 			fmt.Fprintf(w, "%s serial on a %d-core machine: %d cycles (verified)\n", b.Name(), *cores, cyc)
 		case "parallel":
-			if !b.HasParallel() {
+			pb, ok := b.(bench.Parallel)
+			if !ok {
 				return fmt.Errorf("%s has no software-parallel version (as in the paper)", b.Name())
 			}
-			cyc, err := b.RunParallel(*cores)
+			cyc, err := pb.RunParallel(*cores)
 			if err != nil {
 				return err
 			}
@@ -116,8 +117,8 @@ func main() {
 			}
 			cfg.TraceInterval = *trace
 			var st core.Stats
-			if pb, ok := b.(bench.Phased); ok && *phases {
-				phs, err := pb.RunSwarmPhases(cfg)
+			if sb, ok := b.(bench.Sessioned); ok && *phases {
+				phs, err := bench.RunPhases(sb, cfg)
 				if err != nil {
 					return err
 				}

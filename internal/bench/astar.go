@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -19,6 +17,7 @@ import (
 // parallel version: parallel A* implementations sacrifice solution quality
 // for speed (§5).
 type AStar struct {
+	runner
 	g           *graph.Graph
 	src, target int
 	ref         []uint64 // Dijkstra distances (ground truth)
@@ -26,12 +25,11 @@ type AStar struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "astar",
-		Order:       2,
-		Summary:     "A* route search on a road network with coordinates",
-		HasParallel: false, // no software-parallel version, as in the paper
-		Figures:     []string{"fig18"},
-	}, func(s Scale) Benchmark {
+		Name:    "astar",
+		Order:   2,
+		Summary: "A* route search on a road network with coordinates",
+		Figures: []string{"fig18"},
+	}, func(s Scale) *AStar {
 		switch s {
 		case ScaleTiny:
 			return NewAStar(18, 18, 4)
@@ -47,7 +45,9 @@ func init() {
 // corner to corner.
 func NewAStar(rows, cols int, seed int64) *AStar {
 	g := graph.RoadNet(rows, cols, seed)
-	return &AStar{g: g, src: 0, target: g.N - 1, ref: graph.Dijkstra(g, 0)}
+	b := &AStar{g: g, src: 0, target: g.N - 1, ref: graph.Dijkstra(g, 0)}
+	b.runner = runner{b}
+	return b
 }
 
 // Name implements Benchmark.
@@ -147,23 +147,6 @@ func (b *AStar) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *AStar) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: tuned serial A* with a binary heap keyed
-// by f, stopping when the target is settled.
-func (b *AStar) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.g.M())+2)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, gc)
-}
-
 func (b *AStar) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
 	target := uint64(b.target)
 	tx := fixedToFloat(e.Load(gc.XAddr(target)))
@@ -210,19 +193,16 @@ func (b *AStar) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMar
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: tuned serial A* with a binary heap keyed
+// by f, stopping when the target is settled.
 func (b *AStar) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark: none, as in the paper.
-func (b *AStar) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *AStar) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("astar: no software-parallel version (parallel pathfinding sacrifices solution quality, §5)")
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+	}
 }

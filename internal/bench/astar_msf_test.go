@@ -27,13 +27,7 @@ func TestAStarSwarm(t *testing.T) {
 }
 
 func TestAStarNoParallel(t *testing.T) {
-	b := NewAStar(5, 5, 1)
-	if b.HasParallel() {
-		t.Fatal("astar should have no software-parallel version (as in the paper)")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("expected error")
-	}
+	assertNoParallel(t, NewAStar(5, 5, 1)) // as in the paper
 }
 
 // TestAStarPrunes: A* must settle far fewer nodes than the whole graph

@@ -142,7 +142,7 @@ func TestBackendDifferentialApps(t *testing.T) {
 
 // TestBackendDifferentialPhases runs every phased (session) benchmark on
 // the native runtimes phase by phase: each phase re-verifies against the
-// per-phase host reference inside RunSwarmPhases, and the per-phase
+// per-phase host reference inside RunPhases, and the per-phase
 // committed-task counts must match the simulator's — work may not shift
 // between phases depending on the engine.
 func TestBackendDifferentialPhases(t *testing.T) {
@@ -156,14 +156,14 @@ func TestBackendDifferentialPhases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ph, ok := b.(Phased)
+		ph, ok := b.(Sessioned)
 		if !ok {
 			continue
 		}
 		ran = true
 		t.Run(meta.Name, func(t *testing.T) {
 			for _, nc := range cores {
-				sim, err := ph.RunSwarmPhases(core.DefaultConfig(nc))
+				sim, err := RunPhases(ph, core.DefaultConfig(nc))
 				if err != nil {
 					t.Fatalf("cores=%d sim: %v", nc, err)
 				}
@@ -171,7 +171,7 @@ func TestBackendDifferentialPhases(t *testing.T) {
 					cfg := core.DefaultConfig(nc)
 					cfg.Backend = name
 					cfg.DebugChecks = true
-					got, err := ph.RunSwarmPhases(cfg)
+					got, err := RunPhases(ph, cfg)
 					if err != nil {
 						t.Fatalf("cores=%d %s: %v", nc, name, err)
 					}

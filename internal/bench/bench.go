@@ -15,9 +15,9 @@
 // host-side reference before its cycle count is trusted.
 //
 // Applications self-register (see Register/Apps/NewSuite in registry.go)
-// with per-scale input sizes, flavor availability and figure membership,
-// so the harness, the CLIs and the oracle enumerate the suite without
-// hardcoded lists.
+// with per-scale input sizes and figure membership, and the registry reads
+// flavor availability off each app's type, so the harness, the CLIs and
+// the oracle enumerate the suite without hardcoded lists.
 package bench
 
 import (
@@ -26,9 +26,13 @@ import (
 	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
+	"github.com/swarm-sim/swarm/internal/smp"
 )
 
-// Benchmark is one application in all of its flavors.
+// Benchmark is one application in all of its flavors. An app states
+// each flavor once: SwarmApp and SerialApp are its machine-independent
+// programs, RunSwarm and RunSerial come from the embedded runner, and the
+// optional flavors are the Parallel and Sessioned interfaces.
 //
 // Implementations are immutable after construction (inputs, reference
 // results) and every Run* call builds a fresh simulated machine, so a
@@ -44,28 +48,35 @@ type Benchmark interface {
 	// nCores (bigger machines have bigger caches, Fig 12) and returns
 	// elapsed cycles after verifying the result.
 	RunSerial(nCores int) (uint64, error)
-	// HasParallel reports whether a software-parallel version exists.
-	HasParallel() bool
-	// RunParallel executes the software-parallel version with one thread
-	// per core and returns elapsed cycles after verifying the result.
-	RunParallel(nCores int) (uint64, error)
 	// RunSwarm executes the Swarm version and returns its statistics
 	// after verifying the result.
 	RunSwarm(cfg core.Config) (core.Stats, error)
 	// SwarmApp exposes the machine-independent Swarm decomposition, used
 	// by the oracle analysis tool (Table 1).
 	SwarmApp() SwarmApp
-	// SerialApp exposes the sequential implementation for the oracle's
-	// ideal-TLS analysis (Table 1 bottom row). The body must call
-	// iterMark at each loop-iteration boundary; work before the first
-	// mark (e.g. msf's edge sort) is prologue, excluded from the
-	// analysis.
+	// SerialApp exposes the sequential implementation RunSerial runs and
+	// the oracle's ideal-TLS analysis profiles (Table 1 bottom row). The
+	// body must call iterMark at each loop-iteration boundary; work
+	// before the first mark (e.g. msf's edge sort) is prologue, excluded
+	// from the analysis.
 	SerialApp() SerialApp
 }
 
-// SerialApp is a machine-independent sequential implementation.
+// Parallel is implemented by benchmarks that have a state-of-the-art
+// software-parallel version (Fig 12's third series).
+type Parallel interface {
+	Benchmark
+	// RunParallel executes the software-parallel version with one thread
+	// per core and returns elapsed cycles after verifying the result.
+	RunParallel(nCores int) (uint64, error)
+}
+
+// SerialApp is a machine-independent sequential implementation: Build
+// lays out guest memory and returns the body, Verify checks the final
+// memory state.
 type SerialApp struct {
-	Build func(alloc func(uint64) uint64, store func(addr, val uint64)) func(e guest.Env, iterMark func())
+	Build  func(alloc func(uint64) uint64, store func(addr, val uint64)) func(e guest.Env, iterMark func())
+	Verify func(load func(addr uint64) uint64) error
 }
 
 // SwarmApp is a machine-independent Swarm program: Build lays out guest
@@ -89,8 +100,19 @@ func (app SwarmApp) Backend(cfg core.Config) (backend.Backend, error) {
 	})
 }
 
-// runSwarm builds, runs and verifies a SwarmApp on a machine config.
-func runSwarm(app SwarmApp, cfg core.Config) (core.Stats, error) {
+// runner supplies Benchmark's RunSwarm and RunSerial to an app that
+// embeds it; the app's constructor binds it (b.runner = runner{b}).
+type runner struct {
+	app interface {
+		SwarmApp() SwarmApp
+		SerialApp() SerialApp
+	}
+}
+
+// RunSwarm builds the app's SwarmApp on the backend cfg selects, runs it
+// to quiescence and verifies the result.
+func (r runner) RunSwarm(cfg core.Config) (core.Stats, error) {
+	app := r.app.SwarmApp()
 	bk, err := app.Backend(cfg)
 	if err != nil {
 		return core.Stats{}, err
@@ -107,23 +129,47 @@ func runSwarm(app SwarmApp, cfg core.Config) (core.Stats, error) {
 	return ph.Cumulative, nil
 }
 
-// Phased is implemented by benchmarks that execute as multi-phase sessions:
-// run to quiescence, mutate inputs, inject new roots, run again. RunSwarm
-// on such a benchmark reports the cumulative Stats of the whole session;
-// RunSwarmPhases exposes the per-phase breakdown.
-type Phased interface {
+// RunSerial builds the app's SerialApp on a serial machine sized for
+// nCores, runs the body in direct mode and verifies the result.
+func (r runner) RunSerial(nCores int) (uint64, error) {
+	app := r.app.SerialApp()
+	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
+	body := app.Build(m.SetupAlloc, m.Mem().Store)
+	cycles := m.Run(func(e guest.Env) { body(e, func() {}) })
+	return cycles, app.Verify(m.Mem().Load)
+}
+
+// Sessioned is implemented by benchmarks that execute as multi-phase
+// sessions: run to quiescence, mutate inputs, inject new roots, run
+// again. RunSwarm on such a benchmark reports the cumulative Stats of the
+// whole session; RunPhases gives the per-phase breakdown.
+type Sessioned interface {
 	Benchmark
-	// PhaseCount returns the number of quiescent phases a run executes.
-	PhaseCount() int
-	// RunSwarmPhases executes the session and returns one PhaseStats per
-	// phase, each verified against the benchmark's per-phase reference.
-	RunSwarmPhases(cfg core.Config) ([]core.PhaseStats, error)
+	// OpenSession builds the machine (laying out guest memory and
+	// enqueueing the initial roots) and parks it before phase 1.
+	OpenSession(cfg core.Config) (*Session, error)
+}
+
+// RunPhases opens a session and steps it to completion, returning one
+// PhaseStats per phase, each verified against the benchmark's per-phase
+// reference.
+func RunPhases(b Sessioned, cfg core.Config) ([]core.PhaseStats, error) {
+	s, err := b.OpenSession(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for s.Remaining() > 0 {
+		if _, err := s.Step(); err != nil {
+			return nil, err
+		}
+	}
+	return s.Phases(), nil
 }
 
 // Session is a live phased run: a warm simulated machine parked at a
-// quiescent point between phases. Where RunSwarmPhases executes every
-// phase in one call, a Session steps on demand — the resubmission pattern
-// a simulation daemon serves, where a client advances an incremental
+// quiescent point between phases. Where RunPhases executes every phase
+// in one call, a Session steps on demand — the resubmission pattern a
+// simulation daemon serves, where a client advances an incremental
 // workload one update batch at a time against state that stays resident.
 //
 // A Session is not safe for concurrent use; callers (e.g. swarmd's
@@ -177,17 +223,6 @@ func (s *Session) Step() (core.PhaseStats, error) {
 	}
 	s.phases = append(s.phases, ph)
 	return ph, nil
-}
-
-// Sessioned is implemented by phased benchmarks that can open a live
-// session instead of running all phases at once. RunSwarmPhases on such a
-// benchmark is equivalent to opening a session and stepping it to
-// completion — bit-identical statistics either way.
-type Sessioned interface {
-	Phased
-	// OpenSession builds the machine (laying out guest memory and
-	// enqueueing the initial roots) and parks it before phase 1.
-	OpenSession(cfg core.Config) (*Session, error)
 }
 
 // spawnRange fans a [lo, hi) index range out as tasks with function

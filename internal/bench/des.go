@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/swarm-sim/swarm/internal/circuit"
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
@@ -18,6 +17,7 @@ import (
 // style conservative simulator that exploits gate delays as lookahead
 // (§6.2).
 type DES struct {
+	runner
 	c    *circuit.Circuit
 	stim *circuit.Stimulus
 	ref  []uint64 // settled values after the final round
@@ -25,11 +25,10 @@ type DES struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "des",
-		Order:       4,
-		Summary:     "discrete-event simulation of a carry-select adder array",
-		HasParallel: true,
-	}, func(s Scale) Benchmark {
+		Name:    "des",
+		Order:   4,
+		Summary: "discrete-event simulation of a carry-select adder array",
+	}, func(s Scale) *DES {
 		switch s {
 		case ScaleTiny:
 			return NewDES(3, 8, 2, 6)
@@ -50,7 +49,9 @@ func NewDES(nAdders, width, rounds int, seed int64) *DES {
 	// short enough that rounds overlap occasionally (cross-round events).
 	period := uint64(width) * 3 * gateDelay
 	stim := circuit.NewStimulus(c, rounds, period, seed)
-	return &DES{c: c, stim: stim, ref: c.TopoEval(stim.Vectors[rounds-1])}
+	b := &DES{c: c, stim: stim, ref: c.TopoEval(stim.Vectors[rounds-1])}
+	b.runner = runner{b}
+	return b
 }
 
 // Name implements Benchmark.
@@ -227,27 +228,6 @@ func (b *DES) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *DES) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: the classic sequential event-driven
-// simulator — a binary heap of (time, gate) events processed in time order.
-func (b *DES) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
-	pq := swrt.NewHeap(m.SetupAlloc, heapCap)
-	period := b.stim.Period
-	rounds := uint64(b.stim.Rounds)
-
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, pq, period, rounds, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
-}
-
 // Event encoding in heaps: value = gate id, or (inputFlag | input index)
 // for stimulus application.
 const inputFlag = 1 << 40
@@ -297,22 +277,24 @@ func (b *DES) serialBody(e guest.Env, g guestDES, pq swrt.Heap, period, rounds u
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: the classic sequential event-driven
+// simulator — a binary heap of (time, gate) events processed in time order.
 func (b *DES) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
-		pq := swrt.NewHeap(alloc, heapCap)
-		return func(e guest.Env, mark func()) {
-			b.serialBody(e, g, pq, b.stim.Period, uint64(b.stim.Rounds), mark)
-		}
-	}}
+	var g guestDES
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates
+			pq := swrt.NewHeap(alloc, heapCap)
+			return func(e guest.Env, mark func()) {
+				b.serialBody(e, g, pq, b.stim.Period, uint64(b.stim.Rounds), mark)
+			}
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }
 
-// HasParallel implements Benchmark.
-func (b *DES) HasParallel() bool { return true }
-
-// RunParallel implements Benchmark: a conservative (Chandy-Misra-Bryant
+// RunParallel implements Parallel: a conservative (Chandy-Misra-Bryant
 // family) parallel simulator. Gates are partitioned across threads (whole
 // adders stay together); each thread keeps a local event queue and an
 // inbox for cross-partition events; rounds process every event inside the

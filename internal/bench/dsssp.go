@@ -3,11 +3,9 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -23,6 +21,7 @@ import (
 // never incorrect). Delta equals graph.CoordScale, the minimum road-edge
 // weight scale, so a bucket holds roughly one grid step of wavefront.
 type DSSSP struct {
+	runner
 	g   *graph.Graph
 	src int
 	ref []uint64
@@ -30,11 +29,10 @@ type DSSSP struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "dsssp",
-		Order:       10,
-		Summary:     "delta-stepping SSSP on the bucketed-priority frontier",
-		HasParallel: false,
-	}, func(s Scale) Benchmark {
+		Name:    "dsssp",
+		Order:   10,
+		Summary: "delta-stepping SSSP on the bucketed-priority frontier",
+	}, func(s Scale) *DSSSP {
 		switch s {
 		case ScaleTiny:
 			return NewDSSSP(graph.RoadNet(16, 16, 7))
@@ -54,7 +52,9 @@ func init() {
 // inputs get unit weights).
 func NewDSSSP(g *graph.Graph) *DSSSP {
 	g.EnsureWeights()
-	return &DSSSP{g: g, src: 0, ref: graph.Dijkstra(g, 0)}
+	b := &DSSSP{g: g, src: 0, ref: graph.Dijkstra(g, 0)}
+	b.runner = runner{b}
+	return b
 }
 
 // Name implements Benchmark.
@@ -129,11 +129,6 @@ func (b *DSSSP) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *DSSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // verifySerial checks the serial flavor's distances (kept in the packed
 // CSR's Dist array) against host Dijkstra.
 func (b *DSSSP) verifySerial(load func(uint64) uint64, gc graph.GuestCSR) error {
@@ -143,19 +138,6 @@ func (b *DSSSP) verifySerial(load func(uint64) uint64, gc graph.GuestCSR) error 
 		}
 	}
 	return nil
-}
-
-// RunSerial implements Benchmark: sequential Dijkstra with a binary-heap
-// priority queue — the serial optimum delta-stepping degenerates to, and
-// the baseline its speedups are quoted against.
-func (b *DSSSP) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.g.M())+2)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, gc, pq, func() {})
-	})
-	return cycles, b.verifySerial(m.Mem().Load, gc)
 }
 
 func (b *DSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
@@ -185,20 +167,18 @@ func (b *DSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMar
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: sequential Dijkstra with a binary-heap
+// priority queue — the serial optimum delta-stepping degenerates to, and
+// the baseline its speedups are quoted against. (The software-parallel
+// label-correcting comparison is sssp's Bellman-Ford baseline.)
 func (b *DSSSP) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark. (The software-parallel label-correcting
-// comparison already exists in the suite: sssp's Bellman-Ford baseline.)
-func (b *DSSSP) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *DSSSP) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("dsssp has no software-parallel version")
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verifySerial(load, gc) },
+	}
 }

@@ -121,13 +121,7 @@ func TestMSortReference(t *testing.T) {
 // TestMSortNoParallel: msort's whole point is nested in-slot ordering; a
 // software-threaded flavor would just be sort.Slice.
 func TestMSortNoParallel(t *testing.T) {
-	b := NewMSort(64, 8)
-	if b.HasParallel() {
-		t.Fatal("msort should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
-	}
+	assertNoParallel(t, NewMSort(64, 8))
 }
 
 // ------------------------------------------------------------ treebuild --
@@ -198,11 +192,5 @@ func TestTreeBuildReferenceIsSearchTree(t *testing.T) {
 }
 
 func TestTreeBuildNoParallel(t *testing.T) {
-	b := NewTreeBuild(64, 2)
-	if b.HasParallel() {
-		t.Fatal("treebuild should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
-	}
+	assertNoParallel(t, NewTreeBuild(64, 2))
 }

@@ -20,12 +20,7 @@ func TestDSSSPSerial(t *testing.T) {
 	if cyc == 0 {
 		t.Fatal("no cycles")
 	}
-	if b.HasParallel() {
-		t.Fatal("dsssp should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
-	}
+	assertNoParallel(t, b)
 }
 
 func TestSetCoverSerial(t *testing.T) {
@@ -40,10 +35,5 @@ func TestSetCoverSerial(t *testing.T) {
 	if cyc == 0 {
 		t.Fatal("no cycles")
 	}
-	if b.HasParallel() {
-		t.Fatal("setcover should not declare a software-parallel version")
-	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
-	}
+	assertNoParallel(t, b)
 }

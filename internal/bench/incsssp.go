@@ -43,12 +43,10 @@ type incUpdate struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "incsssp",
-		Order:       9,
-		Summary:     "incremental SSSP over a dynamic road network (multi-phase session)",
-		HasParallel: false,
-		Phased:      true,
-	}, func(s Scale) Benchmark {
+		Name:    "incsssp",
+		Order:   9,
+		Summary: "incremental SSSP over a dynamic road network (multi-phase session)",
+	}, func(s Scale) *IncSSSP {
 		switch s {
 		case ScaleTiny:
 			return NewIncSSSP(12, 12, 2, 6, 5)
@@ -122,8 +120,8 @@ func arcSources(g *graph.Graph) []uint32 {
 // Name implements Benchmark.
 func (b *IncSSSP) Name() string { return "incsssp" }
 
-// PhaseCount implements Phased: the initial solve plus one phase per
-// update batch.
+// PhaseCount returns the number of quiescent phases a run executes: the
+// initial solve plus one phase per update batch.
 func (b *IncSSSP) PhaseCount() int { return len(b.batches) + 1 }
 
 func (b *IncSSSP) verifyPhase(load func(uint64) uint64, gc graph.GuestCSR, phase int) error {
@@ -144,7 +142,7 @@ func (b *IncSSSP) verifyPhase(load func(uint64) uint64, gc graph.GuestCSR, phase
 // SwarmApp implements Benchmark. The decomposition covers phase 1 (the
 // from-scratch solve): machine-independent consumers — the oracle
 // profiler, Table 1 — analyze the initial solve, while the phased session
-// (RunSwarmPhases) drives the same relax function through every update
+// (OpenSession) drives the same relax function through every update
 // batch.
 func (b *IncSSSP) SwarmApp() SwarmApp {
 	app, _, _ := b.swarmApp()
@@ -223,26 +221,10 @@ func (b *IncSSSP) OpenSession(cfg core.Config) (*Session, error) {
 	return NewSession(b.Name(), b.PhaseCount(), step, bk.Snapshot), nil
 }
 
-// RunSwarmPhases implements Phased: a full session — the initial solve,
-// then one phase per update batch — by opening a live session and
-// stepping it to completion.
-func (b *IncSSSP) RunSwarmPhases(cfg core.Config) ([]core.PhaseStats, error) {
-	s, err := b.OpenSession(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for s.Remaining() > 0 {
-		if _, err := s.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return s.Phases(), nil
-}
-
 // RunSwarm implements Benchmark: the whole session's cumulative
 // statistics (the final phase's Cumulative).
 func (b *IncSSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
-	phases, err := b.RunSwarmPhases(cfg)
+	phases, err := RunPhases(b, cfg)
 	if err != nil {
 		return core.Stats{}, err
 	}
@@ -321,18 +303,13 @@ func (b *IncSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterM
 // SerialApp implements Benchmark: the initial solve, sliced at
 // relaxation-loop iterations (matching SwarmApp's phase-1 scope).
 func (b *IncSSSP) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		gc := graph.Pack(b.g, alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.g.M())+64)
-		return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark, false) }
-	}}
-}
-
-// HasParallel implements Benchmark: like astar and stream, there is no
-// state-of-the-art software-parallel incremental SSSP baseline here.
-func (b *IncSSSP) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *IncSSSP) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("incsssp has no software-parallel version")
+	var gc graph.GuestCSR
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			gc = graph.Pack(b.g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.g.M())+64)
+			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark, false) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verifyPhase(load, gc, 0) },
+	}
 }

@@ -8,12 +8,12 @@ import (
 )
 
 // TestIncSSSPPhases: the phased session solves every batch correctly
-// (per-phase verification runs inside RunSwarmPhases) and the phase
+// (per-phase verification runs inside RunPhases) and the phase
 // accounting is coherent: contiguous cycle ranges, commits summing to the
 // cumulative count, and one phase per batch plus the initial solve.
 func TestIncSSSPPhases(t *testing.T) {
 	b := NewIncSSSP(10, 10, 2, 5, 3)
-	phases, err := b.RunSwarmPhases(core.DefaultConfig(4))
+	phases, err := RunPhases(b, core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestIncSSSPSerial(t *testing.T) {
 // rely on.
 func TestIncSSSPDeterministicPhases(t *testing.T) {
 	run := func() []core.PhaseStats {
-		phases, err := NewIncSSSP(8, 8, 2, 4, 7).RunSwarmPhases(core.DefaultConfig(8))
+		phases, err := RunPhases(NewIncSSSP(8, 8, 2, 4, 7), core.DefaultConfig(8))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func TestIncSSSPSwarmMatchesPhases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases, err := b.RunSwarmPhases(core.DefaultConfig(4))
+	phases, err := RunPhases(b, core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestIncSSSPSwarmMatchesPhases(t *testing.T) {
 }
 
 // TestIncSSSPSession drives the live-session API step by step and checks
-// it is exactly RunSwarmPhases unrolled: same phase statistics, correct
+// it is exactly RunPhases unrolled: same phase statistics, correct
 // Done/Remaining accounting, cumulative snapshots at each quiescent
 // point, and a loud error past the last phase.
 func TestIncSSSPSession(t *testing.T) {
 	b := NewIncSSSP(10, 10, 2, 5, 3)
-	want, err := b.RunSwarmPhases(core.DefaultConfig(4))
+	want, err := RunPhases(b, core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestIncSSSPSession(t *testing.T) {
 			t.Fatalf("step %d: %v", k+1, err)
 		}
 		if !reflect.DeepEqual(ph, want[k]) {
-			t.Fatalf("step %d stats diverge from RunSwarmPhases", k+1)
+			t.Fatalf("step %d stats diverge from RunPhases", k+1)
 		}
 		if s.Done() != k+1 {
 			t.Fatalf("after step %d: Done = %d", k+1, s.Done())
@@ -135,28 +135,24 @@ func TestIncSSSPSession(t *testing.T) {
 		}
 	}
 	if !reflect.DeepEqual(s.Phases(), want) {
-		t.Fatal("session phases diverge from RunSwarmPhases")
+		t.Fatal("session phases diverge from RunPhases")
 	}
 	if _, err := s.Step(); err == nil {
 		t.Fatal("stepping past the last phase: want an error")
 	}
 }
 
-// TestRegistryPhasedMeta: the Phased metadata bit agrees with the
-// constructed benchmark's interfaces for every registered app, and every
-// Sessioned app is also marked Phased.
+// TestRegistryPhasedMeta: the Phased metadata bit Register derived from
+// the app's type agrees with the constructed benchmark for every
+// registered app.
 func TestRegistryPhasedMeta(t *testing.T) {
 	for _, meta := range Apps() {
 		b, err := New(meta.Name, ScaleTiny)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, isPhased := b.(Phased)
-		if meta.Phased != isPhased {
-			t.Errorf("%s: meta.Phased = %v but benchmark implements Phased = %v", meta.Name, meta.Phased, isPhased)
-		}
-		if _, isSessioned := b.(Sessioned); isSessioned && !isPhased {
-			t.Errorf("%s: Sessioned but not Phased", meta.Name)
+		if _, ok := b.(Sessioned); meta.Phased != ok {
+			t.Errorf("%s: meta.Phased = %v but benchmark implements Sessioned = %v", meta.Name, meta.Phased, ok)
 		}
 	}
 }

@@ -139,12 +139,18 @@ func TestStreamSwarm(t *testing.T) {
 // TestStreamNoParallel: stream declares no software-parallel flavor, like
 // astar in the paper.
 func TestStreamNoParallel(t *testing.T) {
-	b := NewStream(2, 10, 32, 4, 13)
-	if b.HasParallel() {
-		t.Fatal("stream should not declare a software-parallel version")
+	assertNoParallel(t, NewStream(2, 10, 32, 4, 13))
+}
+
+// assertNoParallel fails unless b lacks a software-parallel version, both
+// by type and in its registry metadata.
+func assertNoParallel(t *testing.T, b Benchmark) {
+	t.Helper()
+	if _, ok := b.(Parallel); ok {
+		t.Fatalf("%s should not declare a software-parallel version", b.Name())
 	}
-	if _, err := b.RunParallel(4); err == nil {
-		t.Fatal("RunParallel should fail")
+	if meta, _ := Lookup(b.Name()); meta.HasParallel {
+		t.Fatalf("%s: registry metadata says HasParallel", b.Name())
 	}
 }
 
@@ -181,9 +187,9 @@ func TestRegistryOrder(t *testing.T) {
 	}
 }
 
-// TestRegistryMetadata: HasParallel metadata must agree with the
-// constructed Benchmark, and every app must build at tiny scale under the
-// name it was registered with.
+// TestRegistryMetadata: every app must build at tiny scale under the name
+// it was registered with, and the HasParallel metadata Register derived
+// from the app's type must agree with the constructed Benchmark.
 func TestRegistryMetadata(t *testing.T) {
 	for _, meta := range Apps() {
 		b, err := New(meta.Name, ScaleTiny)
@@ -193,8 +199,8 @@ func TestRegistryMetadata(t *testing.T) {
 		if b.Name() != meta.Name {
 			t.Errorf("%s: Benchmark.Name() = %q", meta.Name, b.Name())
 		}
-		if b.HasParallel() != meta.HasParallel {
-			t.Errorf("%s: HasParallel metadata %v, Benchmark says %v", meta.Name, meta.HasParallel, b.HasParallel())
+		if _, ok := b.(Parallel); ok != meta.HasParallel {
+			t.Errorf("%s: HasParallel metadata %v, Benchmark implements Parallel = %v", meta.Name, meta.HasParallel, ok)
 		}
 	}
 }

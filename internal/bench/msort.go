@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 )
 
 // MSort is parallel mergesort, the canonical fork-join divide-and-conquer
@@ -19,6 +17,7 @@ import (
 // conflict-aborted until their writes commit, so the app doubles as a
 // stress test for abort cascades across fork depths.
 type MSort struct {
+	runner
 	vals []uint64 // input, fixed at construction
 	ref  []uint64 // host-sorted reference
 	cut  int      // insertion-sort cutoff
@@ -26,11 +25,10 @@ type MSort struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "msort",
-		Order:       12,
-		Summary:     "fork-join parallel mergesort in a single nested timestamp slot",
-		HasParallel: false, // the point is the nested order; a thread version would just be sort
-	}, func(s Scale) Benchmark {
+		Name:    "msort",
+		Order:   12,
+		Summary: "fork-join parallel mergesort in a single nested timestamp slot",
+	}, func(s Scale) *MSort {
 		switch s {
 		case ScaleTiny:
 			return NewMSort(64, 8)
@@ -57,7 +55,9 @@ func NewMSort(n, cutoff int) *MSort {
 	}
 	ref := append([]uint64(nil), vals...)
 	sort.Slice(ref, func(i, j int) bool { return ref[i] < ref[j] })
-	return &MSort{vals: vals, ref: ref, cut: cutoff}
+	b := &MSort{vals: vals, ref: ref, cut: cutoff}
+	b.runner = runner{b}
+	return b
 }
 
 // Name implements Benchmark.
@@ -157,11 +157,6 @@ func mergeHalves(e guest.Env, arr, tmp, lo, mid, hi uint64) {
 	}
 }
 
-// RunSwarm implements Benchmark.
-func (b *MSort) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // serialBody is the serial algorithm in the task decomposition's own
 // (nested) order: recurse left, recurse right, merge. iterMark flags one
 // boundary per base-case sort and per merge — the task grain.
@@ -183,38 +178,19 @@ func (b *MSort) serialBody(e guest.Env, arr, tmp uint64, iterMark func()) {
 	rec(0, uint64(len(b.vals)))
 }
 
-// RunSerial implements Benchmark.
-func (b *MSort) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	n := uint64(len(b.vals))
-	arr := m.SetupAlloc(8 * n)
-	tmp := m.SetupAlloc(8 * n)
-	for i, v := range b.vals {
-		m.Mem().Store(arr+8*uint64(i), v)
-	}
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, arr, tmp, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, arr)
-}
-
 // SerialApp implements Benchmark.
 func (b *MSort) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		n := uint64(len(b.vals))
-		arr := alloc(8 * n)
-		tmp := alloc(8 * n)
-		for i, v := range b.vals {
-			store(arr+8*uint64(i), v)
-		}
-		return func(e guest.Env, mark func()) { b.serialBody(e, arr, tmp, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark.
-func (b *MSort) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *MSort) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("msort: no software-parallel version")
+	var arr uint64
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			n := uint64(len(b.vals))
+			arr = alloc(8 * n)
+			tmp := alloc(8 * n)
+			for i, v := range b.vals {
+				store(arr+8*uint64(i), v)
+			}
+			return func(e guest.Env, mark func()) { b.serialBody(e, arr, tmp, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, arr) },
+	}
 }

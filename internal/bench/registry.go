@@ -54,12 +54,12 @@ type AppMeta struct {
 	// Summary is a one-line description for CLI usage strings and docs.
 	Summary string
 	// HasParallel reports whether a software-parallel version exists
-	// (mirrors Benchmark.HasParallel).
+	// (the app implements Parallel). Register sets it.
 	HasParallel bool
 	// Phased reports whether the app is a multi-phase session workload
-	// (implements the Phased interface), so API consumers — swarmd's
-	// /apps endpoint, per-phase sweeps — can tell without constructing
-	// the benchmark.
+	// (implements Sessioned), so API consumers — swarmd's /apps endpoint,
+	// per-phase sweeps — can tell without constructing the benchmark.
+	// Register sets it.
 	Phased bool
 	// Figures lists evaluation tables/figures the app is singled out in
 	// beyond the whole-suite sweeps (e.g. "fig13", "fig18").
@@ -87,16 +87,22 @@ var registry = map[string]regEntry{}
 
 // Register adds an application to the registry. Each app file calls it
 // from init, so constructing a suite, resolving an -app flag, or
-// enumerating the sweep never needs a hardcoded list. Register panics on
-// duplicate or empty names (programming errors, caught by any test run).
-func Register(meta AppMeta, mk func(Scale) Benchmark) {
-	if meta.Name == "" || mk == nil {
-		panic("bench: Register requires a name and a constructor")
+// enumerating the sweep never needs a hardcoded list. The app's concrete
+// type B decides meta.HasParallel and meta.Phased, so the metadata cannot
+// disagree with the flavors the app implements. Register panics on
+// duplicate or empty names and on an interface B (programming errors,
+// caught by any test run).
+func Register[B Benchmark](meta AppMeta, mk func(Scale) B) {
+	var zero B
+	if meta.Name == "" || mk == nil || any(zero) == nil {
+		panic("bench: Register requires a name and a constructor of a concrete type")
 	}
 	if _, dup := registry[meta.Name]; dup {
 		panic("bench: duplicate app " + meta.Name)
 	}
-	registry[meta.Name] = regEntry{meta: meta, mk: mk}
+	_, meta.HasParallel = any(zero).(Parallel)
+	_, meta.Phased = any(zero).(Sessioned)
+	registry[meta.Name] = regEntry{meta: meta, mk: func(s Scale) Benchmark { return mk(s) }}
 }
 
 // Apps returns the registered apps' metadata in suite order.

@@ -3,7 +3,6 @@ package bench
 import (
 	"sort"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/tpcc"
@@ -18,18 +17,18 @@ import (
 // preserving atomicity (§5) — exposing parallelism within and across
 // transactions even with a single warehouse (Fig 13).
 type Silo struct {
+	runner
 	sc   tpcc.Scale
 	txns []tpcc.Txn
 }
 
 func init() {
 	Register(AppMeta{
-		Name:        "silo",
-		Order:       5,
-		Summary:     "in-memory TPC-C transactions (silo-style OCC baseline)",
-		HasParallel: true,
-		Figures:     []string{"fig13"},
-	}, func(s Scale) Benchmark {
+		Name:    "silo",
+		Order:   5,
+		Summary: "in-memory TPC-C transactions (silo-style OCC baseline)",
+		Figures: []string{"fig13"},
+	}, func(s Scale) *Silo {
 		switch s {
 		case ScaleTiny:
 			return NewSilo(2, 60, 7)
@@ -45,7 +44,9 @@ func init() {
 // transaction count.
 func NewSilo(warehouses, txns int, seed int64) *Silo {
 	sc := tpcc.DefaultScale(warehouses, txns)
-	return &Silo{sc: sc, txns: tpcc.Generate(sc, txns, seed)}
+	b := &Silo{sc: sc, txns: tpcc.Generate(sc, txns, seed)}
+	b.runner = runner{b}
+	return b
 }
 
 // Name implements Benchmark.
@@ -55,17 +56,11 @@ func (b *Silo) Name() string { return "silo" }
 // timestamps [i<<tsBits, (i+1)<<tsBits)).
 const tsBits = 6
 
-// RunSerial implements Benchmark.
-func (b *Silo) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	l := tpcc.Pack(b.sc, b.txns, m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		for i := range b.txns {
-			tpcc.ExecTxn(e, l, uint64(i))
-		}
-	})
+// verify checks the final tables word for word against the host replay
+// of the transactions in order.
+func (b *Silo) verify(load func(uint64) uint64, l *tpcc.Layout) error {
 	_, refLoad := tpcc.Reference(b.sc, b.txns)
-	return cycles, l.CompareExact(m.Mem().Load, refLoad)
+	return l.CompareExact(load, refLoad)
 }
 
 // ---------------------------------------------------------------- Swarm --
@@ -459,16 +454,8 @@ func (b *Silo) SwarmApp() SwarmApp {
 		}
 		return []guest.TaskDesc{{Fn: siloSpawn, TS: 0, Args: [3]uint64{0, uint64(len(b.txns))}}}
 	}
-	app.Verify = func(load func(uint64) uint64) error {
-		_, refLoad := tpcc.Reference(b.sc, b.txns)
-		return l.CompareExact(load, refLoad)
-	}
+	app.Verify = func(load func(uint64) uint64) error { return b.verify(load, l) }
 	return app
-}
-
-// RunSwarm implements Benchmark.
-func (b *Silo) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
 }
 
 // SerialApp implements Benchmark: iterations are whole transactions —
@@ -476,21 +463,22 @@ func (b *Silo) RunSwarm(cfg core.Config) (core.Stats, error) {
 // 45x vs 318x): the sequential grain is the transaction, not the tuple
 // access.
 func (b *Silo) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		l := tpcc.Pack(b.sc, b.txns, alloc, store)
-		return func(e guest.Env, mark func()) {
-			for i := range b.txns {
-				mark()
-				tpcc.ExecTxn(e, l, uint64(i))
+	var l *tpcc.Layout
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			l = tpcc.Pack(b.sc, b.txns, alloc, store)
+			return func(e guest.Env, mark func()) {
+				for i := range b.txns {
+					mark()
+					tpcc.ExecTxn(e, l, uint64(i))
+				}
 			}
-		}
-	}}
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, l) },
+	}
 }
 
 // ------------------------------------------------------------------ OCC --
-
-// HasParallel implements Benchmark.
-func (b *Silo) HasParallel() bool { return true }
 
 // occEnv adapts guest.Env to Silo's optimistic concurrency control: reads
 // record per-tuple versions, writes are buffered, and commit locks the
@@ -623,7 +611,7 @@ func (o *occEnv) commit() bool {
 	return true
 }
 
-// RunParallel implements Benchmark: worker threads claim transactions from
+// RunParallel implements Parallel: worker threads claim transactions from
 // a shared counter and run them under OCC, retrying on validation failure
 // (the wasted work that grows as warehouses shrink, Fig 13).
 func (b *Silo) RunParallel(nCores int) (uint64, error) {

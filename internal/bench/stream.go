@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -25,6 +23,7 @@ import (
 // version: lock-based operator parallelism reorders tuples, and published
 // shared-memory schemes pay the same merge the serial version does.
 type Stream struct {
+	runner
 	nSrc   int
 	window uint64
 	keys   uint64
@@ -40,11 +39,10 @@ type Stream struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "stream",
-		Order:       8,
-		Summary:     "ordered tumbling-window stream aggregation of timestamped tuples",
-		HasParallel: false, // software parallelism would reorder tuples or re-pay the merge
-	}, func(s Scale) Benchmark {
+		Name:    "stream",
+		Order:   8,
+		Summary: "ordered tumbling-window stream aggregation of timestamped tuples",
+	}, func(s Scale) *Stream {
 		switch s {
 		case ScaleTiny:
 			return NewStream(4, 60, 32, 8, 13)
@@ -61,6 +59,7 @@ func init() {
 func NewStream(nSrc, perSrc int, window, keys uint64, seed int64) *Stream {
 	rng := rand.New(rand.NewSource(seed))
 	b := &Stream{nSrc: nSrc, window: window, keys: keys}
+	b.runner = runner{b}
 	b.srcOff = make([]uint64, nSrc+1)
 	maxTs := uint64(0)
 	for s := 0; s < nSrc; s++ {
@@ -183,26 +182,6 @@ func (b *Stream) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *Stream) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
-// RunSerial implements Benchmark: the tuned serial operator k-way-merges
-// the sources through a binary heap keyed by next-tuple timestamp and
-// flushes windows as their boundaries pass — every tuple pays the heap's
-// pointer chasing, the false dependence §3 describes.
-func (b *Stream) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	pq := swrt.NewHeap(m.SetupAlloc, uint64(b.nSrc)+1)
-	pos := swrt.NewArray(m.SetupAlloc, uint64(b.nSrc))
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, g, pq, pos, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, g)
-}
-
 // serialFlush drains one window's slot into its result row.
 func (b *Stream) serialFlush(e guest.Env, g guestStream, w uint64) {
 	slot := g.ring.SlotFor(w)
@@ -249,20 +228,19 @@ func (b *Stream) serialBody(e guest.Env, g guestStream, pq swrt.Heap, pos swrt.A
 	}
 }
 
-// SerialApp implements Benchmark.
+// SerialApp implements Benchmark: the tuned serial operator k-way-merges
+// the sources through a binary heap keyed by next-tuple timestamp and
+// flushes windows as their boundaries pass — every tuple pays the heap's
+// pointer chasing, the false dependence §3 describes.
 func (b *Stream) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		g := b.pack(alloc, store)
-		pq := swrt.NewHeap(alloc, uint64(b.nSrc)+1)
-		pos := swrt.NewArray(alloc, uint64(b.nSrc))
-		return func(e guest.Env, mark func()) { b.serialBody(e, g, pq, pos, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark.
-func (b *Stream) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *Stream) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("stream has no software-parallel version")
+	var g guestStream
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			g = b.pack(alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(b.nSrc)+1)
+			pos := swrt.NewArray(alloc, uint64(b.nSrc))
+			return func(e guest.Env, mark func()) { b.serialBody(e, g, pq, pos, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
+	}
 }

@@ -3,9 +3,7 @@ package bench
 import (
 	"fmt"
 
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 )
 
 // TreeBuild constructs a forest of binary search trees top-down: tree t
@@ -18,6 +16,7 @@ import (
 // link before the right subtree's first node. The reference replays the
 // same order on the host and the verify compares every pointer word.
 type TreeBuild struct {
+	runner
 	keys  []uint64
 	trees int
 	// Host reference, same encoding as guest memory: node ids are key
@@ -29,11 +28,10 @@ type TreeBuild struct {
 
 func init() {
 	Register(AppMeta{
-		Name:        "treebuild",
-		Order:       13,
-		Summary:     "top-down BST forest where pointer structure depends on nested insertion order",
-		HasParallel: false, // order-dependent pointers leave no meaningful lock-based version
-	}, func(s Scale) Benchmark {
+		Name:    "treebuild",
+		Order:   13,
+		Summary: "top-down BST forest where pointer structure depends on nested insertion order",
+	}, func(s Scale) *TreeBuild {
 		switch s {
 		case ScaleTiny:
 			return NewTreeBuild(64, 2)
@@ -68,6 +66,7 @@ func NewTreeBuild(n, trees int) *TreeBuild {
 		refL:    make([]uint64, n),
 		refR:    make([]uint64, n),
 	}
+	b.runner = runner{b}
 	seg := n / trees
 	for t := 0; t < trees; t++ {
 		b.buildRef(t, uint64(t*seg), uint64((t+1)*seg))
@@ -188,11 +187,6 @@ func (b *TreeBuild) SwarmApp() SwarmApp {
 	return app
 }
 
-// RunSwarm implements Benchmark.
-func (b *TreeBuild) RunSwarm(cfg core.Config) (core.Stats, error) {
-	return runSwarm(b.SwarmApp(), cfg)
-}
-
 // serialBody replays the same nested insertion order serially; iterMark
 // flags one boundary per insert — the task grain.
 func (b *TreeBuild) serialBody(e guest.Env, keys, left, right, roots uint64, iterMark func()) {
@@ -247,28 +241,14 @@ func (b *TreeBuild) layoutSerial(alloc func(uint64) uint64, store func(addr, val
 	return
 }
 
-// RunSerial implements Benchmark.
-func (b *TreeBuild) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
-	keys, left, right, roots := b.layoutSerial(m.SetupAlloc, m.Mem().Store)
-	cycles := m.Run(func(e guest.Env) {
-		b.serialBody(e, keys, left, right, roots, func() {})
-	})
-	return cycles, b.verify(m.Mem().Load, roots, left, right)
-}
-
 // SerialApp implements Benchmark.
 func (b *TreeBuild) SerialApp() SerialApp {
-	return SerialApp{Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-		keys, left, right, roots := b.layoutSerial(alloc, store)
-		return func(e guest.Env, mark func()) { b.serialBody(e, keys, left, right, roots, mark) }
-	}}
-}
-
-// HasParallel implements Benchmark.
-func (b *TreeBuild) HasParallel() bool { return false }
-
-// RunParallel implements Benchmark.
-func (b *TreeBuild) RunParallel(int) (uint64, error) {
-	return 0, fmt.Errorf("treebuild: no software-parallel version")
+	var keys, left, right, roots uint64
+	return SerialApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
+			keys, left, right, roots = b.layoutSerial(alloc, store)
+			return func(e guest.Env, mark func()) { b.serialBody(e, keys, left, right, roots, mark) }
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, roots, left, right) },
+	}
 }

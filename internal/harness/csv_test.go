@@ -12,11 +12,12 @@ import (
 
 func TestCSVExports(t *testing.T) {
 	s := tinySuite()
-	r, err := s.Scaling(s.Benchmarks[1], []int{1, 8})
+	sssp := tinySuite()
+	sssp.Benchmarks = sssp.Benchmarks[1:2]
+	results, err := sssp.ScalingAll([]int{1, 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := []ScalingResult{r}
 
 	var buf bytes.Buffer
 	if err := WriteScalingCSV(&buf, results); err != nil {

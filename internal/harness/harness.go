@@ -20,26 +20,12 @@ import (
 	"github.com/swarm-sim/swarm/internal/oracle"
 )
 
-// Scale selects input sizes; it now lives in bench next to the app
-// registry (each registered app maps a Scale to input parameters).
-type Scale = bench.Scale
-
-const (
-	ScaleTiny   = bench.ScaleTiny
-	ScaleSmall  = bench.ScaleSmall
-	ScaleMedium = bench.ScaleMedium
-	ScaleLarge  = bench.ScaleLarge
-)
-
-// ParseScale maps a -scale flag value to a Scale.
-func ParseScale(name string) (Scale, error) { return bench.ParseScale(name) }
-
 // Suite is every registered benchmark at a given scale, in registry
 // order. Its sweep methods are safe for the suite's own internal
 // parallelism but a Suite is not meant to be driven from multiple
 // goroutines at once.
 type Suite struct {
-	Scale      Scale
+	Scale      bench.Scale
 	Benchmarks []bench.Benchmark
 
 	pool *Pool
@@ -69,7 +55,7 @@ type siloKey struct{ warehouses, txns int }
 // registered app, constructed at the given scale, in registry order. New
 // apps appear in every sweep, table and CSV without touching the harness.
 // The suite starts sequential; see SetWorkers.
-func NewSuite(s Scale) *Suite {
+func NewSuite(s bench.Scale) *Suite {
 	return &Suite{Scale: s, Benchmarks: bench.NewSuite(s), pool: NewPool(1)}
 }
 
@@ -260,8 +246,8 @@ func (s *Suite) scalingPoint(b bench.Benchmark, nc int) (ScalingPoint, error) {
 		return ScalingPoint{}, fmt.Errorf("%s swarm @%dc: %w", b.Name(), nc, err)
 	}
 	pt := ScalingPoint{Cores: nc, SwarmCycles: st.Cycles, SerialCycles: serial, Stats: st}
-	if b.HasParallel() {
-		par, err := b.RunParallel(nc)
+	if pb, ok := b.(bench.Parallel); ok {
+		par, err := pb.RunParallel(nc)
 		if err != nil {
 			return ScalingPoint{}, fmt.Errorf("%s parallel @%dc: %w", b.Name(), nc, err)
 		}
@@ -270,22 +256,9 @@ func (s *Suite) scalingPoint(b bench.Benchmark, nc int) (ScalingPoint, error) {
 	return pt, nil
 }
 
-// Scaling runs Swarm, serial and software-parallel versions across core
-// counts (Fig 11, Fig 12, and the underlying data of Fig 14), fanning the
-// points out over the pool.
-func (s *Suite) Scaling(b bench.Benchmark, coreCounts []int) (ScalingResult, error) {
-	res := ScalingResult{App: b.Name(), Points: make([]ScalingPoint, len(coreCounts))}
-	err := s.pool.Run(len(coreCounts),
-		func(i int) string { return fmt.Sprintf("%s@%dc", b.Name(), coreCounts[i]) },
-		func(i int) error {
-			pt, err := s.scalingPoint(b, coreCounts[i])
-			res.Points[i] = pt
-			return err
-		})
-	return res, err
-}
-
-// ScalingAll measures the full (benchmark x cores) grid concurrently and
+// ScalingAll runs Swarm, serial and software-parallel versions of every
+// benchmark across core counts (Fig 11, Fig 12, and the underlying data
+// of Fig 14), measuring the (benchmark x cores) grid concurrently, and
 // returns one ScalingResult per benchmark, in suite order.
 func (s *Suite) ScalingAll(coreCounts []int) ([]ScalingResult, error) {
 	nb, nc := len(s.Benchmarks), len(coreCounts)
@@ -674,10 +647,10 @@ type PhasePoint struct {
 
 // PhasedApps returns the suite's session-API (multi-phase) benchmarks, in
 // suite order.
-func (s *Suite) PhasedApps() []bench.Phased {
-	var out []bench.Phased
+func (s *Suite) PhasedApps() []bench.Sessioned {
+	var out []bench.Sessioned
 	for _, b := range s.Benchmarks {
-		if pb, ok := b.(bench.Phased); ok {
+		if pb, ok := b.(bench.Sessioned); ok {
 			out = append(out, pb)
 		}
 	}
@@ -698,7 +671,7 @@ func (s *Suite) PhasedRuns(coreCounts []int) ([]PhasePoint, error) {
 		},
 		func(i int) error {
 			b, cores := apps[i/nc], coreCounts[i%nc]
-			phases, err := b.RunSwarmPhases(s.config(cores))
+			phases, err := bench.RunPhases(b, s.config(cores))
 			if err != nil {
 				return fmt.Errorf("%s phases @%dc: %w", b.Name(), cores, err)
 			}

@@ -10,7 +10,7 @@ import (
 	"github.com/swarm-sim/swarm/internal/core"
 )
 
-func tinySuite() *Suite { return NewSuite(ScaleTiny) }
+func tinySuite() *Suite { return NewSuite(bench.ScaleTiny) }
 
 func TestTable1Runs(t *testing.T) {
 	s := tinySuite()
@@ -36,11 +36,12 @@ func TestTable1Runs(t *testing.T) {
 
 func TestScalingShape(t *testing.T) {
 	s := tinySuite()
-	// sssp only, to bound test time.
-	r, err := s.Scaling(s.Benchmarks[1], []int{1, 4, 16})
+	s.Benchmarks = s.Benchmarks[1:2] // sssp only, to bound test time
+	rs, err := s.ScalingAll([]int{1, 4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := rs[0]
 	self := r.SelfRelative()
 	if self[0] != 1 {
 		t.Fatalf("self-relative base = %.2f", self[0])
@@ -96,7 +97,7 @@ func TestTable5Idealizations(t *testing.T) {
 }
 
 func TestCommitQueueSweepShape(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	// Only sssp to bound time: fake a one-benchmark suite.
 	s.Benchmarks = s.Benchmarks[1:2]
 	pts, err := s.CommitQueueSweep(8, []int{16, 128, 0})
@@ -113,7 +114,7 @@ func TestCommitQueueSweepShape(t *testing.T) {
 }
 
 func TestBloomSweepShape(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	s.Benchmarks = s.Benchmarks[5:6] // silo: largest footprints
 	pts, err := s.BloomSweep(8, []bloom.Config{
 		{Bits: 256, Ways: 4},
@@ -130,7 +131,7 @@ func TestBloomSweepShape(t *testing.T) {
 }
 
 func TestGVTSweepRuns(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	s.Benchmarks = s.Benchmarks[1:2]
 	pts, err := s.GVTSweep(8, []uint64{50, 200, 800})
 	if err != nil {
@@ -144,7 +145,7 @@ func TestGVTSweepRuns(t *testing.T) {
 }
 
 func TestCanaryStudyRuns(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	s.Benchmarks = s.Benchmarks[1:3]
 	red, sp, err := s.CanaryStudy(8)
 	if err != nil {
@@ -190,14 +191,15 @@ func TestTable2Print(t *testing.T) {
 // reports backend=rt stats with wall-clock instead of cycles, while
 // the serial baseline column stays cycle-based.
 func TestSuiteBackendOverride(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := tinySuite()
 	s.Benchmarks = s.Benchmarks[1:2] // one app bounds time
 	s.SetBackend("rt")
 	s.SetWorkers(1)
-	res, err := s.Scaling(s.Benchmarks[0], []int{4})
+	rs, err := s.ScalingAll([]int{4})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := rs[0]
 	st := res.Points[0].Stats
 	if st.Backend != "rt" {
 		t.Fatalf("stats backend = %q, want rt", st.Backend)

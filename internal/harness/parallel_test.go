@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/swarm-sim/swarm/internal/bench"
 )
 
 // TestPoolCollectsByIndex checks that results land in input order no
@@ -141,7 +143,7 @@ func TestMemoSingleFlight(t *testing.T) {
 // renders all tables, figures and CSV artifacts into one byte stream.
 func renderEverything(t *testing.T, workers int) []byte {
 	t.Helper()
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	s.SetWorkers(workers)
 	var buf bytes.Buffer
 

@@ -3,6 +3,9 @@ package harness
 import (
 	"bytes"
 	"testing"
+
+	"github.com/swarm-sim/swarm/internal/bench"
+	"github.com/swarm-sim/swarm/internal/core"
 )
 
 // TestPhasedRunsDeterministicAcrossWorkers: the phased-workload sweep and
@@ -15,7 +18,7 @@ func TestPhasedRunsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	cores := []int{1, 4}
 	render := func(workers int) string {
-		s := NewSuite(ScaleTiny)
+		s := NewSuite(bench.ScaleTiny)
 		s.SetWorkers(workers)
 		pts, err := s.PhasedRuns(cores)
 		if err != nil {
@@ -40,9 +43,10 @@ func TestPhasedRunsDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestPhasedAppsEnumerates: the registry exposes at least incsssp as a
-// session workload, and every phased app reports a coherent phase count.
+// session workload, and every phased app opens a session with a coherent
+// phase count.
 func TestPhasedAppsEnumerates(t *testing.T) {
-	s := NewSuite(ScaleTiny)
+	s := NewSuite(bench.ScaleTiny)
 	apps := s.PhasedApps()
 	if len(apps) == 0 {
 		t.Fatal("no phased apps registered")
@@ -52,8 +56,12 @@ func TestPhasedAppsEnumerates(t *testing.T) {
 		if a.Name() == "incsssp" {
 			found = true
 		}
-		if a.PhaseCount() < 2 {
-			t.Fatalf("%s: phase count %d, want >= 2", a.Name(), a.PhaseCount())
+		sess, err := a.OpenSession(core.DefaultConfig(1))
+		if err != nil {
+			t.Fatalf("%s: %v", a.Name(), err)
+		}
+		if sess.PhaseCount() < 2 {
+			t.Fatalf("%s: phase count %d, want >= 2", a.Name(), sess.PhaseCount())
 		}
 	}
 	if !found {

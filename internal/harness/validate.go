@@ -19,11 +19,11 @@ func optionList(names []string) string {
 }
 
 // Up-front flag/request validation, shared by the CLIs and the swarmd
-// daemon. Before these helpers, an invalid -app/-mapper/-scale surfaced
-// only once a run reached the code that consumed it — after input
-// generation, sometimes mid-sweep — as a context-free error. Validating
-// against the registries first fails in milliseconds and always names the
-// valid options.
+// daemon (-scale values go through bench.ParseScale). Before these
+// helpers, an invalid -app/-mapper/-scale surfaced only once a run
+// reached the code that consumed it — after input generation, sometimes
+// mid-sweep — as a context-free error. Validating against the registries
+// first fails in milliseconds and always names the valid options.
 
 // ResolveApps validates an -app value — a registered name, a comma list
 // of names, or "all" — against the bench registry and returns the
@@ -63,10 +63,6 @@ func ValidateMapper(name string) error {
 	}
 	return fmt.Errorf("unknown mapper %q (valid: %s)", name, optionList(core.MapperNames()))
 }
-
-// ValidateScale checks a scale name, returning the parsed Scale. It is
-// ParseScale under the name the other validators use.
-func ValidateScale(name string) (Scale, error) { return ParseScale(name) }
 
 // ValidateCores checks that a core count builds a legal machine: the CMP
 // is tiled 4 cores per tile (machines under 4 cores are one smaller

@@ -3,6 +3,8 @@ package harness
 import (
 	"strings"
 	"testing"
+
+	"github.com/swarm-sim/swarm/internal/bench"
 )
 
 // TestValidateFlags is the table-driven sweep over the three user-facing
@@ -55,7 +57,7 @@ func TestValidateFlags(t *testing.T) {
 		case "mapper":
 			err = ValidateMapper(tc.value)
 		case "scale":
-			_, err = ValidateScale(tc.value)
+			_, err = bench.ParseScale(tc.value)
 		case "backend":
 			err = ValidateBackend(tc.value)
 		}

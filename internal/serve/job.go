@@ -77,7 +77,7 @@ func (j JobSpec) Validate() error {
 	if !ok {
 		return fmt.Errorf("unknown app %q (valid: %s)", j.App, appList())
 	}
-	if _, err := harness.ValidateScale(j.Scale); err != nil {
+	if _, err := bench.ParseScale(j.Scale); err != nil {
 		return err
 	}
 	if err := harness.ValidateCores(j.Cores); err != nil {

@@ -251,12 +251,12 @@ func (s *Server) compute(spec JobSpec) (*jobResult, error) {
 	}
 	cfg := spec.machineConfig()
 	if spec.Phases {
-		pb, ok := b.(bench.Phased)
+		sb, ok := b.(bench.Sessioned)
 		if !ok {
 			// Validate() rejects this; defend anyway.
 			return nil, fmt.Errorf("app %q is single-phase", spec.App)
 		}
-		phases, err := pb.RunSwarmPhases(cfg)
+		phases, err := bench.RunPhases(sb, cfg)
 		if err != nil {
 			return nil, err
 		}

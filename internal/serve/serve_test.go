@@ -157,7 +157,7 @@ func directCSV(t *testing.T, spec JobSpec) string {
 	}
 	var buf bytes.Buffer
 	if spec.Phases {
-		phases, err := b.(bench.Phased).RunSwarmPhases(spec.machineConfig())
+		phases, err := bench.RunPhases(b.(bench.Sessioned), spec.machineConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
