@@ -176,6 +176,27 @@ type TaskEnv interface {
 // NoHint marks an EnqueueSub child with no spatial hint key.
 const NoHint = ^uint64(0)
 
+// PackArgs copies an Enqueue or Fork argument list into a descriptor's
+// argument words. It panics when the list is longer: a task that needs
+// more words allocates memory for them (§4.1). Every TaskEnv calls it, so
+// all backends and the oracle reject the same enqueues.
+func PackArgs(args []uint64) (a [3]uint64) {
+	if len(args) > len(a) {
+		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
+	}
+	copy(a[:], args)
+	return a
+}
+
+// CheckChildTS panics when a child's timestamp precedes its parent's: a
+// task enqueues children at or after its own timestamp. Every TaskEnv
+// calls it on EnqueueArgs and EnqueueHinted.
+func CheckChildTS(child, parent uint64) {
+	if child < parent {
+		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", child, parent))
+	}
+}
+
 // ThreadEnv is the environment visible to a software-baseline thread.
 type ThreadEnv interface {
 	Env
@@ -383,35 +404,21 @@ type coTaskEnv struct {
 func (e *coTaskEnv) Timestamp() uint64 { return e.desc.TS }
 func (e *coTaskEnv) Arg(i int) uint64  { return e.desc.Args[i] }
 func (e *coTaskEnv) Enqueue(fn FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueArgs(fn, ts, a)
+	e.EnqueueArgs(fn, ts, PackArgs(args))
 }
 
 func (e *coTaskEnv) EnqueueArgs(fn FnID, ts uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
+	CheckChildTS(ts, e.desc.TS)
 	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}})
 }
 
 func (e *coTaskEnv) EnqueueHinted(fn FnID, ts uint64, hint uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
+	CheckChildTS(ts, e.desc.TS)
 	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint)})
 }
 
 func (e *coTaskEnv) Fork(fn FnID, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueSub(fn, NoHint, a)
+	e.EnqueueSub(fn, NoHint, PackArgs(args))
 }
 
 func (e *coTaskEnv) EnqueueSub(fn FnID, hint uint64, args [3]uint64) {

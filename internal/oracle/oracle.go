@@ -140,14 +140,13 @@ func (p *profEnv) Arg(i int) uint64 { return p.desc.Args[i] }
 
 // Enqueue implements guest.TaskEnv.
 func (p *profEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
-	copy(a[:], args)
-	p.EnqueueArgs(fn, ts, a)
+	p.EnqueueArgs(fn, ts, guest.PackArgs(args))
 }
 
 // EnqueueArgs implements guest.TaskEnv. Children inherit the parent's
 // nested path verbatim (matching the machine backends).
 func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
+	guest.CheckChildTS(ts, p.desc.TS)
 	p.instrs++
 	p.seq++
 	heap.Push(&p.queue, profItem{desc: guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args}, seq: p.seq, parent: p.curIdx})
@@ -161,9 +160,7 @@ func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, _ uint64, args [3]uint
 
 // Fork implements guest.TaskEnv.
 func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
-	var a [3]uint64
-	copy(a[:], args)
-	p.EnqueueSub(fn, guest.NoHint, a)
+	p.EnqueueSub(fn, guest.NoHint, guest.PackArgs(args))
 }
 
 // EnqueueSub implements guest.TaskEnv: the child lands inside the

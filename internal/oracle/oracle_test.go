@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/bench"
+	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
 )
 
@@ -143,4 +144,48 @@ func TestProfileSerialExcludesPrologue(t *testing.T) {
 	if par := p.MaxParallelism(); par < 9 {
 		t.Fatalf("independent iterations parallelism %.1f; prologue leaked in?", par)
 	}
+}
+
+// TestRejectsWhatMachinesReject: an enqueue the machines refuse — a 4th
+// argument word through Enqueue or Fork, or a child timestamp below the
+// parent's through EnqueueArgs or EnqueueHinted — makes ProfileTasks
+// panic with the simulator's own message instead of profiling a program
+// no backend can run.
+func TestRejectsWhatMachinesReject(t *testing.T) {
+	cases := map[string]func(e guest.TaskEnv, fn guest.FnID){
+		"enqueue-4-args": func(e guest.TaskEnv, fn guest.FnID) { e.Enqueue(fn, 11, 1, 2, 3, 4) },
+		"fork-4-args":    func(e guest.TaskEnv, fn guest.FnID) { e.Fork(fn, 1, 2, 3, 4) },
+		"args-early-ts":  func(e guest.TaskEnv, fn guest.FnID) { e.EnqueueArgs(fn, 9, [3]uint64{}) },
+		"hinted-early-ts": func(e guest.TaskEnv, fn guest.FnID) {
+			e.EnqueueHinted(fn, 9, 0, [3]uint64{})
+		},
+	}
+	for name, bad := range cases {
+		build := func(b *guest.AppBuild) []guest.TaskDesc {
+			var leaf guest.FnID
+			parent := b.Fn("parent", func(e guest.TaskEnv) { bad(e, leaf) })
+			leaf = b.Fn("leaf", func(guest.TaskEnv) {})
+			return []guest.TaskDesc{{Fn: parent, TS: 10}}
+		}
+		simMsg := panicValue(func() {
+			bk, err := bench.SwarmApp{Build: build}.Backend(core.DefaultConfig(1))
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			bk.RunPhase()
+		})
+		if simMsg == nil {
+			t.Fatalf("%s: the simulator accepted the enqueue", name)
+		}
+		if got := panicValue(func() { ProfileTasks(build, 0) }); got != simMsg {
+			t.Errorf("%s: oracle panic = %v, want the simulator's %v", name, got, simMsg)
+		}
+	}
+}
+
+// panicValue runs f and returns what it panicked with, or nil.
+func panicValue(f func()) (v any) {
+	defer func() { v = recover() }()
+	f()
+	return nil
 }

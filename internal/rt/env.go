@@ -246,12 +246,7 @@ func (e *taskEnv) Arg(i int) uint64 { return e.desc.Args[i] }
 
 // Enqueue implements guest.TaskEnv.
 func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueArgs(fn, ts, a)
+	e.EnqueueArgs(fn, ts, guest.PackArgs(args))
 }
 
 // EnqueueArgs implements guest.TaskEnv: children are buffered and become
@@ -259,9 +254,7 @@ func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
 // children never exist and aborts cannot cascade. Children inherit the
 // parent's nested path, keeping them inside its slice of the slot.
 func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
+	guest.CheckChildTS(ts, e.desc.TS)
 	e.step(1)
 	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args})
 }
@@ -270,9 +263,7 @@ func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 // simulator's tile mappers; the native scheduler places work by virtual
 // time only, so the hint is carried but unused.
 func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
-	if ts < e.desc.TS {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, e.desc.TS))
-	}
+	guest.CheckChildTS(ts, e.desc.TS)
 	e.step(1)
 	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint))
 }
@@ -280,12 +271,7 @@ func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]u
 // Fork implements guest.TaskEnv: a child ordered within the parent's
 // timestamp slot, after previously forked siblings.
 func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
-	var a [3]uint64
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	e.EnqueueSub(fn, guest.NoHint, a)
+	e.EnqueueSub(fn, guest.NoHint, guest.PackArgs(args))
 }
 
 // EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
