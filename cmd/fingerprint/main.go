@@ -115,9 +115,8 @@ func cellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 
 // nativeCellLines fingerprints one (app, cores) cell run on a native rt
 // backend. The rt engines guarantee a deterministic committed schedule —
-// commit and enqueue totals are fixed — but aborts, dequeues and retries
-// depend on host scheduling, so only the deterministic counters go into
-// the digest.
+// commit and enqueue totals are fixed — but aborts and dequeues depend on
+// host scheduling, so only the deterministic counters go into the digest.
 func nativeCellLines(b bench.Benchmark, nc int, cfg core.Config) ([]string, error) {
 	if sb, ok := b.(bench.Sessioned); ok {
 		phases, err := bench.RunPhases(sb, cfg)

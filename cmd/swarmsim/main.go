@@ -228,7 +228,7 @@ func printNativeStats(w io.Writer, app string, st core.Stats) {
 	fmt.Fprintf(w, "%s on %d-worker %s runtime (verified)\n", app, st.Cores, st.Backend)
 	fmt.Fprintf(w, "  wall time         %12.3f ms\n", float64(st.WallNS)/1e6)
 	fmt.Fprintf(w, "  commits           %12d\n", st.Commits)
-	fmt.Fprintf(w, "  aborts            %12d (retries %d)\n", st.Aborts, st.Retries)
+	fmt.Fprintf(w, "  aborts            %12d\n", st.Aborts)
 	fmt.Fprintf(w, "  enqueues          %12d (dequeues %d)\n", st.Enqueues, st.Dequeues)
 	if st.WallNS > 0 {
 		fmt.Fprintf(w, "  throughput        %12.0f committed tasks/s\n",

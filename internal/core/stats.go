@@ -43,11 +43,6 @@ type Stats struct {
 	// in place of Cycles.
 	WallNS uint64
 
-	// Retries counts speculative re-executions under the native backends
-	// (every abort is followed by a retry of the same task; the simulator
-	// tracks the equivalent via Aborts and leaves this zero).
-	Retries uint64
-
 	// Events is the number of discrete events the simulation engine fired:
 	// the host-side work metric (events/sec is the simulator's throughput).
 	Events uint64

@@ -17,20 +17,20 @@ import (
 // answer against the one-shot CLI byte for byte.
 const StatsCSVHeader = "app,cores,cycles,commits,aborts,spilled,nacks,enqueues,dequeues," +
 	"committed_cycles,aborted_cycles,spill_cycles,stall_cycles,taskq_occ,commitq_occ," +
-	"bloom_checks,vt_compares,traffic_bytes,mapper,backend,wall_ns,retries"
+	"bloom_checks,vt_compares,traffic_bytes,mapper,backend,wall_ns"
 
 // StatsCSVRow formats one run as a StatsCSVHeader row (no newline). The
-// trailing backend columns carry the native runtimes' metrics (wall_ns
-// and retries are zero under the simulator, as cycle columns are under
-// the native backends).
+// trailing backend columns name the engine and carry the native runtimes'
+// wall-clock time (wall_ns is zero under the simulator, as cycle columns
+// are under the native backends).
 func StatsCSVRow(app string, st core.Stats) string {
-	return fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s,%s,%d,%d",
+	return fmt.Sprintf("%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%.3f,%.3f,%d,%d,%d,%s,%s,%d",
 		app, st.Cores, st.Cycles, st.Commits, st.Aborts, st.SpilledTasks, st.NACKs,
 		st.Enqueues, st.Dequeues,
 		st.CommittedCycles, st.AbortedCycles, st.SpillCycles, st.StallCycles,
 		st.AvgTaskQueueOcc, st.AvgCommitQueueOcc,
 		st.BloomChecks, st.VTCompares, st.TotalTrafficBytes(), st.Mapper,
-		st.Backend, st.WallNS, st.Retries)
+		st.Backend, st.WallNS)
 }
 
 // WriteStatsCSV emits a single run as header plus one row.

@@ -143,16 +143,16 @@ func TestStatsCSVFormat(t *testing.T) {
 	if rcols[0] != "bfs" || rcols[1] != "4" {
 		t.Fatalf("app/cores columns: %q", rcols[:2])
 	}
-	if got := rcols[len(rcols)-4]; got != cfg.Mapper {
+	if got := rcols[len(rcols)-3]; got != cfg.Mapper {
 		t.Fatalf("mapper column = %q, want %q", got, cfg.Mapper)
 	}
 	// The trailing backend columns: a simulator run names itself and
-	// leaves the native-runtime metrics (wall_ns, retries) zero.
-	if got := rcols[len(rcols)-3]; got != "sim" {
+	// leaves the native-runtime metric (wall_ns) zero.
+	if got := rcols[len(rcols)-2]; got != "sim" {
 		t.Fatalf("backend column = %q, want %q", got, "sim")
 	}
-	if rcols[len(rcols)-2] != "0" || rcols[len(rcols)-1] != "0" {
-		t.Fatalf("wall_ns/retries columns = %q, want zero under the simulator", rcols[len(rcols)-2:])
+	if rcols[len(rcols)-1] != "0" {
+		t.Fatalf("wall_ns column = %q, want zero under the simulator", rcols[len(rcols)-1])
 	}
 	if rcols[2] != fmt.Sprint(st.Cycles) || rcols[3] != fmt.Sprint(st.Commits) {
 		t.Fatalf("cycles/commits columns: %q, stats %d/%d", rcols[2:4], st.Cycles, st.Commits)

@@ -15,9 +15,9 @@
 //
 // What rt reports differs from the simulator where the engines differ:
 // there is no simulated clock, so Stats.Cycles stays zero and
-// Stats.WallNS carries measured host time; Stats.Retries counts
-// re-executions after aborts. Counter semantics shared by both engines
-// (Commits, Aborts, Enqueues, Dequeues) keep their meanings.
+// Stats.WallNS carries measured host time. Counter semantics shared by
+// both engines (Commits, Aborts, Enqueues, Dequeues) keep their meanings;
+// every abort requeues its task, so Aborts also counts re-executions.
 //
 // The conservative variant ("rt-conservative") uses the same machinery
 // but only dispatches tasks at the minimum uncommitted timestamp, the
@@ -211,7 +211,7 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 
 // Snapshot returns cumulative run statistics in the shared Stats shape.
 // Simulator-only fields (Cycles, cache, NoC, occupancies) stay zero; the
-// native metrics are WallNS and Retries.
+// native metric is WallNS.
 func (r *Runtime) Snapshot() core.Stats {
 	s := r.sched
 	s.mu.Lock()
@@ -221,7 +221,6 @@ func (r *Runtime) Snapshot() core.Stats {
 		Cores:    r.cfg.Cores(),
 		Tiles:    r.cfg.Tiles,
 		WallNS:   r.wallNS,
-		Retries:  s.retries,
 		Commits:  s.commits,
 		Aborts:   s.aborts,
 		Enqueues: s.enqueues,

@@ -170,10 +170,6 @@ func TestContendedCounter(t *testing.T) {
 	if got := r.Mem().Load(cell); got != n {
 		t.Errorf("cell = %d, want %d (lost updates)", got, n)
 	}
-	st := r.Snapshot()
-	if st.Aborts != st.Retries {
-		t.Errorf("aborts (%d) != retries (%d): every abort must requeue", st.Aborts, st.Retries)
-	}
 }
 
 // TestMultiPhase exercises the session surface: memory edits and fresh

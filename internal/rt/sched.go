@@ -126,8 +126,8 @@ type sched struct {
 	done   bool
 	err    error
 
-	commits, aborts, retries uint64
-	enqueues, dequeues       uint64
+	commits, aborts    uint64
+	enqueues, dequeues uint64
 }
 
 func newSched(r *Runtime, conservative bool) *sched {
@@ -253,7 +253,6 @@ func (s *sched) putEnvLocked(e *taskEnv) { s.envs = append(s.envs, e) }
 // abortLocked discards t's attempt and makes t runnable again.
 func (s *sched) abortLocked(t *task) {
 	s.aborts++
-	s.retries++
 	s.putEnvLocked(t.env)
 	t.env = nil
 	s.ready.push(t)
