@@ -57,15 +57,17 @@ func NewBFSGraph(g *graph.Graph) *BFS {
 // Name implements Benchmark.
 func (b *BFS) Name() string { return "bfs" }
 
-func (b *BFS) verify(load func(uint64) uint64, gc graph.GuestCSR) error {
-	for u := 0; u < b.g.N; u++ {
-		got := load(gc.DistAddr(uint64(u)))
-		want := b.ref[u]
+// verifyDist checks the distance array a graph app leaves in its packed
+// CSR against host reference distances (graph.Inf, unreachable, is
+// Unvisited in guest memory). bfs, sssp, dsssp's serial flavor and
+// incsssp share it; app names the failing run in the error.
+func verifyDist(app string, load func(uint64) uint64, gc graph.GuestCSR, ref []uint64) error {
+	for u, want := range ref {
 		if want == graph.Inf {
 			want = graph.Unvisited
 		}
-		if got != want {
-			return fmt.Errorf("bfs: dist[%d] = %d, want %d", u, got, want)
+		if got := load(gc.DistAddr(uint64(u))); got != want {
+			return fmt.Errorf("%s: dist[%d] = %d, want %d", app, u, got, want)
 		}
 	}
 	return nil
@@ -99,7 +101,7 @@ func (b *BFS) SwarmApp() SwarmApp {
 		})
 		return []guest.TaskDesc{guest.TaskDesc{Fn: visit, TS: 0, Args: [3]uint64{uint64(b.src)}}.WithHint(uint64(b.src))}
 	}
-	app.Verify = func(load func(uint64) uint64) error { return b.verify(load, gc) }
+	app.Verify = func(load func(uint64) uint64) error { return verifyDist("bfs", load, gc, b.ref) }
 	return app
 }
 
@@ -139,7 +141,7 @@ func (b *BFS) SerialApp() SerialApp {
 			q := swrt.NewFIFO(alloc, uint64(b.g.N)+1)
 			return func(e guest.Env, mark func()) { b.serialBody(e, gc, q, mark) }
 		},
-		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+		Verify: func(load func(uint64) uint64) error { return verifyDist("bfs", load, gc, b.ref) },
 	}
 }
 
@@ -219,5 +221,5 @@ func (b *BFS) RunParallel(nCores int) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return st.Cycles, b.verify(m.Mem().Load, gc)
+	return st.Cycles, verifyDist("bfs", m.Mem().Load, gc, b.ref)
 }

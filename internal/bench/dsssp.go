@@ -6,7 +6,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
 // DSSSP is delta-stepping single-source shortest paths expressed on the
@@ -129,56 +128,8 @@ func (b *DSSSP) SwarmApp() SwarmApp {
 	return app
 }
 
-// verifySerial checks the serial flavor's distances (kept in the packed
-// CSR's Dist array) against host Dijkstra.
-func (b *DSSSP) verifySerial(load func(uint64) uint64, gc graph.GuestCSR) error {
-	for u := 0; u < b.g.N; u++ {
-		if got := load(gc.DistAddr(uint64(u))); got != b.refDist(u) {
-			return fmt.Errorf("dsssp: dist[%d] = %d, want %d", u, got, b.refDist(u))
-		}
-	}
-	return nil
-}
-
-func (b *DSSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
-	pq.Push(e, 0, uint64(b.src))
-	for {
-		iterMark()
-		d, u, ok := pq.PopMin(e)
-		if !ok {
-			return
-		}
-		e.Work(1)
-		if e.Load(gc.DistAddr(u)) != graph.Unvisited {
-			continue
-		}
-		e.Store(gc.DistAddr(u), d)
-		lo := e.Load(gc.OffAddr(u))
-		hi := e.Load(gc.OffAddr(u + 1))
-		e.Work(2)
-		for i := lo; i < hi; i++ {
-			v := e.Load(gc.DstAddr(i))
-			e.Work(1)
-			if e.Load(gc.DistAddr(v)) == graph.Unvisited {
-				w := e.Load(gc.WAddr(i))
-				pq.Push(e, d+w, v)
-			}
-		}
-	}
-}
-
-// SerialApp implements Benchmark: sequential Dijkstra with a binary-heap
-// priority queue — the serial optimum delta-stepping degenerates to, and
-// the baseline its speedups are quoted against. (The software-parallel
-// label-correcting comparison is sssp's Bellman-Ford baseline.)
-func (b *DSSSP) SerialApp() SerialApp {
-	var gc graph.GuestCSR
-	return SerialApp{
-		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-			gc = graph.Pack(b.g, alloc, store)
-			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
-		},
-		Verify: func(load func(uint64) uint64) error { return b.verifySerial(load, gc) },
-	}
-}
+// SerialApp implements Benchmark: sssp's sequential Dijkstra — the serial
+// optimum delta-stepping degenerates to, and the baseline its speedups
+// are quoted against. (The software-parallel label-correcting comparison
+// is sssp's Bellman-Ford baseline.)
+func (b *DSSSP) SerialApp() SerialApp { return dijkstraSerial("dsssp", b.g, b.src, b.ref) }

@@ -124,19 +124,10 @@ func (b *IncSSSP) Name() string { return "incsssp" }
 // initial solve plus one phase per update batch.
 func (b *IncSSSP) PhaseCount() int { return len(b.batches) + 1 }
 
+// verifyPhase checks the distances after 0-based phase against that
+// phase's Dijkstra reference.
 func (b *IncSSSP) verifyPhase(load func(uint64) uint64, gc graph.GuestCSR, phase int) error {
-	ref := b.refs[phase]
-	for u := 0; u < b.g.N; u++ {
-		got := load(gc.DistAddr(uint64(u)))
-		want := ref[u]
-		if want == graph.Inf {
-			want = graph.Unvisited
-		}
-		if got != want {
-			return fmt.Errorf("incsssp phase %d: dist[%d] = %d, want %d", phase+1, u, got, want)
-		}
-	}
-	return nil
+	return verifyDist(fmt.Sprintf("incsssp phase %d", phase+1), load, gc, b.refs[phase])
 }
 
 // SwarmApp implements Benchmark. The decomposition covers phase 1 (the

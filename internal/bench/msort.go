@@ -80,12 +80,8 @@ func (b *MSort) SwarmApp() SwarmApp {
 	var arr uint64
 	app := SwarmApp{}
 	app.Build = func(ab *guest.AppBuild) []guest.TaskDesc {
-		n := uint64(len(b.vals))
-		arr = ab.Alloc(8 * n)
-		tmp := ab.Alloc(8 * n)
-		for i, v := range b.vals {
-			ab.Store(arr+8*uint64(i), v)
-		}
+		var tmp uint64
+		arr, tmp = b.layout(ab.Alloc, ab.Store)
 		var split, merge guest.FnID
 		split = ab.Fn("split", func(e guest.TaskEnv) {
 			lo, hi := e.Arg(0), e.Arg(1)
@@ -102,10 +98,22 @@ func (b *MSort) SwarmApp() SwarmApp {
 		merge = ab.Fn("merge", func(e guest.TaskEnv) {
 			mergeHalves(e, arr, tmp, e.Arg(0), e.Arg(1), e.Arg(2))
 		})
-		return []guest.TaskDesc{{Fn: split, TS: 0, Args: [3]uint64{0, n}}}
+		return []guest.TaskDesc{{Fn: split, TS: 0, Args: [3]uint64{0, uint64(len(b.vals))}}}
 	}
 	app.Verify = func(load func(uint64) uint64) error { return b.verify(load, arr) }
 	return app
+}
+
+// layout allocates the array to sort, holding the input, and the merge
+// buffer: the guest memory both flavors use.
+func (b *MSort) layout(alloc func(uint64) uint64, store func(addr, val uint64)) (arr, tmp uint64) {
+	n := uint64(len(b.vals))
+	arr = alloc(8 * n)
+	tmp = alloc(8 * n)
+	for i, v := range b.vals {
+		store(arr+8*uint64(i), v)
+	}
+	return arr, tmp
 }
 
 // insertionSort sorts arr[lo,hi) in place — the base case.
@@ -183,12 +191,8 @@ func (b *MSort) SerialApp() SerialApp {
 	var arr uint64
 	return SerialApp{
 		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-			n := uint64(len(b.vals))
-			arr = alloc(8 * n)
-			tmp := alloc(8 * n)
-			for i, v := range b.vals {
-				store(arr+8*uint64(i), v)
-			}
+			var tmp uint64
+			arr, tmp = b.layout(alloc, store)
 			return func(e guest.Env, mark func()) { b.serialBody(e, arr, tmp, mark) }
 		},
 		Verify: func(load func(uint64) uint64) error { return b.verify(load, arr) },

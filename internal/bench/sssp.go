@@ -1,8 +1,6 @@
 package bench
 
 import (
-	"fmt"
-
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/smp"
@@ -58,20 +56,6 @@ func NewSSSPGraph(g *graph.Graph) *SSSP {
 // Name implements Benchmark.
 func (b *SSSP) Name() string { return "sssp" }
 
-func (b *SSSP) verify(load func(uint64) uint64, gc graph.GuestCSR) error {
-	for u := 0; u < b.g.N; u++ {
-		got := load(gc.DistAddr(uint64(u)))
-		want := b.ref[u]
-		if want == graph.Inf {
-			want = graph.Unvisited
-		}
-		if got != want {
-			return fmt.Errorf("sssp: dist[%d] = %d, want %d", u, got, want)
-		}
-	}
-	return nil
-}
-
 // SwarmApp implements Benchmark: task = visit(node), timestamp = tentative
 // distance — exactly Fig 1(a) without the software priority queue.
 // Profile target (Table 1): ~32 instructions, ~6 words read, ~0.4 written.
@@ -103,48 +87,50 @@ func (b *SSSP) SwarmApp() SwarmApp {
 		})
 		return []guest.TaskDesc{guest.TaskDesc{Fn: visit, TS: 0, Args: [3]uint64{uint64(b.src)}}.WithHint(uint64(b.src))}
 	}
-	app.Verify = func(load func(uint64) uint64) error { return b.verify(load, gc) }
+	app.Verify = func(load func(uint64) uint64) error { return verifyDist("sssp", load, gc, b.ref) }
 	return app
 }
 
-func (b *SSSP) serialBody(e guest.Env, gc graph.GuestCSR, pq swrt.Heap, iterMark func()) {
-	pq.Push(e, 0, uint64(b.src))
-	for {
-		iterMark()
-		d, u, ok := pq.PopMin(e)
-		if !ok {
-			return
-		}
-		e.Work(1)
-		if e.Load(gc.DistAddr(u)) != graph.Unvisited {
-			continue
-		}
-		e.Store(gc.DistAddr(u), d)
-		lo := e.Load(gc.OffAddr(u))
-		hi := e.Load(gc.OffAddr(u + 1))
-		e.Work(2)
-		for i := lo; i < hi; i++ {
-			v := e.Load(gc.DstAddr(i))
-			e.Work(1)
-			if e.Load(gc.DistAddr(v)) == graph.Unvisited {
-				w := e.Load(gc.WAddr(i))
-				pq.Push(e, d+w, v)
-			}
-		}
-	}
-}
+// SerialApp implements Benchmark: Fig 1(a)'s sequential Dijkstra.
+func (b *SSSP) SerialApp() SerialApp { return dijkstraSerial("sssp", b.g, b.src, b.ref) }
 
-// SerialApp implements Benchmark: Fig 1(a)'s sequential Dijkstra with a
-// binary-heap priority queue in guest memory.
-func (b *SSSP) SerialApp() SerialApp {
+// dijkstraSerial is the serial flavor sssp and dsssp share: Fig 1(a)'s
+// sequential Dijkstra with a binary-heap priority queue in guest memory,
+// one iteration per heap pop, verified against the host distances ref.
+func dijkstraSerial(app string, g *graph.Graph, src int, ref []uint64) SerialApp {
 	var gc graph.GuestCSR
 	return SerialApp{
 		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-			gc = graph.Pack(b.g, alloc, store)
-			pq := swrt.NewHeap(alloc, uint64(b.g.M())+2)
-			return func(e guest.Env, mark func()) { b.serialBody(e, gc, pq, mark) }
+			gc = graph.Pack(g, alloc, store)
+			pq := swrt.NewHeap(alloc, uint64(g.M())+2)
+			return func(e guest.Env, iterMark func()) {
+				pq.Push(e, 0, uint64(src))
+				for {
+					iterMark()
+					d, u, ok := pq.PopMin(e)
+					if !ok {
+						return
+					}
+					e.Work(1)
+					if e.Load(gc.DistAddr(u)) != graph.Unvisited {
+						continue
+					}
+					e.Store(gc.DistAddr(u), d)
+					lo := e.Load(gc.OffAddr(u))
+					hi := e.Load(gc.OffAddr(u + 1))
+					e.Work(2)
+					for i := lo; i < hi; i++ {
+						v := e.Load(gc.DstAddr(i))
+						e.Work(1)
+						if e.Load(gc.DistAddr(v)) == graph.Unvisited {
+							w := e.Load(gc.WAddr(i))
+							pq.Push(e, d+w, v)
+						}
+					}
+				}
+			}
 		},
-		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
+		Verify: func(load func(uint64) uint64) error { return verifyDist(app, load, gc, ref) },
 	}
 }
 
@@ -235,5 +221,5 @@ func (b *SSSP) RunParallel(nCores int) (uint64, error) {
 	}
 	// Bellman-Ford leaves Unvisited distances as Unvisited too; both
 	// conventions match (unreachable only).
-	return st.Cycles, b.verify(m.Mem().Load, gc)
+	return st.Cycles, verifyDist("sssp", m.Mem().Load, gc, b.ref)
 }

@@ -136,14 +136,8 @@ func (b *TreeBuild) SwarmApp() SwarmApp {
 	var roots, left, right uint64
 	app := SwarmApp{}
 	app.Build = func(ab *guest.AppBuild) []guest.TaskDesc {
-		n := uint64(len(b.keys))
-		keys := ab.Alloc(8 * n)
-		left = ab.Alloc(8 * n)
-		right = ab.Alloc(8 * n)
-		roots = ab.Alloc(8 * uint64(b.trees))
-		for i, k := range b.keys {
-			ab.Store(keys+8*uint64(i), k)
-		}
+		var keys uint64
+		keys, left, right, roots = b.layout(ab.Alloc, ab.Store)
 		var insert guest.FnID
 		insert = ab.Fn("insert", func(e guest.TaskEnv) {
 			tr, lo, hi := e.Arg(0), e.Arg(1), e.Arg(2)
@@ -176,7 +170,7 @@ func (b *TreeBuild) SwarmApp() SwarmApp {
 				e.Fork(insert, tr, mid+1, hi)
 			}
 		})
-		seg := n / uint64(b.trees)
+		seg := uint64(len(b.keys) / b.trees)
 		descs := make([]guest.TaskDesc, b.trees)
 		for t := uint64(0); t < uint64(b.trees); t++ {
 			descs[t] = guest.TaskDesc{Fn: insert, TS: t, Args: [3]uint64{t, t * seg, (t + 1) * seg}}
@@ -227,9 +221,8 @@ func (b *TreeBuild) serialBody(e guest.Env, keys, left, right, roots uint64, ite
 	}
 }
 
-// layoutSerial allocates and initializes the guest arrays for the serial
-// and oracle builds.
-func (b *TreeBuild) layoutSerial(alloc func(uint64) uint64, store func(addr, val uint64)) (keys, left, right, roots uint64) {
+// layout allocates and initializes the guest arrays every flavor uses.
+func (b *TreeBuild) layout(alloc func(uint64) uint64, store func(addr, val uint64)) (keys, left, right, roots uint64) {
 	n := uint64(len(b.keys))
 	keys = alloc(8 * n)
 	left = alloc(8 * n)
@@ -246,7 +239,7 @@ func (b *TreeBuild) SerialApp() SerialApp {
 	var keys, left, right, roots uint64
 	return SerialApp{
 		Build: func(alloc func(uint64) uint64, store func(addr, val uint64)) func(guest.Env, func()) {
-			keys, left, right, roots = b.layoutSerial(alloc, store)
+			keys, left, right, roots = b.layout(alloc, store)
 			return func(e guest.Env, mark func()) { b.serialBody(e, keys, left, right, roots, mark) }
 		},
 		Verify: func(load func(uint64) uint64) error { return b.verify(load, roots, left, right) },
