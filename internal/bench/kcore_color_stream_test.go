@@ -142,15 +142,12 @@ func TestStreamNoParallel(t *testing.T) {
 	assertNoParallel(t, NewStream(2, 10, 32, 4, 13))
 }
 
-// assertNoParallel fails unless b lacks a software-parallel version, both
-// by type and in its registry metadata.
+// assertNoParallel fails if b has a software-parallel version
+// (TestRegistryMetadata checks the registry agrees).
 func assertNoParallel(t *testing.T, b Benchmark) {
 	t.Helper()
 	if _, ok := b.(Parallel); ok {
 		t.Fatalf("%s should not declare a software-parallel version", b.Name())
-	}
-	if meta, _ := Lookup(b.Name()); meta.HasParallel {
-		t.Fatalf("%s: registry metadata says HasParallel", b.Name())
 	}
 }
 
@@ -203,6 +200,19 @@ func TestRegistryMetadata(t *testing.T) {
 			t.Errorf("%s: HasParallel metadata %v, Benchmark implements Parallel = %v", meta.Name, meta.HasParallel, ok)
 		}
 	}
+}
+
+// TestRegisterNeedsConcreteType: Register reads the flavor flags off the
+// constructor's result type, so a constructor typed as the Benchmark
+// interface would register its app as serial-only; Register panics
+// instead.
+func TestRegisterNeedsConcreteType(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register accepted an interface-typed constructor")
+		}
+	}()
+	Register(AppMeta{Name: "untyped"}, func(Scale) Benchmark { return nil })
 }
 
 func TestRegistryUnknownApp(t *testing.T) {
