@@ -25,7 +25,9 @@ import (
 // smaller distance reaches it, which is exactly what incremental updates
 // need (and in phase 1 it degenerates to Dijkstra: the first arrival is
 // minimal). Each phase's final distances are verified against a host-side
-// Dijkstra on the current weights.
+// Dijkstra on the current weights. Like astar and stream, it has no
+// software-parallel version: there is no state-of-the-art
+// software-parallel incremental SSSP baseline to compare against.
 type IncSSSP struct {
 	g       *graph.Graph
 	src     int

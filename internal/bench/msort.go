@@ -15,7 +15,9 @@ import (
 // any timestamp arithmetic, something flat timestamps cannot express
 // inside one slot. The merge speculates against its half sorts and is
 // conflict-aborted until their writes commit, so the app doubles as a
-// stress test for abort cascades across fork depths.
+// stress test for abort cascades across fork depths. There is no
+// software-parallel version: the point is the nested order, and a thread
+// version would just be a sort.
 type MSort struct {
 	runner
 	vals []uint64 // input, fixed at construction

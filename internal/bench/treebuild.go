@@ -15,6 +15,8 @@ import (
 // must link before any subtree node, and the whole left subtree must
 // link before the right subtree's first node. The reference replays the
 // same order on the host and the verify compares every pointer word.
+// Order-dependent pointers leave no meaningful lock-based
+// software-parallel version.
 type TreeBuild struct {
 	runner
 	keys  []uint64
