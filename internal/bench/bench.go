@@ -1,13 +1,14 @@
 // Package bench implements the ordered-parallelism benchmark suite: the
 // paper's six applications — bfs, sssp, astar, msf, des and silo (§2.2,
-// Table 4) — plus later workload additions (kcore, color, stream), each
-// in up to three flavors:
+// Table 4) — plus later workload additions (kcore, color, stream,
+// incsssp, dsssp, setcover, msort, treebuild), each in up to three
+// flavors:
 //
 //   - a tuned serial version (the Fig 12 baseline), run in direct mode;
 //   - the state-of-the-art software-parallel version (PBFS, Bellman-Ford,
 //     PBBS-style deterministic reservations, Chandy-Misra-Bryant, Silo,
-//     bucket-synchronous peeling; astar and stream have none), run on the
-//     smp machine;
+//     bucket-synchronous peeling; only bfs, sssp, msf, des, silo, kcore
+//     and color have one), run on the smp machine;
 //   - the Swarm version, decomposed into tiny timestamped tasks.
 //
 // All flavors operate on the same guest-memory data structures and perform
