@@ -80,7 +80,4 @@ func (a *Allocator) DropQuarantine(token uint64) {
 	delete(a.quarantine, token)
 }
 
-// Brk returns the current heap break (diagnostics).
-func (a *Allocator) Brk() uint64 { return a.brk }
-
 func (s span) String() string { return fmt.Sprintf("[%#x +%d]", s.addr, s.bytes) }

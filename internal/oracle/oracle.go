@@ -253,15 +253,6 @@ func ProfileSerial(build SerialBuildFn, maxIters int) *Profile {
 // Analyses.
 // ---------------------------------------------------------------------------
 
-// TotalInstrs sums instruction counts.
-func (p *Profile) TotalInstrs() uint64 {
-	var t uint64
-	for _, ts := range p.Tasks {
-		t += ts.Instrs
-	}
-	return t
-}
-
 // MaxParallelism returns total instructions divided by the critical path
 // through TRUE data dependences (RAW at word granularity — "task order
 // dictates the direction of data flow in a dependence, but is otherwise

@@ -266,15 +266,6 @@ func (e *Engine) Run(limit uint64) error {
 	return nil
 }
 
-// RunUntil fires events until stop returns true or the queue empties.
-func (e *Engine) RunUntil(stop func() bool) {
-	for !stop() {
-		if !e.Step() {
-			return
-		}
-	}
-}
-
 // overflowHeap is an intrusive min-heap over (cycle, seq) holding events
 // beyond the ring window. Events track their heap index in pos, so
 // cancellation removes in O(log n) without scanning.
