@@ -2,11 +2,13 @@ package rt
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/mem"
+	"github.com/swarm-sim/swarm/internal/vt"
 )
 
 var sink uint64
@@ -87,5 +89,63 @@ func BenchmarkAttemptReset(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		attempt(40)
+	}
+}
+
+// BenchmarkReadyQueue is one pop of the ready minimum and one push of a
+// later task, in steady state, on the ready-queue traffic of three
+// rt-large cells: bfs keeps two live timestamps about 150 tasks deep,
+// sssp about 100 distinct timestamps about 900 deep, and setcover
+// all-distinct timestamps about 11,600 deep. Each push lands a random
+// step in [1, span] after the task just popped. The heap rows run the
+// same traffic through a plain taskHeap.
+func BenchmarkReadyQueue(b *testing.B) {
+	type queue interface {
+		push(*task)
+		pop() *task
+	}
+	for _, shape := range []struct {
+		name  string
+		depth int
+		span  uint64
+	}{
+		{"bfs", 150, 1},
+		{"sssp", 900, 100},
+		{"setcover", 11600, 1 << 30},
+	} {
+		for _, impl := range []string{"radix", "heap"} {
+			b.Run(shape.name+"/"+impl, func(b *testing.B) {
+				var q queue = new(readyQueue)
+				if impl == "heap" {
+					q = new(taskHeap)
+				}
+				rng := rand.New(rand.NewSource(1))
+				steps := make([]uint64, 4096)
+				for i := range steps {
+					steps[i] = 1 + rng.Uint64()%shape.span
+				}
+				var seq uint64
+				step := func() {
+					t := q.pop()
+					seq++
+					t.vt = vt.Time{TS: t.vt.TS + steps[seq%uint64(len(steps))], Cycle: seq}
+					q.push(t)
+				}
+				tasks := make([]task, shape.depth)
+				for i := range tasks {
+					seq++
+					tasks[i].vt.Cycle = seq
+					q.push(&tasks[i])
+				}
+				for range 20 * shape.depth {
+					step()
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					step()
+				}
+			})
+		}
 	}
 }

@@ -131,7 +131,7 @@ func (r *Runtime) EnqueueRootDesc(d guest.TaskDesc) {
 func (r *Runtime) QueuedTasks() int {
 	r.sched.mu.Lock()
 	defer r.sched.mu.Unlock()
-	return len(r.sched.ready)
+	return r.sched.ready.len()
 }
 
 // Start marks the runtime live. It exists for surface parity with the

@@ -537,8 +537,9 @@ var raceEnabled bool
 
 // TestAllocsPerTask pins the hot path's heap allocations: dispatching and
 // committing a task allocates nothing, since attempt buffers and task
-// records are recycled. A flood of roots allocates one record per root at
-// setup; chains of children reuse the records of committed tasks.
+// records are recycled. A flood of roots carves its records at setup, one
+// allocation per slab of 64; chains of children reuse the records of
+// committed tasks.
 func TestAllocsPerTask(t *testing.T) {
 	if raceEnabled {
 		// The race detector randomizes goroutine scheduling, so how many
@@ -553,7 +554,7 @@ func TestAllocsPerTask(t *testing.T) {
 		limit float64
 		build func(workers int) *Runtime
 	}{
-		{"flood", 10000, 2, func(w int) *Runtime { return independentRuntime(t, w, 10000) }},
+		{"flood", 10000, 0.1, func(w int) *Runtime { return independentRuntime(t, w, 10000) }},
 		{"chains", roots * (length + 1), 0.1, func(w int) *Runtime { return chainRuntime(t, w, roots, length) }},
 	} {
 		for _, workers := range []int{1, 2} {

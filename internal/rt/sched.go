@@ -2,6 +2,7 @@ package rt
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -81,8 +82,104 @@ func (h *taskHeap) pop() *task {
 	return top
 }
 
+// bucketEntry is a bucketed task with its timestamp inline, so
+// redistributing a bucket reads no task record.
+type bucketEntry struct {
+	ts uint64
+	t  *task
+}
+
+// readyQueue holds runnable tasks in virtual-time order. Fresh flat tasks,
+// nearly all the traffic, go to a monotone radix heap: bucket i holds the
+// tasks whose timestamp first differs from last in bit i-1, so bucket 0
+// holds exactly the tasks at timestamp last, and all tasks at one
+// timestamp share a bucket in push order. enqueueLocked numbers tasks in
+// push order, so bucket 0 is a FIFO already in (ts, seq) order. When it
+// drains, the lowest occupied bucket's minimum timestamp becomes last and
+// that bucket moves down. Pushes that could break the order — requeued
+// aborts (older sequence numbers), pathed fork tasks (ordered by path
+// first) and timestamps below last — go to the side heap, and min
+// compares the two heads, so every caller sees the exact ready minimum.
+type readyQueue struct {
+	buckets [65][]bucketEntry
+	head    int    // bucket 0's next entry
+	last    uint64 // bucket 0's timestamp
+	n       int    // bucketed tasks
+	side    taskHeap
+}
+
+func (q *readyQueue) len() int { return q.n + len(q.side) }
+
+// push admits a freshly numbered task. With the buckets empty, last moves
+// to its timestamp, so a later phase's earlier roots are bucketed too.
+func (q *readyQueue) push(t *task) {
+	ts := t.vt.TS
+	if q.n == 0 {
+		q.last = ts
+	}
+	if len(t.vt.Path) != 0 || ts < q.last {
+		q.side.push(t)
+		return
+	}
+	i := bits.Len64(ts ^ q.last)
+	b := q.buckets[i]
+	if i == 0 && len(b) == cap(b) && 2*q.head >= len(b) {
+		// Reuse the popped half of the FIFO instead of growing it.
+		b = b[:copy(b, b[q.head:])]
+		q.head = 0
+	}
+	q.buckets[i] = append(b, bucketEntry{ts, t})
+	q.n++
+}
+
+// min returns the earliest ready task, or nil.
+func (q *readyQueue) min() *task {
+	var m *task
+	if q.n > 0 {
+		m = q.buckets[0][q.head].t
+	}
+	if len(q.side) > 0 && (m == nil || before(q.side[0], m)) {
+		m = q.side[0]
+	}
+	return m
+}
+
+// pop removes and returns the earliest ready task; the queue must not be
+// empty.
+func (q *readyQueue) pop() *task {
+	if q.n == 0 || len(q.side) > 0 && before(q.side[0], q.buckets[0][q.head].t) {
+		return q.side.pop()
+	}
+	b := q.buckets[0]
+	t := b[q.head].t
+	q.head++
+	q.n--
+	if q.head < len(b) {
+		return t
+	}
+	q.buckets[0], q.head = b[:0], 0
+	if q.n == 0 {
+		return t
+	}
+	i := 1
+	for len(q.buckets[i]) == 0 {
+		i++
+	}
+	b = q.buckets[i]
+	q.last = b[0].ts
+	for _, e := range b[1:] {
+		q.last = min(q.last, e.ts)
+	}
+	for _, e := range b {
+		j := bits.Len64(e.ts ^ q.last)
+		q.buckets[j] = append(q.buckets[j], e)
+	}
+	q.buckets[i] = b[:0]
+	return t
+}
+
 // sched is the software task unit + commit queue: one timestamp-ordered
-// ready heap feeding worker goroutines, one running slot per worker, and
+// ready queue feeding worker goroutines, one running slot per worker, and
 // a bounded commit queue drained strictly in virtual-time order. One
 // mutex guards it all; tasks execute outside the lock, so the lock only
 // serializes dispatch and commit — the runtime's software stand-in for
@@ -99,7 +196,7 @@ type sched struct {
 	cond sync.Cond
 
 	// ready holds runnable tasks.
-	ready taskHeap
+	ready readyQueue
 	// running[w] is worker w's dispatched, not-yet-finished attempt, or
 	// nil.
 	running []*task
@@ -113,7 +210,7 @@ type sched struct {
 	// peakCommitQ is the commit queue's high-water mark.
 	peakCommitQ int
 	// envs holds recycled attempt buffers, and free heads a list of
-	// recycled task records linked through task.next.
+	// recycled and not yet used task records linked through task.next.
 	envs []*taskEnv
 	free *task
 
@@ -144,19 +241,22 @@ func newSched(r *Runtime, conservative bool) *sched {
 	return s
 }
 
-// enqueueLocked admits a new descriptor in a recycled task record,
-// assigning the next sequence number. Callers are single-threaded
-// (setup) or hold the commit path's serialization (child enqueue at
-// parent commit), so sequence assignment is deterministic.
+// enqueueLocked admits a new descriptor in a free task record, carving a
+// slab of 64 records when none is free, and assigns the next sequence
+// number. Callers are single-threaded (setup) or hold the commit path's
+// serialization (child enqueue at parent commit), so sequence assignment
+// is deterministic.
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
 	s.enqueues++
-	t := s.free
-	if t != nil {
-		s.free, t.next = t.next, nil
-	} else {
-		t = new(task)
+	if s.free == nil {
+		slab := make([]task, 64)
+		for i := range slab {
+			slab[i].next, s.free = s.free, &slab[i]
+		}
 	}
+	t := s.free
+	s.free, t.next = t.next, nil
 	t.desc = d
 	t.vt = vt.Time{TS: d.TS, Path: d.Path, Cycle: s.seqCtr}
 	s.ready.push(t)
@@ -187,10 +287,10 @@ func (s *sched) minRunningLocked() *task {
 // the wave; the commit queue still retires them in full virtual-time
 // order.
 func (s *sched) runnableLocked() bool {
-	if len(s.ready) == 0 {
+	first := s.ready.min()
+	if first == nil {
 		return false
 	}
-	first := s.ready[0]
 	if len(s.commitQ) >= s.commitCap && !before(first, s.commitQ[0]) {
 		return false
 	}
@@ -224,7 +324,7 @@ func (s *sched) next(w int, finished *task) *task {
 			}
 			return t
 		}
-		if len(s.ready) == 0 && len(s.commitQ) == 0 {
+		if s.ready.len() == 0 && len(s.commitQ) == 0 {
 			if s.minRunningLocked() == nil {
 				s.done = true
 				s.cond.Broadcast()
@@ -255,7 +355,7 @@ func (s *sched) abortLocked(t *task) {
 	s.aborts++
 	s.putEnvLocked(t.env)
 	t.env = nil
-	s.ready.push(t)
+	s.ready.side.push(t)
 }
 
 // handlePanic resolves a panic thrown during worker w's speculative
@@ -314,9 +414,9 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // commits. The running set cannot change meanwhile, so its minimum is
 // taken once.
 func (s *sched) retireLocked(t *task) {
-	run := s.minRunningLocked()
+	run, first := s.minRunningLocked(), s.ready.min()
 	if s.err != nil || run != nil && before(run, t) ||
-		len(s.ready) > 0 && before(s.ready[0], t) ||
+		first != nil && before(first, t) ||
 		len(s.commitQ) > 0 && before(s.commitQ[0], t) {
 		s.commitQ.push(t)
 		s.peakCommitQ = max(s.peakCommitQ, len(s.commitQ))
@@ -334,7 +434,7 @@ func (s *sched) retireLocked(t *task) {
 func (s *sched) drainLocked(run *task) {
 	for len(s.commitQ) > 0 && s.err == nil {
 		head := s.commitQ[0]
-		if run != nil && before(run, head) || len(s.ready) > 0 && before(s.ready[0], head) {
+		if first := s.ready.min(); run != nil && before(run, head) || first != nil && before(first, head) {
 			return
 		}
 		s.commitQ.pop()
