@@ -15,6 +15,26 @@ import (
 	"github.com/swarm-sim/swarm/internal/cache"
 )
 
+// Fixed Table 3 parameters of every machine.
+const (
+	// Swarm instruction costs: 5 cycles each.
+	enqueueCost = 5
+	dequeueCost = 5
+	finishCost  = 5
+
+	// tileCheckCost is the base cost of a tile conflict check; each
+	// virtual-time comparison adds one cycle.
+	tileCheckCost = 5
+
+	// spillThresholdPct triggers a coalescer when the task queue passes
+	// this occupancy (75%).
+	spillThresholdPct = 75
+
+	// spillCyclesPerTask approximates the coalescer/splitter work to move
+	// one descriptor to/from memory (a handful of memory accesses).
+	spillCyclesPerTask = 10
+)
+
 // Config describes one Swarm machine. DefaultConfig reproduces Table 3.
 type Config struct {
 	// Tiles and CoresPerTile size the CMP (Fig 2: 16 tiles x 4 cores).
@@ -29,30 +49,11 @@ type Config struct {
 	// UnboundedQueues idealizes away queue capacity (Table 5).
 	UnboundedQueues bool
 
-	// Swarm instruction costs (Table 3: 5 cycles each).
-	EnqueueCost uint64
-	DequeueCost uint64
-	FinishCost  uint64
-
 	// GVTPeriod is the cycle interval between GVT updates (Table 3: 200).
 	GVTPeriod uint64
 
-	// TileCheckCost is the base cost of a tile conflict check; each
-	// virtual-time comparison adds one cycle (Table 3).
-	TileCheckCost uint64
-
-	// SpillThresholdPct triggers a coalescer when the task queue passes
-	// this occupancy (Table 3: 75%); each coalescer spills up to
-	// SpillBatch tasks (Table 3: 15).
-	SpillThresholdPct int
-	SpillBatch        int
-
-	// SpillCyclesPerTask approximates the coalescer/splitter work to move
-	// one descriptor to/from memory (a handful of memory accesses).
-	SpillCyclesPerTask uint64
-
-	// MaxChildren is the hardware limit on untracked children (§4.1: 8).
-	MaxChildren int
+	// SpillBatch is the most tasks one coalescer spills (Table 3: 15).
+	SpillBatch int
 
 	// Bloom configures conflict-detection signatures (Table 3).
 	Bloom bloom.Config
@@ -139,25 +140,18 @@ func DefaultConfig(nCores int) Config {
 	}
 	tiles := nCores / cpt
 	return Config{
-		Tiles:              tiles,
-		CoresPerTile:       cpt,
-		TaskQPerCore:       64,
-		CommitQPerCore:     16,
-		EnqueueCost:        5,
-		DequeueCost:        5,
-		FinishCost:         5,
-		GVTPeriod:          200,
-		TileCheckCost:      5,
-		SpillThresholdPct:  75,
-		SpillBatch:         15,
-		SpillCyclesPerTask: 10,
-		MaxChildren:        8,
-		Bloom:              bloom.Default(),
-		Cache:              cache.DefaultParams(tiles, cpt),
-		HopCycles:          3,
-		Seed:               1,
-		Mapper:             "random",
-		MaxCycles:          20_000_000_000,
+		Tiles:          tiles,
+		CoresPerTile:   cpt,
+		TaskQPerCore:   64,
+		CommitQPerCore: 16,
+		GVTPeriod:      200,
+		SpillBatch:     15,
+		Bloom:          bloom.Default(),
+		Cache:          cache.DefaultParams(tiles, cpt),
+		HopCycles:      3,
+		Seed:           1,
+		Mapper:         "random",
+		MaxCycles:      20_000_000_000,
 	}
 }
 
@@ -190,9 +184,6 @@ func (c *Config) validate() error {
 		if c.CommitQPerTile() < 1 {
 			return fmt.Errorf("core: commit queue must have at least one entry per tile")
 		}
-	}
-	if c.MaxChildren < 1 {
-		return fmt.Errorf("core: MaxChildren must be >= 1")
 	}
 	if c.LocalEnqueue && c.Mapper != "" && c.Mapper != "random" {
 		// LocalEnqueue is an ablation of the random policy; under any

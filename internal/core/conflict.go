@@ -129,7 +129,7 @@ func (m *Machine) checkLat(l uint64) uint64 {
 // with this load must stay visible to future writes). Later-virtual-time
 // conflictors are appended to victims.
 func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite bool, victims *[]victimRef) (cost uint64, anySpec bool) {
-	cost = m.cfg.TileCheckCost
+	cost = tileCheckCost
 	m.st.bloomChecks++
 	tt := m.tiles[tileID]
 

@@ -389,14 +389,12 @@ func TestGoldenRandomPrograms(t *testing.T) {
 		cfg := Config{
 			Tiles: 2, CoresPerTile: 2,
 			TaskQPerCore: 8, CommitQPerCore: 2,
-			EnqueueCost: 5, DequeueCost: 5, FinishCost: 5,
-			GVTPeriod: 100, TileCheckCost: 5,
-			SpillThresholdPct: 75, SpillBatch: 4, SpillCyclesPerTask: 10,
-			MaxChildren: 8,
-			Bloom:       bloom.Default(),
-			HopCycles:   3,
-			Seed:        int64(seed),
-			MaxCycles:   500_000_000,
+			GVTPeriod:  100,
+			SpillBatch: 4,
+			Bloom:      bloom.Default(),
+			HopCycles:  3,
+			Seed:       int64(seed),
+			MaxCycles:  500_000_000,
 		}
 		cfg.Cache = cache.DefaultParams(cfg.Tiles, cfg.CoresPerTile)
 

@@ -19,10 +19,8 @@ func goldenConfigVariants() map[string]Config {
 		cfg := Config{
 			Tiles: 2, CoresPerTile: 2,
 			TaskQPerCore: 8, CommitQPerCore: 2,
-			EnqueueCost: 5, DequeueCost: 5, FinishCost: 5,
-			GVTPeriod: 100, TileCheckCost: 5,
-			SpillThresholdPct: 75, SpillBatch: 4, SpillCyclesPerTask: 10,
-			MaxChildren: 8,
+			GVTPeriod:   100,
+			SpillBatch:  4,
 			Bloom:       bloom.Default(),
 			HopCycles:   3,
 			Seed:        99,

@@ -86,7 +86,7 @@ func (m *Machine) rescueOverflow(tt *tile) {
 	if len(tt.overflow) == 0 {
 		return
 	}
-	if minIdle := tt.idleQ.Min(); minIdle != nil && !descLater(minIdle.desc, tt.overflow[0]) {
+	if minIdle := tt.idleQ.Min(); minIdle != nil && minIdle.desc.Compare(tt.overflow[0]) <= 0 {
 		return // resident work is at or before the head; normal drains suffice
 	}
 	m.drainOverflow(tt)

@@ -396,9 +396,7 @@ func (m *Machine) newTask(d guest.TaskDesc, tileID int, parent *task) *task {
 	t.allocToken = m.nextToken()
 	if parent != nil {
 		t.parent = parent
-		if len(parent.children) >= m.cfg.MaxChildren {
-			panic(fmt.Sprintf("core: task exceeded the %d-child hardware limit; enqueue a spawner task instead (§4.1)", m.cfg.MaxChildren))
-		}
+		guest.CheckChildren(len(parent.children))
 		parent.children = append(parent.children, t)
 	}
 	t.rs = m.getFilter()
@@ -655,12 +653,12 @@ func (m *Machine) freeSlot(t *task) {
 // always rescued when it precedes every idle task, so the globally
 // earliest work stays reachable.
 func (m *Machine) drainOverflow(tt *tile) {
-	spillLimit := m.cfg.TaskQPerTile() * m.cfg.SpillThresholdPct / 100
+	spillLimit := m.cfg.TaskQPerTile() * spillThresholdPct / 100
 	for len(tt.overflow) > 0 && m.hasSpace(tt) {
 		belowLimit := m.cfg.UnboundedQueues || tt.nTasks < spillLimit
 		if !belowLimit {
 			minIdle := tt.idleQ.Min()
-			if minIdle != nil && !descLater(minIdle.desc, tt.overflow[0]) {
+			if minIdle != nil && minIdle.desc.Compare(tt.overflow[0]) <= 0 {
 				return // head is already in hardware; wait for room
 			}
 		}
@@ -764,8 +762,8 @@ func (m *Machine) dispatch(c *cpu) {
 	c.lastVT = t.vt
 	c.everRan = true
 
-	m.busy(c, t, m.cfg.DequeueCost)
-	m.schedule(t, m.cfg.DequeueCost, pendStart, 0)
+	m.busy(c, t, dequeueCost)
+	m.schedule(t, dequeueCost, pendStart, 0)
 }
 
 func (m *Machine) startBody(c *cpu, t *task) {
@@ -821,8 +819,8 @@ func (m *Machine) handleOp(c *cpu, t *task, op guest.Op) {
 
 	case guest.OpDone:
 		m.releaseCoroutine(t)
-		m.busy(c, t, m.cfg.FinishCost)
-		m.schedule(t, m.cfg.FinishCost, pendFinish, 0)
+		m.busy(c, t, finishCost)
+		m.schedule(t, finishCost, pendFinish, 0)
 
 	default:
 		panic(fmt.Sprintf("core: unsupported op %v on a Swarm machine", op.Kind))
@@ -835,7 +833,7 @@ func (m *Machine) handleOp(c *cpu, t *task, op guest.Op) {
 // GVT task's children overflow to memory instead (§4.7).
 func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 	t.inBackoff = false
-	m.busy(c, t, m.cfg.EnqueueCost)
+	m.busy(c, t, enqueueCost)
 	target := m.mapper.place(m, d, t.tile)
 	tt := m.tiles[target]
 	m.st.enqueues++
@@ -864,7 +862,7 @@ func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 		// wait is not attributed to the task (it surfaces as stall time).
 		m.mesh.Send(target, t.tile, noc.ClassEnqueue, noc.AckBytes)
 		m.st.nacks++
-		backoff := m.cfg.EnqueueCost + uint64(attempt+1)*10
+		backoff := enqueueCost + uint64(attempt+1)*10
 		if backoff > m.cfg.GVTPeriod/2 {
 			backoff = m.cfg.GVTPeriod / 2
 		}
@@ -878,7 +876,7 @@ func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 	}
 
 	if t.state == taskRunning { // a full-queue policy may have aborted t
-		m.schedule(t, m.cfg.EnqueueCost, pendResumeOK, 0)
+		m.schedule(t, enqueueCost, pendResumeOK, 0)
 	}
 }
 

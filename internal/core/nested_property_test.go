@@ -362,14 +362,11 @@ func TestDescCompare(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := descCompare(tc.a, tc.b); got != tc.want {
-				t.Fatalf("descCompare = %d, want %d", got, tc.want)
+			if got := tc.a.Compare(tc.b); got != tc.want {
+				t.Fatalf("Compare = %d, want %d", got, tc.want)
 			}
-			if got := descCompare(tc.b, tc.a); got != -tc.want {
-				t.Fatalf("descCompare reversed = %d, want %d", got, -tc.want)
-			}
-			if got := descLater(tc.a, tc.b); got != (tc.want > 0) {
-				t.Fatalf("descLater = %v, want %v", got, tc.want > 0)
+			if got := tc.b.Compare(tc.a); got != -tc.want {
+				t.Fatalf("Compare reversed = %d, want %d", got, -tc.want)
 			}
 		})
 	}

@@ -13,10 +13,8 @@ func tinyConfig(tiles, cpt, tq, cq int) Config {
 	cfg := Config{
 		Tiles: tiles, CoresPerTile: cpt,
 		TaskQPerCore: tq, CommitQPerCore: cq,
-		EnqueueCost: 5, DequeueCost: 5, FinishCost: 5,
-		GVTPeriod: 100, TileCheckCost: 5,
-		SpillThresholdPct: 75, SpillBatch: 4, SpillCyclesPerTask: 10,
-		MaxChildren: 8,
+		GVTPeriod:   100,
+		SpillBatch:  4,
 		Bloom:       bloom.Default(),
 		HopCycles:   3,
 		Seed:        1,

@@ -6,25 +6,7 @@ import (
 
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/noc"
-	"github.com/swarm-sim/swarm/internal/tsdom"
 )
-
-// descCompare orders two task descriptors by (timestamp, nested path) —
-// the descriptor-level prefix of the virtual-time order, used wherever
-// descriptors are ranked before they have a virtual time (spill victim
-// selection, overflow drains, splitter refills).
-func descCompare(a, b guest.TaskDesc) int {
-	if a.TS != b.TS {
-		if a.TS < b.TS {
-			return -1
-		}
-		return +1
-	}
-	return tsdom.Compare(a.Path, b.Path)
-}
-
-// descLater reports whether a orders strictly after b.
-func descLater(a, b guest.TaskDesc) bool { return descCompare(a, b) > 0 }
 
 // Task queue virtualization (§4.7): when a tile's task queue is nearly
 // full, a non-speculative coalescer task removes several idle,
@@ -47,7 +29,7 @@ func (m *Machine) checkSpillTrigger(tt *tile) {
 	if m.cfg.UnboundedQueues {
 		return
 	}
-	tt.spillWanted = tt.nTasks*100 >= m.cfg.TaskQPerTile()*m.cfg.SpillThresholdPct
+	tt.spillWanted = tt.nTasks*100 >= m.cfg.TaskQPerTile()*spillThresholdPct
 }
 
 // spillable reports whether a task can move to software: only idle tasks
@@ -71,12 +53,12 @@ func movableTasks(tt *tile, max int) []*task {
 	}
 	var batch []*task
 	for _, t := range tt.idleQ.h {
-		if spillable(t) && descLater(t.desc, minDesc) {
+		if spillable(t) && t.desc.Compare(minDesc) > 0 {
 			batch = append(batch, t)
 		}
 	}
 	sort.Slice(batch, func(i, j int) bool {
-		if c := descCompare(batch[i].desc, batch[j].desc); c != 0 {
+		if c := batch[i].desc.Compare(batch[j].desc); c != 0 {
 			return c > 0
 		}
 		return batch[i].seq > batch[j].seq
@@ -104,7 +86,7 @@ func (m *Machine) runCoalescer(c *cpu) bool {
 	batchMin := batch[0].desc
 	for i, t := range batch {
 		descs[i] = t.desc
-		if descLater(batchMin, t.desc) {
+		if batchMin.Compare(t.desc) > 0 {
 			batchMin = t.desc
 		}
 		tt.idleQ.Remove(t)
@@ -129,7 +111,7 @@ func (m *Machine) runCoalescer(c *cpu) bool {
 	m.insertIdle(tt, sp)
 
 	// The core is busy writing descriptors to memory for a while.
-	cycles := m.cfg.SpillCyclesPerTask * uint64(len(descs)+1)
+	cycles := spillCyclesPerTask * uint64(len(descs)+1)
 	c.wallSpill += cycles
 	m.mesh.Account(tt.id, noc.ClassMem, len(descs)*noc.TaskDescBytes)
 	m.eng.After(cycles, func() {
@@ -160,7 +142,7 @@ func (m *Machine) runSplitter(c *cpu, t *task) {
 	batch := m.spillStore[t.batch].descs
 	delete(m.spillStore, t.batch)
 
-	cycles := m.cfg.SpillCyclesPerTask * uint64(len(batch)+1)
+	cycles := spillCyclesPerTask * uint64(len(batch)+1)
 	c.wallSpill += cycles
 	m.mesh.Account(tt.id, noc.ClassMem, len(batch)*noc.TaskDescBytes)
 
@@ -172,7 +154,7 @@ func (m *Machine) runSplitter(c *cpu, t *task) {
 		t.core = -1
 
 		// Insert lowest (timestamp, path) pairs first.
-		sort.Slice(batch, func(i, j int) bool { return descCompare(batch[i], batch[j]) < 0 })
+		sort.Slice(batch, func(i, j int) bool { return batch[i].Compare(batch[j]) < 0 })
 		free := m.cfg.TaskQPerTile() - tt.nTasks
 		n := len(batch)
 		if !m.cfg.UnboundedQueues && n > free {

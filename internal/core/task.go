@@ -6,7 +6,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/sim"
-	"github.com/swarm-sim/swarm/internal/tsdom"
 	"github.com/swarm-sim/swarm/internal/vt"
 )
 
@@ -158,15 +157,10 @@ func (q *orderQueue) Remove(t *task) {
 // descriptor below it, raising the bound past work that must still run.
 type descHeap []guest.TaskDesc
 
-func (h descHeap) Len() int { return len(h) }
-func (h descHeap) Less(i, j int) bool {
-	if h[i].TS != h[j].TS {
-		return h[i].TS < h[j].TS
-	}
-	return tsdom.Less(h[i].Path, h[j].Path)
-}
-func (h descHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *descHeap) Push(x any)   { *h = append(*h, x.(guest.TaskDesc)) }
+func (h descHeap) Len() int           { return len(h) }
+func (h descHeap) Less(i, j int) bool { return h[i].Compare(h[j]) < 0 }
+func (h descHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *descHeap) Push(x any)        { *h = append(*h, x.(guest.TaskDesc)) }
 func (h *descHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -274,10 +268,7 @@ type taskHeap []*task
 
 func (h taskHeap) Len() int { return len(h) }
 func (h taskHeap) Less(i, j int) bool {
-	if h[i].desc.TS != h[j].desc.TS {
-		return h[i].desc.TS < h[j].desc.TS
-	}
-	if c := tsdom.Compare(h[i].desc.Path, h[j].desc.Path); c != 0 {
+	if c := h[i].desc.Compare(h[j].desc); c != 0 {
 		return c < 0
 	}
 	return h[i].seq < h[j].seq

@@ -97,6 +97,20 @@ func (d TaskDesc) HintKey() (uint64, bool) {
 	return d.Hint - 1, true
 }
 
+// Compare orders two descriptors by (timestamp, nested path), the
+// descriptor-level prefix of the virtual-time order: -1 if d runs before
+// o, +1 if after, 0 if they share a slot and path. Every queue that ranks
+// descriptors before they have a virtual time uses it.
+func (d TaskDesc) Compare(o TaskDesc) int {
+	if d.TS != o.TS {
+		if d.TS < o.TS {
+			return -1
+		}
+		return +1
+	}
+	return tsdom.Compare(d.Path, o.Path)
+}
+
 // Sub returns the descriptor of d's i-th nested subtask: same timestamp
 // slot, path extended by fork index i. Root task sets use it to seed a
 // fork-join domain below one programmer timestamp; inside a running task,
@@ -194,6 +208,21 @@ func PackArgs(args []uint64) (a [3]uint64) {
 func CheckChildTS(child, parent uint64) {
 	if child < parent {
 		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", child, parent))
+	}
+}
+
+// MaxChildren is the hardware limit on the children one task attempt may
+// enqueue, forks included (§4.1): the commit queue keeps a pointer to
+// each so an abort can find them.
+const MaxChildren = 8
+
+// CheckChildren panics when a task attempt that has already enqueued n
+// children enqueues another past MaxChildren; a task that needs more
+// enqueues a spawner task (§4.1). The simulator, the native runtime and
+// the oracle all call it, so they reject the same programs.
+func CheckChildren(n int) {
+	if n >= MaxChildren {
+		panic(fmt.Sprintf("guest: task exceeded the %d-child hardware limit; enqueue a spawner task instead (§4.1)", MaxChildren))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"sort"
 
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/tsdom"
 )
 
 // BuildFn lays out guest data, registers named task functions on the build
@@ -59,10 +58,7 @@ type profHeap []profItem
 
 func (h profHeap) Len() int { return len(h) }
 func (h profHeap) Less(i, j int) bool {
-	if h[i].desc.TS != h[j].desc.TS {
-		return h[i].desc.TS < h[j].desc.TS
-	}
-	if c := tsdom.Compare(h[i].desc.Path, h[j].desc.Path); c != 0 {
+	if c := h[i].desc.Compare(h[j].desc); c != 0 {
 		return c < 0
 	}
 	return h[i].seq < h[j].seq
@@ -84,12 +80,13 @@ type profEnv struct {
 	queue profHeap
 	seq   uint64
 
-	desc   guest.TaskDesc
-	curIdx int
-	instrs uint64
-	forks  uint64
-	reads  map[uint64]struct{}
-	writes map[uint64]struct{}
+	desc     guest.TaskDesc
+	curIdx   int
+	instrs   uint64
+	forks    uint64
+	children int // children enqueued by the running task, forks included
+	reads    map[uint64]struct{}
+	writes   map[uint64]struct{}
 }
 
 func newProfEnv() *profEnv {
@@ -99,6 +96,7 @@ func newProfEnv() *profEnv {
 func (p *profEnv) resetTask() {
 	p.instrs = 0
 	p.forks = 0
+	p.children = 0
 	p.reads = make(map[uint64]struct{})
 	p.writes = make(map[uint64]struct{})
 }
@@ -147,9 +145,7 @@ func (p *profEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
 // nested path verbatim (matching the machine backends).
 func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 	guest.CheckChildTS(ts, p.desc.TS)
-	p.instrs++
-	p.seq++
-	heap.Push(&p.queue, profItem{desc: guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args}, seq: p.seq, parent: p.curIdx})
+	p.push(guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args})
 }
 
 // EnqueueHinted implements guest.TaskEnv; the oracle's idealized scheduler
@@ -167,10 +163,16 @@ func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
 // parent's timestamp slot at the next fork index, so the profiler's
 // serial schedule interleaves it exactly where the machines commit it.
 func (p *profEnv) EnqueueSub(fn guest.FnID, _ uint64, args [3]uint64) {
+	p.push(guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args})
+	p.forks++
+}
+
+// push queues a child of the running task, within the §4.1 limit.
+func (p *profEnv) push(d guest.TaskDesc) {
+	guest.CheckChildren(p.children)
+	p.children++
 	p.instrs++
 	p.seq++
-	d := guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args}
-	p.forks++
 	heap.Push(&p.queue, profItem{desc: d, seq: p.seq, parent: p.curIdx})
 }
 

@@ -147,10 +147,10 @@ func TestProfileSerialExcludesPrologue(t *testing.T) {
 }
 
 // TestRejectsWhatMachinesReject: an enqueue the machines refuse — a 4th
-// argument word through Enqueue or Fork, or a child timestamp below the
-// parent's through EnqueueArgs or EnqueueHinted — makes ProfileTasks
-// panic with the simulator's own message instead of profiling a program
-// no backend can run.
+// argument word through Enqueue or Fork, a child timestamp below the
+// parent's through EnqueueArgs or EnqueueHinted, or a ninth child — makes
+// ProfileTasks panic with the simulator's own message instead of
+// profiling a program no backend can run.
 func TestRejectsWhatMachinesReject(t *testing.T) {
 	cases := map[string]func(e guest.TaskEnv, fn guest.FnID){
 		"enqueue-4-args": func(e guest.TaskEnv, fn guest.FnID) { e.Enqueue(fn, 11, 1, 2, 3, 4) },
@@ -158,6 +158,12 @@ func TestRejectsWhatMachinesReject(t *testing.T) {
 		"args-early-ts":  func(e guest.TaskEnv, fn guest.FnID) { e.EnqueueArgs(fn, 9, [3]uint64{}) },
 		"hinted-early-ts": func(e guest.TaskEnv, fn guest.FnID) {
 			e.EnqueueHinted(fn, 9, 0, [3]uint64{})
+		},
+		"nine-children": func(e guest.TaskEnv, fn guest.FnID) {
+			for range guest.MaxChildren {
+				e.Enqueue(fn, 11)
+			}
+			e.Fork(fn)
 		},
 	}
 	for name, bad := range cases {

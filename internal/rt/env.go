@@ -255,8 +255,7 @@ func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
 // parent's nested path, keeping them inside its slice of the slot.
 func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 	guest.CheckChildTS(ts, e.desc.TS)
-	e.step(1)
-	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args})
+	e.addChild(guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args})
 }
 
 // EnqueueHinted implements guest.TaskEnv. Spatial hints steer the
@@ -264,8 +263,7 @@ func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
 // time only, so the hint is carried but unused.
 func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
 	guest.CheckChildTS(ts, e.desc.TS)
-	e.step(1)
-	e.children = append(e.children, guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint))
+	e.addChild(guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint))
 }
 
 // Fork implements guest.TaskEnv: a child ordered within the parent's
@@ -279,11 +277,17 @@ func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
 // task buffers an identical child set — which the DebugChecks
 // re-execution comparison requires.
 func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
-	e.step(1)
 	d := guest.TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
 	e.forks++
 	if hint != guest.NoHint {
 		d = d.WithHint(hint)
 	}
+	e.addChild(d)
+}
+
+// addChild buffers one child of the attempt, within the §4.1 limit.
+func (e *taskEnv) addChild(d guest.TaskDesc) {
+	guest.CheckChildren(len(e.children))
+	e.step(1)
 	e.children = append(e.children, d)
 }

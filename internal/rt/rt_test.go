@@ -346,6 +346,38 @@ func TestChildTimestampOrder(t *testing.T) {
 	bad(env)
 }
 
+// TestChildLimit: the ninth child of one attempt, forks included, panics
+// with the guest package's §4.1 message on both native backends, and a
+// reset attempt counts from zero again.
+func TestChildLimit(t *testing.T) {
+	want := "guest: task exceeded the 8-child hardware limit; enqueue a spawner task instead (§4.1)"
+	for _, backend := range []string{"rt", "rt-conservative"} {
+		r, err := New(testConfig(t, 1, backend))
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		desc := guest.TaskDesc{Fn: 0, TS: 5}
+		env := newTaskEnv(r, desc)
+		eight := func() {
+			for range guest.MaxChildren / 2 {
+				env.Enqueue(0, 6)
+				env.Fork(0)
+			}
+		}
+		got := func() (v any) {
+			defer func() { v = recover() }()
+			eight()
+			env.EnqueueArgs(0, 7, [3]uint64{})
+			return nil
+		}()
+		if got != want {
+			t.Fatalf("%s: recovered %v, want %q", backend, got, want)
+		}
+		env.reset(desc)
+		eight()
+	}
+}
+
 // TestConservativeNoCrossTimestampSpeculation: under rt-conservative,
 // tasks at distinct timestamps never conflict (each wave drains before
 // the next starts), so a cross-timestamp-only contention pattern must
@@ -425,7 +457,7 @@ func TestRepeatableReads(t *testing.T) {
 // counts as the unhinted twin, and Phase advances per completed phase.
 func TestHintedEnqueue(t *testing.T) {
 	const cell = uint64(1 << 12)
-	const fanout = 50
+	const fanout = guest.MaxChildren
 	root := func(e guest.TaskEnv) {
 		for i := uint64(0); i < fanout; i++ {
 			e.EnqueueHinted(1, e.Timestamp()+1+i, i%4, [3]uint64{i, 0, 0})
