@@ -40,7 +40,7 @@ for w in sim-suite rt-large swarmd-jobs; do
     fail=1
   fi
   if [ "$w" != swarmd-jobs ] && awk -v x="$allocs_x" -v b="$bound" 'BEGIN { exit !(x > 1 + b) }'; then
-    echo "FAIL $w: allocs_per_op is more than ${bound} above BENCH_$w.json"
+    printf 'FAIL %s: allocs_per_op is x%.3f of BENCH_%s.json, over the x%s bound\n' "$w" "$allocs_x" "$w" "$(jq -n "1 + $bound")"
     fail=1
   fi
 done

@@ -217,7 +217,7 @@ func CheckChildTS(child, parent uint64) {
 const MaxChildren = 8
 
 // CheckChildren panics when a task attempt that has already enqueued n
-// children enqueues another past MaxChildren; a task that needs more
+// children would pass MaxChildren with one more; a task that needs more
 // enqueues a spawner task (§4.1). The simulator, the native runtime and
 // the oracle all call it, so they reject the same programs.
 func CheckChildren(n int) {
