@@ -109,7 +109,7 @@ func TestBaselineCycles(t *testing.T) {
 			if !ok {
 				continue
 			}
-			cyc, err = pb.RunParallel(nc)
+			cyc, err = bench.RunParallel(pb, nc)
 			if err != nil {
 				t.Fatalf("%s parallel @%dc: %v", name, nc, err)
 			}

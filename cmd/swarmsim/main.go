@@ -99,7 +99,7 @@ func main() {
 			if !ok {
 				return fmt.Errorf("%s has no software-parallel version (as in the paper)", b.Name())
 			}
-			cyc, err := pb.RunParallel(*cores)
+			cyc, err := bench.RunParallel(pb, *cores)
 			if err != nil {
 				return err
 			}

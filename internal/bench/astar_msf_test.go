@@ -55,7 +55,7 @@ func TestMSFSerial(t *testing.T) {
 func TestMSFParallel(t *testing.T) {
 	b := NewMSF(8, 8, 3)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}

@@ -36,7 +36,7 @@ import (
 // optional flavors are the Parallel and Sessioned interfaces.
 //
 // Implementations are immutable after construction (inputs, reference
-// results) and every Run* call builds a fresh simulated machine, so a
+// results) and every run builds a fresh simulated machine, so a
 // Benchmark's methods are safe to call from concurrent host goroutines —
 // the experiment harness fans independent runs out over a worker pool.
 // Runs must also be deterministic: identical arguments always produce
@@ -64,12 +64,11 @@ type Benchmark interface {
 }
 
 // Parallel is implemented by benchmarks that have a state-of-the-art
-// software-parallel version (Fig 12's third series).
+// software-parallel version (Fig 12's third series); RunParallel runs it.
 type Parallel interface {
 	Benchmark
-	// RunParallel executes the software-parallel version with one thread
-	// per core and returns elapsed cycles after verifying the result.
-	RunParallel(nCores int) (uint64, error)
+	// ParallelApp exposes the software-parallel program.
+	ParallelApp() ParallelApp
 }
 
 // SerialApp is a machine-independent sequential implementation: Build
@@ -77,6 +76,15 @@ type Parallel interface {
 // memory state.
 type SerialApp struct {
 	Build  func(alloc func(uint64) uint64, store func(addr, val uint64)) func(e guest.Env, iterMark func())
+	Verify func(load func(addr uint64) uint64) error
+}
+
+// ParallelApp is a machine-independent software-parallel program: Build
+// lays out guest memory for threads threads (histograms, partitions and
+// barriers size by it) and returns the body every thread runs, Verify
+// checks the final memory state.
+type ParallelApp struct {
+	Build  func(alloc func(uint64) uint64, store func(addr, val uint64), threads uint64) guest.ThreadFn
 	Verify func(load func(addr uint64) uint64) error
 }
 
@@ -138,6 +146,19 @@ func (r runner) RunSerial(nCores int) (uint64, error) {
 	body := app.Build(m.SetupAlloc, m.Mem().Store)
 	cycles := m.Run(func(e guest.Env) { body(e, func() {}) })
 	return cycles, app.Verify(m.Mem().Load)
+}
+
+// RunParallel builds p's ParallelApp on an smp machine of nCores cores,
+// runs one thread per core and returns elapsed cycles after verifying the
+// result.
+func RunParallel(p Parallel, nCores int) (uint64, error) {
+	app := p.ParallelApp()
+	m := smp.NewMachine(smp.DefaultConfig(nCores))
+	st, err := m.Run(app.Build(m.SetupAlloc, m.Mem().Store, uint64(nCores)))
+	if err != nil {
+		return 0, err
+	}
+	return st.Cycles, app.Verify(m.Mem().Load)
 }
 
 // Sessioned is implemented by benchmarks that execute as multi-phase
@@ -224,37 +245,4 @@ func (s *Session) Step() (core.PhaseStats, error) {
 	}
 	s.phases = append(s.phases, ph)
 	return ph, nil
-}
-
-// spawnRange fans a [lo, hi) index range out as tasks with function
-// edgeFn(ts(i), i), using a tree of spawner tasks to respect the 8-child
-// hardware limit (§4.1: tasks that need more children enqueue tasks that
-// create them). Spawners run at the parent's timestamp.
-//
-// The caller provides the spawner's own function id so spawners can
-// re-enqueue themselves (the function table must map spawnFn to a task
-// that calls SpawnRangeTask).
-const spawnFanout = 8
-
-// spawnRangeTask is the body shared by range-spawner tasks: it either
-// enqueues leaf tasks directly (small ranges) or splits the range among up
-// to spawnFanout sub-spawners.
-func spawnRangeTask(e guest.TaskEnv, spawnFn guest.FnID, enqueueLeaf func(e guest.TaskEnv, i uint64)) {
-	lo, hi := e.Arg(0), e.Arg(1)
-	n := hi - lo
-	e.Work(4)
-	if n <= spawnFanout {
-		for i := lo; i < hi; i++ {
-			enqueueLeaf(e, i)
-		}
-		return
-	}
-	chunk := (n + spawnFanout - 1) / spawnFanout
-	for s := lo; s < hi; s += chunk {
-		end := s + chunk
-		if end > hi {
-			end = hi
-		}
-		e.EnqueueArgs(spawnFn, e.Timestamp(), [3]uint64{s, end})
-	}
 }

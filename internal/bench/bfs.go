@@ -5,7 +5,6 @@ import (
 
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -145,81 +144,50 @@ func (b *BFS) SerialApp() SerialApp {
 	}
 }
 
-// RunParallel implements Parallel: a PBFS-style level-synchronous
+// ParallelApp implements Parallel: a PBFS-style level-synchronous
 // parallel BFS — threads share the current frontier, build the next one
 // with atomic appends, and barrier between levels. It only exposes
 // one level of parallelism at a time (§6.2).
-func (b *BFS) RunParallel(nCores int) (uint64, error) {
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	n := uint64(b.g.N)
-	frontA := swrt.NewArray(m.SetupAlloc, n)
-	frontB := swrt.NewArray(m.SetupAlloc, n)
-	// Shared control block: [curBase, curCount, nextBase, nextCount,
-	// fetchIdx, level].
-	ctl := m.SetupAlloc(64)
-	bar := swrt.NewBarrier(m.SetupAlloc, uint64(nCores))
-	// Seed the first frontier.
-	m.Mem().Store(ctl, frontA.Base)
-	m.Mem().Store(ctl+8, 1)
-	m.Mem().Store(ctl+16, frontB.Base)
-	m.Mem().Store(frontA.Base, uint64(b.src))
-	m.Mem().Store(gc.DistAddr(uint64(b.src)), 0)
-
-	const chunk = 16
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		for {
-			curBase := e.Load(ctl)
-			curCount := e.Load(ctl + 8)
-			nextBase := e.Load(ctl + 16)
-			level := e.Load(ctl + 40)
-			if curCount == 0 {
-				return
-			}
-			// Chunked grab over the frontier.
-			for {
-				start := e.FetchAdd(ctl+32, chunk)
-				if start >= curCount {
-					break
-				}
-				end := start + chunk
-				if end > curCount {
-					end = curCount
-				}
-				for fi := start; fi < end; fi++ {
-					u := e.Load(curBase + fi*8)
-					lo := e.Load(gc.OffAddr(u))
-					hi := e.Load(gc.OffAddr(u + 1))
-					e.Work(2)
-					for i := lo; i < hi; i++ {
-						v := e.Load(gc.DstAddr(i))
-						e.Work(1)
-						if e.Load(gc.DistAddr(v)) == graph.Unvisited {
-							if e.CAS(gc.DistAddr(v), graph.Unvisited, level+1) {
-								slot := e.FetchAdd(ctl+24, 1)
-								e.Store(nextBase+slot*8, v)
+func (b *BFS) ParallelApp() ParallelApp {
+	var gc graph.GuestCSR
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), threads uint64) guest.ThreadFn {
+			gc = graph.Pack(b.g, alloc, store)
+			src := uint64(b.src)
+			wl := swrt.NewWorklist(alloc, store, uint64(b.g.N), []uint64{src})
+			levelAddr := wl.Ctl + 40 // the level rides on the worklist's control line
+			bar := swrt.NewBarrier(alloc, threads)
+			store(gc.DistAddr(src), 0)
+			return func(e guest.ThreadEnv) {
+				var sense uint64
+				for {
+					r, ok := wl.Round(e)
+					level := e.Load(levelAddr)
+					if !ok {
+						return
+					}
+					wl.Drain(e, r, 16, func(u uint64) {
+						lo := e.Load(gc.OffAddr(u))
+						hi := e.Load(gc.OffAddr(u + 1))
+						e.Work(2)
+						for i := lo; i < hi; i++ {
+							v := e.Load(gc.DstAddr(i))
+							e.Work(1)
+							if e.Load(gc.DistAddr(v)) == graph.Unvisited &&
+								e.CAS(gc.DistAddr(v), graph.Unvisited, level+1) {
+								wl.Push(e, r, v)
 							}
 						}
+					})
+					bar.Wait(e, &sense)
+					if e.ID() == 0 {
+						wl.Swap(e, r)
+						e.Store(levelAddr, level+1)
 					}
+					bar.Wait(e, &sense)
 				}
 			}
-			bar.Wait(e, &sense)
-			if e.ID() == 0 {
-				// Swap frontiers for the next level.
-				nc := e.Load(ctl + 24)
-				e.Store(ctl, nextBase)
-				e.Store(ctl+8, nc)
-				e.Store(ctl+16, curBase)
-				e.Store(ctl+24, 0)
-				e.Store(ctl+32, 0)
-				e.Store(ctl+40, level+1)
-			}
-			bar.Wait(e, &sense)
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return verifyDist("bfs", load, gc, b.ref) },
 	}
-	return st.Cycles, verifyDist("bfs", m.Mem().Load, gc, b.ref)
 }

@@ -20,7 +20,7 @@ func TestBFSSerial(t *testing.T) {
 func TestBFSParallel(t *testing.T) {
 	b := NewBFS(20, 15)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}
@@ -49,7 +49,7 @@ func TestSSSPSerial(t *testing.T) {
 func TestSSSPParallel(t *testing.T) {
 	b := NewSSSP(15, 15, 11)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}
@@ -102,7 +102,7 @@ func TestBFSSwarmVsParallelShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := b.RunParallel(16)
+	par, err := RunParallel(b, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

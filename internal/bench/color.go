@@ -7,7 +7,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -257,88 +256,57 @@ func (b *Color) SerialApp() SerialApp {
 	}
 }
 
-// RunParallel implements Parallel: PBBS-style deterministic rounds
+// ParallelApp implements Parallel: PBBS-style deterministic rounds
 // (speculative_for over the rank order). Each round every remaining
 // vertex whose earlier-ranked neighbors are all colored takes its greedy
 // color; the rest retry next round. The result equals sequential
 // greedy's, but each round pays a full pass plus barriers — the
 // reservation analogue of msf's baseline (§6.2).
-func (b *Color) RunParallel(nCores int) (uint64, error) {
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	n := uint64(b.g.N)
-	listA := swrt.NewArray(m.SetupAlloc, n)
-	listB := swrt.NewArray(m.SetupAlloc, n)
-	// Control block: [curBase, curCount, nextBase, nextCount, fetchIdx].
-	ctl := m.SetupAlloc(64)
-	bar := swrt.NewBarrier(m.SetupAlloc, uint64(nCores))
-	for r := uint64(0); r < n; r++ {
-		m.Mem().Store(listA.Addr(r), uint64(b.order[r]))
-	}
-	m.Mem().Store(ctl, listA.Base)
-	m.Mem().Store(ctl+8, n)
-	m.Mem().Store(ctl+16, listB.Base)
-
-	const chunk = 8
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		mask := make([]uint64, b.words) // per-thread mex scratch
-		for {
-			curBase := e.Load(ctl)
-			curCount := e.Load(ctl + 8)
-			nextBase := e.Load(ctl + 16)
-			if curCount == 0 {
-				return
+func (b *Color) ParallelApp() ParallelApp {
+	var g guestColor
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), threads uint64) guest.ThreadFn {
+			g = b.pack(alloc, store)
+			seed := make([]uint64, len(b.order))
+			for r, v := range b.order {
+				seed[r] = uint64(v)
 			}
-			for {
-				s := e.FetchAdd(ctl+32, chunk)
-				if s >= curCount {
-					break
-				}
-				top := s + chunk
-				if top > curCount {
-					top = curCount
-				}
-				for ; s < top; s++ {
-					v := e.Load(curBase + s*8)
-					lo := e.Load(g.eoff.Addr(v))
-					hi := e.Load(g.eoff.Addr(v + 1))
-					clear(mask)
-					ready := true
-					e.Work(2)
-					for a := lo; a < hi; a++ {
-						w := e.Load(g.edst.Addr(a))
-						c := e.Load(g.col.Addr(w))
-						e.Work(2)
-						if c == graph.Unvisited {
-							ready = false
-							break
-						}
-						mask[c>>6] |= 1 << (c & 63)
+			wl := swrt.NewWorklist(alloc, store, uint64(b.g.N), seed)
+			bar := swrt.NewBarrier(alloc, threads)
+			return func(e guest.ThreadEnv) {
+				var sense uint64
+				mask := make([]uint64, b.words) // per-thread mex scratch
+				for {
+					r, ok := wl.Round(e)
+					if !ok {
+						return
 					}
-					if ready {
+					wl.Drain(e, r, 8, func(v uint64) {
+						lo := e.Load(g.eoff.Addr(v))
+						hi := e.Load(g.eoff.Addr(v + 1))
+						clear(mask)
+						e.Work(2)
+						for a := lo; a < hi; a++ {
+							w := e.Load(g.edst.Addr(a))
+							c := e.Load(g.col.Addr(w))
+							e.Work(2)
+							if c == graph.Unvisited {
+								wl.Push(e, r, v) // not ready: retry next round
+								return
+							}
+							mask[c>>6] |= 1 << (c & 63)
+						}
 						e.Work(uint64(len(mask)))
 						e.Store(g.col.Addr(v), mex(mask))
-					} else {
-						slot := e.FetchAdd(ctl+24, 1)
-						e.Store(nextBase+slot*8, v)
+					})
+					bar.Wait(e, &sense)
+					if e.ID() == 0 {
+						wl.Swap(e, r)
 					}
+					bar.Wait(e, &sense)
 				}
 			}
-			bar.Wait(e, &sense)
-			if e.ID() == 0 {
-				nc := e.Load(ctl + 24)
-				e.Store(ctl, nextBase)
-				e.Store(ctl+8, nc)
-				e.Store(ctl+16, curBase)
-				e.Store(ctl+24, 0)
-				e.Store(ctl+32, 0)
-			}
-			bar.Wait(e, &sense)
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
 	}
-	return st.Cycles, b.verify(m.Mem().Load, g)
 }

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"github.com/swarm-sim/swarm/internal/circuit"
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -163,14 +163,10 @@ func (b *DES) SwarmApp() SwarmApp {
 		var spawn, input, eval, fan guest.FnID
 
 		// enqueueFanout schedules evaluations of gate gi's consumers in
-		// [lo, hi), chaining through the fanout spawner when there are more
-		// than 7.
+		// [lo, hi), chaining through the fanout spawner when they would
+		// pass the child limit.
 		enqueueFanout := func(e guest.TaskEnv, lo, hi uint64) {
-			n := hi - lo
-			direct := n
-			if direct > 7 {
-				direct = 7
-			}
+			direct := min(hi-lo, guest.MaxChildren-1)
 			for i := lo; i < lo+direct; i++ {
 				c := e.Load(g.foDst.Addr(i))
 				d := e.Load(g.delay.Addr(c))
@@ -184,7 +180,7 @@ func (b *DES) SwarmApp() SwarmApp {
 		}
 
 		spawn = ab.Fn("spawn", func(e guest.TaskEnv) {
-			spawnRangeTask(e, spawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, spawn, func(e guest.TaskEnv, i uint64) {
 				// Spatial hint: the input id, stable across rounds.
 				e.EnqueueHinted(input, e.Timestamp(), i, [3]uint64{i})
 			})
@@ -294,152 +290,153 @@ func (b *DES) SerialApp() SerialApp {
 	}
 }
 
-// RunParallel implements Parallel: a conservative (Chandy-Misra-Bryant
-// family) parallel simulator. Gates are partitioned across threads (whole
-// adders stay together); each thread keeps a local event queue and an
-// inbox for cross-partition events; rounds process every event inside the
-// safe window [gmin, gmin+lookahead), where the lookahead is the minimum
-// gate delay — events spawned inside the window land beyond it (§6.2: CMB
-// exploits simulated latencies to execute events out of order safely).
-func (b *DES) RunParallel(nCores int) (uint64, error) {
-	p := uint64(nCores)
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	period := b.stim.Period
-	rounds := uint64(b.stim.Rounds)
-	lookahead := uint64(4) // = gate delay (min cross-gate latency)
-	const inf = ^uint64(0)
+// ParallelApp implements Parallel: a conservative (Chandy-Misra-Bryant
+// family) parallel simulator. Gates are partitioned across threads
+// (whole adders stay together); each thread keeps a local event queue and
+// an inbox for cross-partition events; rounds process every event inside
+// the safe window [gmin, gmin+lookahead), where the lookahead is the
+// minimum gate delay — events spawned inside the window land beyond it
+// (§6.2: CMB exploits simulated latencies to execute events out of order
+// safely).
+func (b *DES) ParallelApp() ParallelApp {
+	var g guestDES
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), p uint64) guest.ThreadFn {
+			g = b.pack(alloc, store)
+			period := b.stim.Period
+			rounds := uint64(b.stim.Rounds)
+			lookahead := uint64(4) // = gate delay (min cross-gate latency)
+			const inf = ^uint64(0)
 
-	// Static partition: contiguous gate ranges (adders are contiguous).
-	owner := make([]int, g.nGates)
-	per := (g.nGates + p - 1) / p
-	for i := uint64(0); i < g.nGates; i++ {
-		owner[i] = int(i / per)
-	}
-
-	heaps := make([]swrt.Heap, p)
-	inboxes := make([]swrt.Array, p) // flattened (ts, val) pairs
-	inboxCount := make([]uint64, p)  // guest addresses of counters
-	inboxLock := make([]swrt.SpinLock, p)
-	heapCap := uint64(b.stim.Rounds)*g.nIn + 64*g.nGates/p + 1024
-	const inboxCap = 8192
-	for i := uint64(0); i < p; i++ {
-		heaps[i] = swrt.NewHeap(m.SetupAlloc, heapCap)
-		inboxes[i] = swrt.NewArray(m.SetupAlloc, 2*inboxCap)
-		inboxCount[i] = m.SetupAlloc(64)
-		inboxLock[i] = swrt.SpinLock{Addr: m.SetupAlloc(64)}
-	}
-	mins := swrt.NewArray(m.SetupAlloc, p)
-	gminAddr := m.SetupAlloc(64)
-	bar := swrt.NewBarrier(m.SetupAlloc, p)
-
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		id := uint64(e.ID())
-		pq := heaps[id]
-		nextRound := uint64(0)
-
-		post := func(ts, val, gate uint64) {
-			o := uint64(owner[gate])
-			if o == id {
-				pq.Push(e, ts, val)
-				return
+			// Static partition: contiguous gate ranges (adders are contiguous).
+			owner := make([]int, g.nGates)
+			per := (g.nGates + p - 1) / p
+			for i := uint64(0); i < g.nGates; i++ {
+				owner[i] = int(i / per)
 			}
-			inboxLock[o].Acquire(e)
-			c := e.Load(inboxCount[o])
-			if c >= inboxCap {
-				panic("des: inbox overflow")
-			}
-			e.Store(inboxes[o].Addr(2*c), ts)
-			e.Store(inboxes[o].Addr(2*c+1), val)
-			e.Store(inboxCount[o], c+1)
-			inboxLock[o].Release(e)
-		}
 
-		for {
-			// Report local minimum (pending stimulus counts).
-			lmin := uint64(inf)
-			if k, _, ok := pq.PeekMin(e); ok {
-				lmin = k
+			heaps := make([]swrt.Heap, p)
+			inboxes := make([]swrt.Array, p) // flattened (ts, val) pairs
+			inboxCount := make([]uint64, p)  // guest addresses of counters
+			inboxLock := make([]swrt.SpinLock, p)
+			heapCap := rounds*g.nIn + 64*g.nGates/p + 1024
+			const inboxCap = 8192
+			for i := uint64(0); i < p; i++ {
+				heaps[i] = swrt.NewHeap(alloc, heapCap)
+				inboxes[i] = swrt.NewArray(alloc, 2*inboxCap)
+				inboxCount[i] = alloc(64)
+				inboxLock[i] = swrt.SpinLock{Addr: alloc(64)}
 			}
-			if nextRound < rounds && nextRound*period < lmin {
-				lmin = nextRound * period
-			}
-			mins.Set(e, id, lmin)
-			bar.Wait(e, &sense)
-			if id == 0 {
-				gm := uint64(inf)
-				for i := uint64(0); i < p; i++ {
-					if v := mins.Get(e, i); v < gm {
-						gm = v
+			mins := swrt.NewArray(alloc, p)
+			gminAddr := alloc(64)
+			bar := swrt.NewBarrier(alloc, p)
+
+			return func(e guest.ThreadEnv) {
+				var sense uint64
+				id := uint64(e.ID())
+				pq := heaps[id]
+				nextRound := uint64(0)
+
+				post := func(ts, val, gate uint64) {
+					o := uint64(owner[gate])
+					if o == id {
+						pq.Push(e, ts, val)
+						return
 					}
-					e.Work(1)
-				}
-				e.Store(gminAddr, gm)
-			}
-			bar.Wait(e, &sense)
-			gmin := e.Load(gminAddr)
-			if gmin == inf {
-				return
-			}
-			windowEnd := gmin + lookahead
-
-			// Inject stimulus that falls inside the window (each thread
-			// owns its partition's input gates).
-			for nextRound < rounds && nextRound*period < windowEnd {
-				t := nextRound * period
-				for i := uint64(0); i < g.nIn; i++ {
-					gate := e.Load(g.inputs.Addr(i))
-					if owner[gate] == int(id) {
-						pq.Push(e, t, inputFlag|i)
+					inboxLock[o].Acquire(e)
+					c := e.Load(inboxCount[o])
+					if c >= inboxCap {
+						panic("des: inbox overflow")
 					}
+					e.Store(inboxes[o].Addr(2*c), ts)
+					e.Store(inboxes[o].Addr(2*c+1), val)
+					e.Store(inboxCount[o], c+1)
+					inboxLock[o].Release(e)
 				}
-				nextRound++
-			}
 
-			// Process the safe window.
-			for {
-				k, _, ok := pq.PeekMin(e)
-				e.Work(1)
-				if !ok || k >= windowEnd {
-					break
-				}
-				t, v, _ := pq.PopMin(e)
-				var gate, nv uint64
-				if v&inputFlag != 0 {
-					i := v &^ inputFlag
-					gate = e.Load(g.inputs.Addr(i))
-					nv = e.Load(g.stim.Addr((t/period)*g.nIn + i))
-					e.Work(3)
-				} else {
-					gate = v
-					nv = evalGateGuest(e, g, gate)
-				}
-				if e.Load(g.val.Addr(gate)) == nv {
-					continue
-				}
-				e.Store(g.val.Addr(gate), nv)
-				lo := e.Load(g.foOff.Addr(gate))
-				hi := e.Load(g.foOff.Addr(gate + 1))
-				for i := lo; i < hi; i++ {
-					c := e.Load(g.foDst.Addr(i))
-					d := e.Load(g.delay.Addr(c))
-					post(t+d, c, c)
-				}
-			}
-			bar.Wait(e, &sense)
+				for {
+					// Report local minimum (pending stimulus counts).
+					lmin := uint64(inf)
+					if k, _, ok := pq.PeekMin(e); ok {
+						lmin = k
+					}
+					if nextRound < rounds && nextRound*period < lmin {
+						lmin = nextRound * period
+					}
+					mins.Set(e, id, lmin)
+					bar.Wait(e, &sense)
+					if id == 0 {
+						gm := uint64(inf)
+						for i := uint64(0); i < p; i++ {
+							if v := mins.Get(e, i); v < gm {
+								gm = v
+							}
+							e.Work(1)
+						}
+						e.Store(gminAddr, gm)
+					}
+					bar.Wait(e, &sense)
+					gmin := e.Load(gminAddr)
+					if gmin == inf {
+						return
+					}
+					windowEnd := gmin + lookahead
 
-			// Drain the inbox into the local queue.
-			c := e.Load(inboxCount[id])
-			for i := uint64(0); i < c; i++ {
-				pq.Push(e, e.Load(inboxes[id].Addr(2*i)), e.Load(inboxes[id].Addr(2*i+1)))
+					// Inject stimulus that falls inside the window (each thread
+					// owns its partition's input gates).
+					for nextRound < rounds && nextRound*period < windowEnd {
+						t := nextRound * period
+						for i := uint64(0); i < g.nIn; i++ {
+							gate := e.Load(g.inputs.Addr(i))
+							if owner[gate] == int(id) {
+								pq.Push(e, t, inputFlag|i)
+							}
+						}
+						nextRound++
+					}
+
+					// Process the safe window.
+					for {
+						k, _, ok := pq.PeekMin(e)
+						e.Work(1)
+						if !ok || k >= windowEnd {
+							break
+						}
+						t, v, _ := pq.PopMin(e)
+						var gate, nv uint64
+						if v&inputFlag != 0 {
+							i := v &^ inputFlag
+							gate = e.Load(g.inputs.Addr(i))
+							nv = e.Load(g.stim.Addr((t/period)*g.nIn + i))
+							e.Work(3)
+						} else {
+							gate = v
+							nv = evalGateGuest(e, g, gate)
+						}
+						if e.Load(g.val.Addr(gate)) == nv {
+							continue
+						}
+						e.Store(g.val.Addr(gate), nv)
+						lo := e.Load(g.foOff.Addr(gate))
+						hi := e.Load(g.foOff.Addr(gate + 1))
+						for i := lo; i < hi; i++ {
+							c := e.Load(g.foDst.Addr(i))
+							d := e.Load(g.delay.Addr(c))
+							post(t+d, c, c)
+						}
+					}
+					bar.Wait(e, &sense)
+
+					// Drain the inbox into the local queue.
+					c := e.Load(inboxCount[id])
+					for i := uint64(0); i < c; i++ {
+						pq.Push(e, e.Load(inboxes[id].Addr(2*i)), e.Load(inboxes[id].Addr(2*i+1)))
+					}
+					e.Store(inboxCount[id], 0)
+					bar.Wait(e, &sense)
+				}
 			}
-			e.Store(inboxCount[id], 0)
-			bar.Wait(e, &sense)
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
 	}
-	return st.Cycles, b.verify(m.Mem().Load, g)
 }

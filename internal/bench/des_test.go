@@ -22,7 +22,7 @@ func TestDESSerial(t *testing.T) {
 func TestDESParallel(t *testing.T) {
 	b := testDES()
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}

@@ -6,7 +6,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -137,7 +136,7 @@ func (b *KCore) SwarmApp() SwarmApp {
 		// hubs have hundreds of neighbors, far past the 8-child hardware
 		// limit (§4.1), so removals chain spawner tasks at their level.
 		relaxArcs := func(e guest.TaskEnv, lo, hi uint64) {
-			end := lo + spawnFanout - 1
+			end := lo + guest.MaxChildren - 1
 			if end > hi {
 				end = hi
 			}
@@ -235,7 +234,7 @@ func (b *KCore) SerialApp() SerialApp {
 	}
 }
 
-// RunParallel implements Parallel: bucket-synchronous peeling (the
+// ParallelApp implements Parallel: bucket-synchronous peeling (the
 // Julienne-style software-parallel baseline). Levels k = 0, 1, ... are
 // processed in order; the vertex range is scanned once per level to seed
 // that level's frontier, and from there sub-rounds are neighbor-driven:
@@ -245,110 +244,86 @@ func (b *KCore) SerialApp() SerialApp {
 // sub-rounds. Parallelism is still limited to one level's frontier at a
 // time — the peel analogue of level-synchronous PBFS (§6.2) — but no
 // work beyond the per-level scan is proportional to n.
-func (b *KCore) RunParallel(nCores int) (uint64, error) {
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	n := uint64(b.g.N)
-	deg := swrt.NewArray(m.SetupAlloc, n) // current degrees, atomically decremented
-	for v := uint64(0); v < n; v++ {
-		m.Mem().Store(deg.Addr(v), uint64(b.g.Degree(int(v))))
-	}
-	// Every vertex is peeled (appended) exactly once, so one n-entry
-	// array holds the whole peel order; sub-rounds are segments of it.
-	frontier := swrt.NewArray(m.SetupAlloc, n)
-	// Control block: [k, tail, scanIdx, procIdx, roundStart, roundEnd,
-	// scanNeeded].
-	ctl := m.SetupAlloc(64)
-	m.Mem().Store(ctl+48, 1) // first level needs a seeding scan
-	bar := swrt.NewBarrier(m.SetupAlloc, uint64(nCores))
-
-	const scanChunk, procChunk = 32, 4
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		for {
-			k := e.Load(ctl)
-			if e.Load(ctl+48) != 0 {
-				// Seed: scan the vertex range once per level for
-				// unpeeled deg <= k.
+func (b *KCore) ParallelApp() ParallelApp {
+	var gc graph.GuestCSR
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), threads uint64) guest.ThreadFn {
+			gc = graph.Pack(b.g, alloc, store)
+			n := uint64(b.g.N)
+			deg := swrt.NewArray(alloc, n) // current degrees, atomically decremented
+			for v := uint64(0); v < n; v++ {
+				store(deg.Addr(v), uint64(b.g.Degree(int(v))))
+			}
+			// Every vertex is peeled (appended) exactly once, so one
+			// n-entry array holds the whole peel order; sub-rounds are
+			// segments of it.
+			peeled := swrt.NewArray(alloc, n)
+			// Control block: [k, tail, scanIdx, procIdx, roundStart,
+			// roundEnd, scanNeeded].
+			ctl := alloc(64)
+			store(ctl+48, 1) // first level needs a seeding scan
+			bar := swrt.NewBarrier(alloc, threads)
+			return func(e guest.ThreadEnv) {
+				var sense uint64
 				for {
-					s := e.FetchAdd(ctl+16, scanChunk)
-					if s >= n {
-						break
+					k := e.Load(ctl)
+					if e.Load(ctl+48) != 0 {
+						// Seed: scan the vertex range once per level for
+						// unpeeled deg <= k.
+						swrt.Claim(e, ctl+16, n, 32, func(v uint64) {
+							e.Work(1)
+							if e.Load(gc.DistAddr(v)) == graph.Unvisited && e.Load(deg.Addr(v)) <= k {
+								e.Store(gc.DistAddr(v), k)
+								peeled.Set(e, e.FetchAdd(ctl+8, 1), v)
+							}
+						})
 					}
-					top := s + scanChunk
-					if top > n {
-						top = n
+					bar.Wait(e, &sense)
+					if e.ID() == 0 {
+						e.Store(ctl+40, e.Load(ctl+8))  // freeze this sub-round's end
+						e.Store(ctl+24, e.Load(ctl+32)) // reset claim cursor to its start
 					}
-					for v := s; v < top; v++ {
-						e.Work(1)
-						if e.Load(gc.DistAddr(v)) != graph.Unvisited {
-							continue
+					bar.Wait(e, &sense)
+					end := e.Load(ctl + 40)
+					// Remove: decrement unpeeled neighbors of this
+					// sub-round's segment; a decrement from k+1 discovers a
+					// newly eligible vertex and appends it past end for the
+					// next sub-round.
+					swrt.Claim(e, ctl+24, end, 4, func(s uint64) {
+						v := peeled.Get(e, s)
+						lo := e.Load(gc.OffAddr(v))
+						hi := e.Load(gc.OffAddr(v + 1))
+						e.Work(2)
+						for a := lo; a < hi; a++ {
+							w := e.Load(gc.DstAddr(a))
+							e.Work(1)
+							if e.Load(gc.DistAddr(w)) != graph.Unvisited {
+								continue
+							}
+							if old := e.FetchAdd(deg.Addr(w), ^uint64(0)); old == k+1 {
+								e.Store(gc.DistAddr(w), k)
+								peeled.Set(e, e.FetchAdd(ctl+8, 1), w)
+							}
 						}
-						if e.Load(deg.Addr(v)) <= k {
-							e.Store(gc.DistAddr(v), k)
-							slot := e.FetchAdd(ctl+8, 1)
-							e.Store(frontier.Addr(slot), v)
+					})
+					bar.Wait(e, &sense)
+					if e.ID() == 0 {
+						if e.Load(ctl+8) == end { // no discoveries: level exhausted
+							e.Store(ctl, k+1)
+							e.Store(ctl+16, 0)
+							e.Store(ctl+48, 1)
+						} else {
+							e.Store(ctl+48, 0)
 						}
+						e.Store(ctl+32, end) // next sub-round starts where this ended
 					}
-				}
-			}
-			bar.Wait(e, &sense)
-			if e.ID() == 0 {
-				e.Store(ctl+40, e.Load(ctl+8))  // freeze this sub-round's end
-				e.Store(ctl+24, e.Load(ctl+32)) // reset claim cursor to its start
-			}
-			bar.Wait(e, &sense)
-			end := e.Load(ctl + 40)
-			// Remove: decrement unpeeled neighbors of this sub-round's
-			// segment; a decrement from k+1 discovers a newly eligible
-			// vertex and appends it past end for the next sub-round.
-			for {
-				s := e.FetchAdd(ctl+24, procChunk)
-				if s >= end {
-					break
-				}
-				top := s + procChunk
-				if top > end {
-					top = end
-				}
-				for ; s < top; s++ {
-					v := e.Load(frontier.Addr(s))
-					lo := e.Load(gc.OffAddr(v))
-					hi := e.Load(gc.OffAddr(v + 1))
-					e.Work(2)
-					for a := lo; a < hi; a++ {
-						w := e.Load(gc.DstAddr(a))
-						e.Work(1)
-						if e.Load(gc.DistAddr(w)) != graph.Unvisited {
-							continue
-						}
-						if old := e.FetchAdd(deg.Addr(w), ^uint64(0)); old == k+1 {
-							e.Store(gc.DistAddr(w), k)
-							slot := e.FetchAdd(ctl+8, 1)
-							e.Store(frontier.Addr(slot), w)
-						}
+					bar.Wait(e, &sense)
+					if e.Load(ctl+8) == n {
+						return
 					}
 				}
 			}
-			bar.Wait(e, &sense)
-			if e.ID() == 0 {
-				if e.Load(ctl+8) == end { // no discoveries: level exhausted
-					e.Store(ctl, k+1)
-					e.Store(ctl+16, 0)
-					e.Store(ctl+48, 1)
-				} else {
-					e.Store(ctl+48, 0)
-				}
-				e.Store(ctl+32, end) // next sub-round starts where this ended
-			}
-			bar.Wait(e, &sense)
-			if e.Load(ctl+8) == n {
-				return
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, gc) },
 	}
-	return st.Cycles, b.verify(m.Mem().Load, gc)
 }

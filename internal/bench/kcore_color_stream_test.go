@@ -23,7 +23,7 @@ func TestKCoreSerial(t *testing.T) {
 func TestKCoreParallel(t *testing.T) {
 	b := NewKCore(6, 6, 9)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}
@@ -81,7 +81,7 @@ func TestColorSerial(t *testing.T) {
 func TestColorParallel(t *testing.T) {
 	b := NewColor(80, 320, 11)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}

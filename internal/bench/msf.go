@@ -3,9 +3,9 @@ package bench
 import (
 	"fmt"
 
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -107,7 +107,7 @@ func (b *MSF) SwarmApp() SwarmApp {
 		g = b.pack(ab.Alloc, ab.Store)
 		var spawn, edge guest.FnID
 		spawn = ab.Fn("spawn", func(e guest.TaskEnv) {
-			spawnRangeTask(e, spawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, spawn, func(e guest.TaskEnv, i uint64) {
 				w := e.Load(g.ew.Addr(i))
 				// Spatial hint: the edge-array block — eight consecutive
 				// edge tasks share the eu/ev/ew/inMSF cache lines, so
@@ -183,213 +183,167 @@ func (b *MSF) serialSort(e guest.Env, g guestMSF, hist, sorted swrt.Array) {
 	}
 }
 
-// RunParallel implements Parallel: parallel counting sort by weight, then
-// rounds of PBBS-style deterministic reservations — each round, active
-// edges reserve both endpoint roots with their (weight-ordered) index;
-// winners of both reservations commit their union, losers retry next
-// round. Results are deterministic and equal to sequential Kruskal's.
-func (b *MSF) RunParallel(nCores int) (uint64, error) {
-	p := uint64(nCores)
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	g := b.pack(m.SetupAlloc, m.Mem().Store)
-	n := uint64(b.n)
-
-	// Per-thread histograms for the parallel counting sort.
-	hists := swrt.NewArray(m.SetupAlloc, p*256)
-	cursors := swrt.NewArray(m.SetupAlloc, p*256)
-	sorted := swrt.NewArray(m.SetupAlloc, g.m)
-	reserve := swrt.NewArray(m.SetupAlloc, n) // root -> min reserving index
-	const noRes = ^uint64(0)
-	for i := uint64(0); i < n; i++ {
-		m.Mem().Store(reserve.Addr(i), noRes)
-	}
-	// Round state: [prefix, activeCount, fetchIdx, doneCount].
-	ctl := m.SetupAlloc(64)
-	active := swrt.NewArray(m.SetupAlloc, g.m)  // edge indices this round
-	pending := swrt.NewArray(m.SetupAlloc, g.m) // retries for next round
-	bar := swrt.NewBarrier(m.SetupAlloc, p)
-
-	round := g.m / 8 // edges examined per round (few barrier phases)
-	if round < 64*p {
-		round = 64 * p
-	}
-	if round > g.m {
-		round = g.m
-	}
-
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		id := uint64(e.ID())
-		// --- parallel counting sort ---
-		chunk := (g.m + p - 1) / p
-		lo, hi := id*chunk, (id+1)*chunk
-		if hi > g.m {
-			hi = g.m
-		}
-		for w := uint64(0); w < 256; w++ {
-			e.Store(hists.Addr(id*256+w), 0)
-		}
-		for i := lo; i < hi; i++ {
-			w := e.Load(g.ew.Addr(i))
-			a := hists.Addr(id*256 + w)
-			e.Store(a, e.Load(a)+1)
-		}
-		bar.Wait(e, &sense)
-		if id == 0 {
-			// Exclusive prefix over (weight, thread).
-			run := uint64(0)
-			for w := uint64(0); w < 256; w++ {
-				for t := uint64(0); t < p; t++ {
-					c := e.Load(hists.Addr(t*256 + w))
-					e.Store(cursors.Addr(t*256+w), run)
-					run += c
-					e.Work(1)
-				}
+// ParallelApp implements Parallel: parallel counting sort by weight,
+// then rounds of PBBS-style deterministic reservations — each round,
+// active edges reserve both endpoint roots with their (weight-ordered)
+// index; winners of both reservations commit their union, losers retry
+// next round. Results are deterministic and equal to sequential
+// Kruskal's.
+func (b *MSF) ParallelApp() ParallelApp {
+	var g guestMSF
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), p uint64) guest.ThreadFn {
+			g = b.pack(alloc, store)
+			n := uint64(b.n)
+			// Per-thread histograms for the parallel counting sort.
+			hists := swrt.NewArray(alloc, p*256)
+			cursors := swrt.NewArray(alloc, p*256)
+			sorted := swrt.NewArray(alloc, g.m)
+			reserve := swrt.NewArray(alloc, n) // root -> min reserving index
+			const noRes = ^uint64(0)
+			for i := uint64(0); i < n; i++ {
+				store(reserve.Addr(i), noRes)
 			}
-		}
-		bar.Wait(e, &sense)
-		for i := lo; i < hi; i++ {
-			w := e.Load(g.ew.Addr(i))
-			a := cursors.Addr(id*256 + w)
-			slot := e.Load(a)
-			e.Store(a, slot+1)
-			e.Store(sorted.Addr(slot), i)
-		}
-		bar.Wait(e, &sense)
+			// Round state: [prefix, activeCount, fetchIdx, pendingCount].
+			ctl := alloc(64)
+			active := swrt.NewArray(alloc, g.m)  // edge indices this round
+			pending := swrt.NewArray(alloc, g.m) // retries for next round
+			bar := swrt.NewBarrier(alloc, p)
+			round := min(max(g.m/8, 64*p), g.m) // edges examined per round (few barrier phases)
 
-		// --- deterministic reservations over the sorted edges ---
-		// The active list holds *sorted positions*: priorities follow
-		// weight order, so the result equals sequential Kruskal's.
-		for {
-			if id == 0 {
-				// Build the active list: pending retries + next prefix.
-				cnt := e.Load(ctl + 8)
-				prefix := e.Load(ctl)
-				for cnt < round && prefix < g.m {
-					e.Store(active.Addr(cnt), prefix)
-					cnt++
-					prefix++
-				}
-				e.Store(ctl, prefix)
-				e.Store(ctl+8, cnt)
-				e.Store(ctl+16, 0) // fetch index
-				e.Store(ctl+24, 0) // pending count
+			// edge loads the endpoints of the active list's s-th entry.
+			edge := func(e guest.ThreadEnv, s uint64) (pos, i, u, v uint64) {
+				pos = active.Get(e, s)
+				i = sorted.Get(e, pos)
+				return pos, i, g.eu.Get(e, i), g.ev.Get(e, i)
 			}
-			bar.Wait(e, &sense)
-			cnt := e.Load(ctl + 8)
-			if cnt == 0 {
-				return
-			}
-			// Reserve phase: lower sorted position wins each root.
-			for {
-				s := e.FetchAdd(ctl+16, 4)
-				if s >= cnt {
-					break
+			return func(e guest.ThreadEnv) {
+				var sense uint64
+				id := uint64(e.ID())
+				// --- parallel counting sort ---
+				chunk := (g.m + p - 1) / p
+				lo, hi := id*chunk, min((id+1)*chunk, g.m)
+				for w := uint64(0); w < 256; w++ {
+					e.Store(hists.Addr(id*256+w), 0)
 				}
-				top := s + 4
-				if top > cnt {
-					top = cnt
+				for i := lo; i < hi; i++ {
+					w := e.Load(g.ew.Addr(i))
+					a := hists.Addr(id*256 + w)
+					e.Store(a, e.Load(a)+1)
 				}
-				for ; s < top; s++ {
-					pos := e.Load(active.Addr(s))
-					i := e.Load(sorted.Addr(pos))
-					u := e.Load(g.eu.Addr(i))
-					v := e.Load(g.ev.Addr(i))
-					ru := g.uf.Find(e, u)
-					rv := g.uf.Find(e, v)
-					e.Work(2)
-					if ru == rv {
-						continue
-					}
-					for _, r := range [2]uint64{ru, rv} {
-						for {
-							cur := e.Load(reserve.Addr(r))
+				bar.Wait(e, &sense)
+				if id == 0 {
+					// Exclusive prefix over (weight, thread).
+					run := uint64(0)
+					for w := uint64(0); w < 256; w++ {
+						for t := uint64(0); t < p; t++ {
+							c := e.Load(hists.Addr(t*256 + w))
+							e.Store(cursors.Addr(t*256+w), run)
+							run += c
 							e.Work(1)
-							if pos >= cur {
-								break
-							}
-							if e.CAS(reserve.Addr(r), cur, pos) {
-								break
-							}
 						}
 					}
 				}
-			}
-			bar.Wait(e, &sense)
-			if id == 0 {
-				e.Store(ctl+16, 0)
-			}
-			bar.Wait(e, &sense)
-			// Commit phase: winners of both roots union; losers retry.
-			for {
-				s := e.FetchAdd(ctl+16, 4)
-				if s >= cnt {
-					break
+				bar.Wait(e, &sense)
+				for i := lo; i < hi; i++ {
+					w := e.Load(g.ew.Addr(i))
+					a := cursors.Addr(id*256 + w)
+					slot := e.Load(a)
+					e.Store(a, slot+1)
+					e.Store(sorted.Addr(slot), i)
 				}
-				top := s + 4
-				if top > cnt {
-					top = cnt
-				}
-				for ; s < top; s++ {
-					pos := e.Load(active.Addr(s))
-					i := e.Load(sorted.Addr(pos))
-					u := e.Load(g.eu.Addr(i))
-					v := e.Load(g.ev.Addr(i))
-					ru := g.uf.Find(e, u)
-					rv := g.uf.Find(e, v)
-					e.Work(2)
-					if ru == rv {
-						continue // became redundant
+				bar.Wait(e, &sense)
+
+				// --- deterministic reservations over the sorted edges ---
+				// The active list holds *sorted positions*: priorities
+				// follow weight order, so the result equals sequential
+				// Kruskal's.
+				for {
+					if id == 0 {
+						// Build the active list: pending retries + next prefix.
+						cnt := e.Load(ctl + 8)
+						prefix := e.Load(ctl)
+						for cnt < round && prefix < g.m {
+							e.Store(active.Addr(cnt), prefix)
+							cnt++
+							prefix++
+						}
+						e.Store(ctl, prefix)
+						e.Store(ctl+8, cnt)
+						e.Store(ctl+16, 0) // fetch index
+						e.Store(ctl+24, 0) // pending count
 					}
-					if e.Load(reserve.Addr(ru)) == pos && e.Load(reserve.Addr(rv)) == pos {
-						g.uf.Union(e, u, v)
-						e.Store(g.inMSF.Addr(i), 1)
-					} else {
-						slot := e.FetchAdd(ctl+24, 1)
-						e.Store(pending.Addr(slot), pos)
+					bar.Wait(e, &sense)
+					cnt := e.Load(ctl + 8)
+					if cnt == 0 {
+						return
 					}
+					// Reserve phase: lower sorted position wins each root.
+					swrt.Claim(e, ctl+16, cnt, 4, func(s uint64) {
+						pos, _, u, v := edge(e, s)
+						ru := g.uf.Find(e, u)
+						rv := g.uf.Find(e, v)
+						e.Work(2)
+						if ru == rv {
+							return
+						}
+						for _, r := range [2]uint64{ru, rv} {
+							for {
+								cur := e.Load(reserve.Addr(r))
+								e.Work(1)
+								if pos >= cur || e.CAS(reserve.Addr(r), cur, pos) {
+									break
+								}
+							}
+						}
+					})
+					bar.Wait(e, &sense)
+					if id == 0 {
+						e.Store(ctl+16, 0)
+					}
+					bar.Wait(e, &sense)
+					// Commit phase: winners of both roots union; losers retry.
+					swrt.Claim(e, ctl+16, cnt, 4, func(s uint64) {
+						pos, i, u, v := edge(e, s)
+						ru := g.uf.Find(e, u)
+						rv := g.uf.Find(e, v)
+						e.Work(2)
+						if ru == rv {
+							return // became redundant
+						}
+						if e.Load(reserve.Addr(ru)) == pos && e.Load(reserve.Addr(rv)) == pos {
+							g.uf.Union(e, u, v)
+							e.Store(g.inMSF.Addr(i), 1)
+						} else {
+							pending.Set(e, e.FetchAdd(ctl+24, 1), pos)
+						}
+					})
+					bar.Wait(e, &sense)
+					if id == 0 {
+						e.Store(ctl+16, 0)
+					}
+					bar.Wait(e, &sense)
+					// Reset the reservations touched this round (parallel).
+					swrt.Claim(e, ctl+16, cnt, 8, func(s uint64) {
+						_, _, u, v := edge(e, s)
+						e.Store(reserve.Addr(g.uf.Find(e, u)), noRes)
+						e.Store(reserve.Addr(g.uf.Find(e, v)), noRes)
+					})
+					bar.Wait(e, &sense)
+					// Rebuild the pending retries into the active list.
+					if id == 0 {
+						pcnt := e.Load(ctl + 24)
+						for s := uint64(0); s < pcnt; s++ {
+							e.Store(active.Addr(s), e.Load(pending.Addr(s)))
+						}
+						e.Store(ctl+8, pcnt)
+						e.Store(ctl+16, 0)
+						e.Store(ctl+24, 0)
+					}
+					bar.Wait(e, &sense)
 				}
 			}
-			bar.Wait(e, &sense)
-			if id == 0 {
-				e.Store(ctl+16, 0)
-			}
-			bar.Wait(e, &sense)
-			// Reset the reservations touched this round (parallel).
-			for {
-				s := e.FetchAdd(ctl+16, 8)
-				if s >= cnt {
-					break
-				}
-				top := s + 8
-				if top > cnt {
-					top = cnt
-				}
-				for ; s < top; s++ {
-					pos := e.Load(active.Addr(s))
-					i := e.Load(sorted.Addr(pos))
-					u := e.Load(g.eu.Addr(i))
-					v := e.Load(g.ev.Addr(i))
-					e.Store(reserve.Addr(g.uf.Find(e, u)), noRes)
-					e.Store(reserve.Addr(g.uf.Find(e, v)), noRes)
-				}
-			}
-			bar.Wait(e, &sense)
-			// Rebuild the pending retries into the active list.
-			if id == 0 {
-				pcnt := e.Load(ctl + 24)
-				for s := uint64(0); s < pcnt; s++ {
-					e.Store(active.Addr(s), e.Load(pending.Addr(s)))
-				}
-				e.Store(ctl+8, pcnt)
-				e.Store(ctl+16, 0)
-				e.Store(ctl+24, 0)
-			}
-			bar.Wait(e, &sense)
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return b.verify(load, g) },
 	}
-	return st.Cycles, b.verify(m.Mem().Load, g)
 }

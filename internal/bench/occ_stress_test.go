@@ -15,7 +15,7 @@ func TestOCCStressSeeds(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		for _, cores := range []int{2, 8} {
 			b := NewSilo(1, 80, seed) // single warehouse: maximum contention
-			if _, err := b.RunParallel(cores); err != nil {
+			if _, err := RunParallel(b, cores); err != nil {
 				t.Fatalf("seed %d cores %d: %v", seed, cores, err)
 			}
 		}

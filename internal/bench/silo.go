@@ -3,8 +3,9 @@ package bench
 import (
 	"sort"
 
+	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
+	"github.com/swarm-sim/swarm/internal/swrt"
 	"github.com/swarm-sim/swarm/internal/tpcc"
 )
 
@@ -140,7 +141,7 @@ func (b *Silo) SwarmApp() SwarmApp {
 
 		fns := make([]guest.TaskFn, siloNumFns)
 		fns[siloSpawn] = func(e guest.TaskEnv) {
-			spawnRangeTask(e, siloSpawn, func(e guest.TaskEnv, i uint64) {
+			frontier.SpawnRange(e, siloSpawn, func(e guest.TaskEnv, i uint64) {
 				e.EnqueueHinted(siloTxnRoot, i<<tsBits, hintTxn(i), [3]uint64{i})
 			})
 		}
@@ -214,10 +215,7 @@ func (b *Silo) SwarmApp() SwarmApp {
 			n := e.Load(base + 7*8)
 			ts := e.Timestamp()
 			e.Work(4)
-			end := j0 + 7
-			if end > n {
-				end = n
-			}
+			end := min(j0+guest.MaxChildren-1, n)
 			for j := j0; j < end; j++ {
 				e.EnqueueHinted(siloNoItemRead, ts+2+3*j, hintTxn(i), [3]uint64{i, packOidJ(oid, j)})
 			}
@@ -347,10 +345,7 @@ func (b *Silo) SwarmApp() SwarmApp {
 			d0 := e.Arg(1)
 			ts := e.Timestamp()
 			e.Work(4)
-			end := d0 + 7
-			if end > uint64(l.Scale.Districts) {
-				end = uint64(l.Scale.Districts)
-			}
+			end := min(d0+guest.MaxChildren-1, uint64(l.Scale.Districts))
 			for d := d0; d < end; d++ {
 				e.EnqueueHinted(siloDlvPop, ts+1+d*5, hintTxn(i), [3]uint64{i, d})
 			}
@@ -611,34 +606,33 @@ func (o *occEnv) commit() bool {
 	return true
 }
 
-// RunParallel implements Parallel: worker threads claim transactions from
-// a shared counter and run them under OCC, retrying on validation failure
-// (the wasted work that grows as warehouses shrink, Fig 13).
-func (b *Silo) RunParallel(nCores int) (uint64, error) {
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	l := tpcc.Pack(b.sc, b.txns, m.SetupAlloc, m.Mem().Store)
-	ctr := m.SetupAlloc(64)
-	n := uint64(len(b.txns))
-
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		for {
-			i := e.FetchAdd(ctr, 1)
-			if i >= n {
-				return
+// ParallelApp implements Parallel: worker threads claim transactions
+// from a shared counter and run them under OCC, retrying on validation
+// failure (the wasted work that grows as warehouses shrink, Fig 13).
+// Concurrent transactions commit in any serializable order, so Verify
+// compares the commutative aggregates against the reference.
+func (b *Silo) ParallelApp() ParallelApp {
+	var l *tpcc.Layout
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), _ uint64) guest.ThreadFn {
+			l = tpcc.Pack(b.sc, b.txns, alloc, store)
+			ctr := alloc(64)
+			return func(e guest.ThreadEnv) {
+				swrt.Claim(e, ctr, uint64(len(b.txns)), 1, func(i uint64) {
+					for attempt := 0; ; attempt++ {
+						occ := newOCC(e, l)
+						tpcc.ExecTxn(occ, l, i)
+						if occ.commit() {
+							return
+						}
+						e.Work(uint64(20 * (attempt + 1))) // backoff before retry
+					}
+				})
 			}
-			for attempt := 0; ; attempt++ {
-				occ := newOCC(e, l)
-				tpcc.ExecTxn(occ, l, i)
-				if occ.commit() {
-					break
-				}
-				e.Work(uint64(20 * (attempt + 1))) // backoff before retry
-			}
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error {
+			_, refLoad := tpcc.Reference(b.sc, b.txns)
+			return l.CompareCommutative(load, refLoad)
+		},
 	}
-	_, refLoad := tpcc.Reference(b.sc, b.txns)
-	return st.Cycles, l.CompareCommutative(m.Mem().Load, refLoad)
 }

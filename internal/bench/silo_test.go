@@ -20,7 +20,7 @@ func TestSiloSerial(t *testing.T) {
 func TestSiloParallelOCC(t *testing.T) {
 	b := NewSilo(2, 120, 5)
 	for _, cores := range []int{1, 4, 8} {
-		if _, err := b.RunParallel(cores); err != nil {
+		if _, err := RunParallel(b, cores); err != nil {
 			t.Fatalf("%d cores: %v", cores, err)
 		}
 	}
@@ -30,7 +30,7 @@ func TestSiloParallelOneWarehouse(t *testing.T) {
 	// One warehouse: heavy contention, many OCC aborts — must still be
 	// serializable.
 	b := NewSilo(1, 100, 9)
-	if _, err := b.RunParallel(8); err != nil {
+	if _, err := RunParallel(b, 8); err != nil {
 		t.Fatal(err)
 	}
 }

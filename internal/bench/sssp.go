@@ -3,7 +3,6 @@ package bench
 import (
 	"github.com/swarm-sim/swarm/internal/graph"
 	"github.com/swarm-sim/swarm/internal/guest"
-	"github.com/swarm-sim/swarm/internal/smp"
 	"github.com/swarm-sim/swarm/internal/swrt"
 )
 
@@ -134,92 +133,60 @@ func dijkstraSerial(app string, g *graph.Graph, src int, ref []uint64) SerialApp
 	}
 }
 
-// RunParallel implements Parallel: Bellman-Ford with shared round-based
+// ParallelApp implements Parallel: Bellman-Ford with shared round-based
 // worklists (as in the paper's Galois-derived baseline): threads relax
 // nodes out of priority order, revisiting nodes whose distance later
-// improves — wasted work in exchange for parallelism.
-func (b *SSSP) RunParallel(nCores int) (uint64, error) {
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
-	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
-	n := uint64(b.g.N)
-	// Worklists can exceed n (duplicates): size generously.
-	capacity := 4*n + 64
-	listA := swrt.NewArray(m.SetupAlloc, capacity)
-	listB := swrt.NewArray(m.SetupAlloc, capacity)
-	// Control block: [curBase, curCount, nextBase, nextCount, fetchIdx].
-	ctl := m.SetupAlloc(64)
-	bar := swrt.NewBarrier(m.SetupAlloc, uint64(nCores))
-	m.Mem().Store(ctl, listA.Base)
-	m.Mem().Store(ctl+8, 1)
-	m.Mem().Store(ctl+16, listB.Base)
-	m.Mem().Store(listA.Base, uint64(b.src))
-	m.Mem().Store(gc.DistAddr(uint64(b.src)), 0)
-
-	const chunk = 16
-	st, err := m.Run(func(e guest.ThreadEnv) {
-		var sense uint64
-		for {
-			curBase := e.Load(ctl)
-			curCount := e.Load(ctl + 8)
-			nextBase := e.Load(ctl + 16)
-			if curCount == 0 {
-				return
-			}
-			for {
-				start := e.FetchAdd(ctl+32, chunk)
-				if start >= curCount {
-					break
-				}
-				end := start + chunk
-				if end > curCount {
-					end = curCount
-				}
-				for fi := start; fi < end; fi++ {
-					u := e.Load(curBase + fi*8)
-					du := e.Load(gc.DistAddr(u))
-					lo := e.Load(gc.OffAddr(u))
-					hi := e.Load(gc.OffAddr(u + 1))
-					e.Work(2)
-					for i := lo; i < hi; i++ {
-						v := e.Load(gc.DstAddr(i))
-						w := e.Load(gc.WAddr(i))
-						nd := du + w
-						// Atomic relax; re-append on improvement
-						// (source of Bellman-Ford's wasted work).
-						for {
-							cur := e.Load(gc.DistAddr(v))
-							e.Work(1)
-							if nd >= cur {
-								break
-							}
-							if e.CAS(gc.DistAddr(v), cur, nd) {
-								slot := e.FetchAdd(ctl+24, 1)
-								if slot >= capacity {
-									panic("sssp: worklist overflow")
+// improves — wasted work in exchange for parallelism. Unreachable nodes
+// stay Unvisited, as in the reference.
+func (b *SSSP) ParallelApp() ParallelApp {
+	var gc graph.GuestCSR
+	return ParallelApp{
+		Build: func(alloc func(uint64) uint64, store func(addr, val uint64), threads uint64) guest.ThreadFn {
+			gc = graph.Pack(b.g, alloc, store)
+			src := uint64(b.src)
+			// Worklists can exceed n (duplicates): size generously.
+			wl := swrt.NewWorklist(alloc, store, 4*uint64(b.g.N)+64, []uint64{src})
+			bar := swrt.NewBarrier(alloc, threads)
+			store(gc.DistAddr(src), 0)
+			return func(e guest.ThreadEnv) {
+				var sense uint64
+				for {
+					r, ok := wl.Round(e)
+					if !ok {
+						return
+					}
+					wl.Drain(e, r, 16, func(u uint64) {
+						du := e.Load(gc.DistAddr(u))
+						lo := e.Load(gc.OffAddr(u))
+						hi := e.Load(gc.OffAddr(u + 1))
+						e.Work(2)
+						for i := lo; i < hi; i++ {
+							v := e.Load(gc.DstAddr(i))
+							w := e.Load(gc.WAddr(i))
+							nd := du + w
+							// Atomic relax; re-append on improvement
+							// (source of Bellman-Ford's wasted work).
+							for {
+								cur := e.Load(gc.DistAddr(v))
+								e.Work(1)
+								if nd >= cur {
+									break
 								}
-								e.Store(nextBase+slot*8, v)
-								break
+								if e.CAS(gc.DistAddr(v), cur, nd) {
+									wl.Push(e, r, v)
+									break
+								}
 							}
 						}
+					})
+					bar.Wait(e, &sense)
+					if e.ID() == 0 {
+						wl.Swap(e, r)
 					}
+					bar.Wait(e, &sense)
 				}
 			}
-			bar.Wait(e, &sense)
-			if e.ID() == 0 {
-				nc := e.Load(ctl + 24)
-				e.Store(ctl, nextBase)
-				e.Store(ctl+8, nc)
-				e.Store(ctl+16, curBase)
-				e.Store(ctl+24, 0)
-				e.Store(ctl+32, 0)
-			}
-			bar.Wait(e, &sense)
-		}
-	})
-	if err != nil {
-		return 0, err
+		},
+		Verify: func(load func(uint64) uint64) error { return verifyDist("sssp", load, gc, b.ref) },
 	}
-	// Bellman-Ford leaves Unvisited distances as Unvisited too; both
-	// conventions match (unreachable only).
-	return st.Cycles, verifyDist("sssp", m.Mem().Load, gc, b.ref)
 }

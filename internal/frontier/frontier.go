@@ -167,27 +167,26 @@ func (f *Frontier) ClearPending(e guest.TaskEnv, key uint64) {
 }
 
 // ---------------------------------------------------------------------------
-// Spawners: seeding a frontier with one entry per key.
+// Spawners: fanning an index range out as tasks (one frontier entry per
+// key, one task per edge, input or transaction).
 // ---------------------------------------------------------------------------
-
-// Fanout is the hardware child limit a spawner tree respects (§4.1).
-const Fanout = 8
 
 // SpawnRange is the body of a range-spawner task over [Arg(0), Arg(1)):
 // small ranges enqueue leaves directly, larger ones split into up to
-// Fanout sub-spawners at the parent's timestamp. spawnFn is the spawner's
-// own function id (so spawners re-enqueue themselves); leaf seeds one key.
+// guest.MaxChildren sub-spawners at the parent's timestamp, so no task
+// passes the hardware child limit (§4.1). spawnFn is the spawner's own
+// function id (so spawners re-enqueue themselves); leaf enqueues item i.
 func SpawnRange(e guest.TaskEnv, spawnFn guest.FnID, leaf func(e guest.TaskEnv, i uint64)) {
 	lo, hi := e.Arg(0), e.Arg(1)
 	n := hi - lo
 	e.Work(4)
-	if n <= Fanout {
+	if n <= guest.MaxChildren {
 		for i := lo; i < hi; i++ {
 			leaf(e, i)
 		}
 		return
 	}
-	chunk := (n + Fanout - 1) / Fanout
+	chunk := (n + guest.MaxChildren - 1) / guest.MaxChildren
 	for s := lo; s < hi; s += chunk {
 		end := s + chunk
 		if end > hi {

@@ -206,12 +206,13 @@ func TestSpawnRange(t *testing.T) {
 		t.Fatal("small range should not spawn sub-spawners")
 	}
 
-	// Large range: splits into <= Fanout sub-spawners covering [lo, hi).
+	// Large range: splits into <= guest.MaxChildren sub-spawners covering
+	// [lo, hi).
 	e2 := newFakeEnv()
 	e2.ts, e2.args = 5, [3]uint64{0, 100}
 	SpawnRange(e2, 9, leaf)
-	if len(e2.enq) == 0 || len(e2.enq) > Fanout {
-		t.Fatalf("split into %d sub-spawners, want 1..%d", len(e2.enq), Fanout)
+	if len(e2.enq) == 0 || len(e2.enq) > guest.MaxChildren {
+		t.Fatalf("split into %d sub-spawners, want 1..%d", len(e2.enq), guest.MaxChildren)
 	}
 	next := uint64(0)
 	for _, d := range e2.enq {

@@ -247,7 +247,7 @@ func (s *Suite) scalingPoint(b bench.Benchmark, nc int) (ScalingPoint, error) {
 	}
 	pt := ScalingPoint{Cores: nc, SwarmCycles: st.Cycles, SerialCycles: serial, Stats: st}
 	if pb, ok := b.(bench.Parallel); ok {
-		par, err := pb.RunParallel(nc)
+		par, err := bench.RunParallel(pb, nc)
 		if err != nil {
 			return ScalingPoint{}, fmt.Errorf("%s parallel @%dc: %w", b.Name(), nc, err)
 		}
@@ -314,7 +314,7 @@ func (s *Suite) Fig13(warehouses []int, cores, txns int) ([]SiloWarehousePoint, 
 			if err != nil {
 				return err
 			}
-			par, err := b.RunParallel(cores)
+			par, err := bench.RunParallel(b, cores)
 			if err != nil {
 				return err
 			}

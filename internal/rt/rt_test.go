@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
@@ -150,8 +151,10 @@ func TestDeterministicFinalMemory(t *testing.T) {
 	}
 }
 
-// TestContendedCounter hammers one word from many same-timestamp tasks:
-// conflicts must resolve by abort/retry with no lost updates.
+// TestContendedCounter hammers one word from many same-timestamp tasks
+// and checks that no update is lost. Whether two attempts actually
+// conflict depends on how the workers interleave; TestForcedAbort makes
+// the abort-and-retry path certain.
 func TestContendedCounter(t *testing.T) {
 	const cell = uint64(1 << 12)
 	const n = 400
@@ -169,6 +172,41 @@ func TestContendedCounter(t *testing.T) {
 	}
 	if got := r.Mem().Load(cell); got != n {
 		t.Errorf("cell = %d, want %d (lost updates)", got, n)
+	}
+}
+
+// TestForcedAbort drives the abort-and-retry path deterministically on
+// two workers. The task at ts 2 loads a word and, on its first attempt
+// only, signals the task at ts 1, which waits for that signal before it
+// stores the word. The ts-2 attempt has then read a value its
+// predecessor overwrites, so it must fail validation, abort and rerun
+// against the committed store.
+func TestForcedAbort(t *testing.T) {
+	const word, out = uint64(1 << 12), uint64(1<<12 + 64)
+	loaded := make(chan struct{})
+	var first sync.Once
+	store := func(e guest.TaskEnv) {
+		<-loaded
+		e.Store(word, 7)
+	}
+	load := func(e guest.TaskEnv) {
+		v := e.Load(word)
+		first.Do(func() { close(loaded) })
+		e.Store(out, v+1)
+	}
+	r, ps, err := runProgram(t, testConfig(t, 2, "rt"), []guest.TaskFn{store, load}, []string{"store", "load"},
+		[]guest.TaskDesc{{Fn: 0, TS: 1}, {Fn: 1, TS: 2}})
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if got := r.Mem().Load(word); got != 7 {
+		t.Errorf("word = %d, want 7", got)
+	}
+	if got := r.Mem().Load(out); got != 8 {
+		t.Errorf("out = %d, want 8 (the ts-2 task committed a stale read)", got)
+	}
+	if ps.Commits != 2 || ps.Aborts < 1 {
+		t.Errorf("commits = %d, aborts = %d; want 2 commits and at least 1 abort", ps.Commits, ps.Aborts)
 	}
 }
 

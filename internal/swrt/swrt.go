@@ -3,8 +3,9 @@
 // their costs — pointer chasing, cache misses, contention — are physically
 // modeled. The serial baselines use the heap and FIFO (the scheduling
 // structures whose false dependences motivate Swarm, §3); the
-// software-parallel baselines add spinlocks and barriers; Swarm guest code
-// shares the union-find and array helpers.
+// software-parallel baselines add spinlocks, barriers, the chunked claim
+// loop and the level-synchronous worklist; Swarm guest code shares the
+// union-find and array helpers.
 package swrt
 
 import "github.com/swarm-sim/swarm/internal/guest"
@@ -264,4 +265,81 @@ func (b Barrier) Wait(e guest.ThreadEnv, localSense *uint64) {
 	for e.Load(b.base+8) != *localSense {
 		e.Work(30) // poll with backoff to bound event counts
 	}
+}
+
+// Claim hands out the indices from the cursor word's value up to n among
+// the threads that call it, chunk at a time: each claim is one
+// fetch-and-add on the cursor, and body runs on every index of the
+// claimed chunk. Claim returns once a claim lands at or past n; reset the
+// cursor behind a barrier before the next loop over it.
+func Claim(e guest.ThreadEnv, cursor, n, chunk uint64, body func(i uint64)) {
+	for {
+		s := e.FetchAdd(cursor, chunk)
+		if s >= n {
+			return
+		}
+		for i, end := s, min(s+chunk, n); i < end; i++ {
+			body(i)
+		}
+	}
+}
+
+// Worklist is a double-buffered level-synchronous worklist in guest
+// memory: each round, threads drain the current list and push onto the
+// next, then one thread swaps the two between barriers. Its control line
+// is [curBase, curCount, nextBase, nextCount, cursor]; the line's last
+// three words are the caller's.
+type Worklist struct {
+	Ctl uint64 // the control line
+	cap uint64 // items per list
+}
+
+// NewWorklist allocates two lists of capacity items, then the control
+// line, and seeds the first round with seed (setup-time).
+func NewWorklist(alloc func(uint64) uint64, store func(addr, val uint64), capacity uint64, seed []uint64) Worklist {
+	cur, next := NewArray(alloc, capacity), NewArray(alloc, capacity)
+	w := Worklist{Ctl: alloc(64), cap: capacity}
+	for i, v := range seed {
+		store(cur.Addr(uint64(i)), v)
+	}
+	store(w.Ctl, cur.Base)
+	store(w.Ctl+8, uint64(len(seed)))
+	store(w.Ctl+16, next.Base)
+	return w
+}
+
+// Round is one thread's copy of a round's list bases and item count.
+type Round struct{ cur, count, next uint64 }
+
+// Round loads the current round's control words; ok is false when the
+// round is empty, which ends the loop.
+func (w Worklist) Round(e guest.ThreadEnv) (r Round, ok bool) {
+	r = Round{cur: e.Load(w.Ctl), count: e.Load(w.Ctl + 8), next: e.Load(w.Ctl + 16)}
+	return r, r.count != 0
+}
+
+// Drain claims the round's items chunk at a time and calls visit on each.
+func (w Worklist) Drain(e guest.ThreadEnv, r Round, chunk uint64, visit func(v uint64)) {
+	Claim(e, w.Ctl+32, r.count, chunk, func(i uint64) { visit(e.Load(r.cur + i*8)) })
+}
+
+// Push appends v to the next round's list.
+func (w Worklist) Push(e guest.ThreadEnv, r Round, v uint64) {
+	slot := e.FetchAdd(w.Ctl+24, 1)
+	if slot >= w.cap {
+		panic("swrt: worklist overflow")
+	}
+	e.Store(r.next+slot*8, v)
+}
+
+// Swap makes the next list current and empties the other. One thread
+// calls it, between the barrier that ends a round's drain and the one
+// that starts the next round.
+func (w Worklist) Swap(e guest.ThreadEnv, r Round) {
+	nc := e.Load(w.Ctl + 24)
+	e.Store(w.Ctl, r.next)
+	e.Store(w.Ctl+8, nc)
+	e.Store(w.Ctl+16, r.cur)
+	e.Store(w.Ctl+24, 0)
+	e.Store(w.Ctl+32, 0)
 }

@@ -2,8 +2,11 @@ package swrt
 
 import (
 	"container/heap"
+	"fmt"
+	"math/bits"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -231,5 +234,100 @@ func TestBarrierPhases(t *testing.T) {
 	}
 	if !ok {
 		t.Fatal("barrier let a thread run ahead")
+	}
+}
+
+// TestClaimCoversRangeOnce: across 8 threads, Claim hands out every index
+// of [0, n) exactly once, with a chunk that does not divide n.
+func TestClaimCoversRangeOnce(t *testing.T) {
+	const threads, n, chunk = 8, 1000, 7
+	m := smp.NewMachine(smp.DefaultConfig(threads))
+	cursor := m.SetupAlloc(64)
+	hits := NewArray(m.SetupAlloc, n)
+	claimers := make(map[int]bool)
+	_, err := m.Run(func(e guest.ThreadEnv) {
+		Claim(e, cursor, n, chunk, func(i uint64) {
+			e.FetchAdd(hits.Addr(i), 1)
+			claimers[e.ID()] = true
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if got := m.Mem().Load(hits.Addr(i)); got != 1 {
+			t.Fatalf("index %d claimed %d times, want once", i, got)
+		}
+	}
+	if len(claimers) < 2 {
+		t.Errorf("only %d of %d threads claimed work", len(claimers), threads)
+	}
+}
+
+// TestWorklistLevels drains a complete binary tree level by level: item
+// v pushes 2v and 2v+1, so round L must visit exactly [2^L, 2^(L+1)),
+// each item once. The round counter rides on the control line's spare
+// words, as bfs keeps its level there.
+func TestWorklistLevels(t *testing.T) {
+	const threads, levels = 4, 6
+	const n = 1 << levels // the tree's items are 1..n-1
+	m := smp.NewMachine(smp.DefaultConfig(threads))
+	wl := NewWorklist(m.SetupAlloc, m.Mem().Store, n/2, []uint64{1})
+	levelAddr := wl.Ctl + 40
+	seen := NewArray(m.SetupAlloc, n) // sum of (level+1) over v's visits
+	bar := NewBarrier(m.SetupAlloc, threads)
+	_, err := m.Run(func(e guest.ThreadEnv) {
+		var sense uint64
+		for {
+			r, ok := wl.Round(e)
+			level := e.Load(levelAddr)
+			if !ok {
+				return
+			}
+			wl.Drain(e, r, 3, func(v uint64) {
+				e.FetchAdd(seen.Addr(v), level+1)
+				if 2*v < n {
+					wl.Push(e, r, 2*v)
+					wl.Push(e, r, 2*v+1)
+				}
+			})
+			bar.Wait(e, &sense)
+			if e.ID() == 0 {
+				wl.Swap(e, r)
+				e.Store(levelAddr, level+1)
+			}
+			bar.Wait(e, &sense)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint64(1); v < n; v++ {
+		if got, want := m.Mem().Load(seen.Addr(v)), uint64(bits.Len64(v)); got != want {
+			t.Fatalf("item %d: visit record %d, want one visit in round %d", v, got, want-1)
+		}
+	}
+	if got := m.Mem().Load(levelAddr); got != levels {
+		t.Errorf("ran %d non-empty rounds, want %d", got, levels)
+	}
+}
+
+// TestWorklistPushPastCapacityPanics: a push past a list's capacity must
+// panic rather than write past the list.
+func TestWorklistPushPastCapacityPanics(t *testing.T) {
+	m := smp.NewMachine(smp.DefaultConfig(1))
+	wl := NewWorklist(m.SetupAlloc, m.Mem().Store, 2, []uint64{7})
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		m.Run(func(e guest.ThreadEnv) {
+			r, _ := wl.Round(e)
+			for v := uint64(0); v < 3; v++ {
+				wl.Push(e, r, v)
+			}
+		})
+	}()
+	if !strings.Contains(fmt.Sprint(got), "worklist overflow") {
+		t.Fatalf("third push into a 2-item list: recovered %v, want a worklist overflow panic", got)
 	}
 }
