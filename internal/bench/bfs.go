@@ -173,9 +173,10 @@ func (b *BFS) ParallelApp() ParallelApp {
 						for i := lo; i < hi; i++ {
 							v := e.Load(gc.DstAddr(i))
 							e.Work(1)
-							if e.Load(gc.DistAddr(v)) == graph.Unvisited &&
-								e.CAS(gc.DistAddr(v), graph.Unvisited, level+1) {
-								wl.Push(e, r, v)
+							if e.Load(gc.DistAddr(v)) == graph.Unvisited {
+								if e.CAS(gc.DistAddr(v), graph.Unvisited, level+1) {
+									wl.Push(e, r, v)
+								}
 							}
 						}
 					})

@@ -163,10 +163,14 @@ func (b *DES) SwarmApp() SwarmApp {
 		var spawn, input, eval, fan guest.FnID
 
 		// enqueueFanout schedules evaluations of gate gi's consumers in
-		// [lo, hi), chaining through the fanout spawner when they would
-		// pass the child limit.
+		// [lo, hi): up to guest.MaxChildren-1 directly, keeping the last
+		// child slot for the fanout spawner when more remain.
 		enqueueFanout := func(e guest.TaskEnv, lo, hi uint64) {
-			direct := min(hi-lo, guest.MaxChildren-1)
+			n := hi - lo
+			direct := n
+			if direct > guest.MaxChildren-1 {
+				direct = guest.MaxChildren - 1
+			}
 			for i := lo; i < lo+direct; i++ {
 				c := e.Load(g.foDst.Addr(i))
 				d := e.Load(g.delay.Addr(c))

@@ -272,9 +272,13 @@ func (b *KCore) ParallelApp() ParallelApp {
 						// unpeeled deg <= k.
 						swrt.Claim(e, ctl+16, n, 32, func(v uint64) {
 							e.Work(1)
-							if e.Load(gc.DistAddr(v)) == graph.Unvisited && e.Load(deg.Addr(v)) <= k {
+							if e.Load(gc.DistAddr(v)) != graph.Unvisited {
+								return
+							}
+							if e.Load(deg.Addr(v)) <= k {
 								e.Store(gc.DistAddr(v), k)
-								peeled.Set(e, e.FetchAdd(ctl+8, 1), v)
+								slot := e.FetchAdd(ctl+8, 1)
+								e.Store(peeled.Addr(slot), v)
 							}
 						})
 					}
@@ -302,7 +306,8 @@ func (b *KCore) ParallelApp() ParallelApp {
 							}
 							if old := e.FetchAdd(deg.Addr(w), ^uint64(0)); old == k+1 {
 								e.Store(gc.DistAddr(w), k)
-								peeled.Set(e, e.FetchAdd(ctl+8, 1), w)
+								slot := e.FetchAdd(ctl+8, 1)
+								e.Store(peeled.Addr(slot), w)
 							}
 						}
 					})

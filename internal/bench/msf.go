@@ -209,7 +209,13 @@ func (b *MSF) ParallelApp() ParallelApp {
 			active := swrt.NewArray(alloc, g.m)  // edge indices this round
 			pending := swrt.NewArray(alloc, g.m) // retries for next round
 			bar := swrt.NewBarrier(alloc, p)
-			round := min(max(g.m/8, 64*p), g.m) // edges examined per round (few barrier phases)
+			round := g.m / 8 // edges examined per round (few barrier phases)
+			if round < 64*p {
+				round = 64 * p
+			}
+			if round > g.m {
+				round = g.m
+			}
 
 			// edge loads the endpoints of the active list's s-th entry.
 			edge := func(e guest.ThreadEnv, s uint64) (pos, i, u, v uint64) {
@@ -222,7 +228,10 @@ func (b *MSF) ParallelApp() ParallelApp {
 				id := uint64(e.ID())
 				// --- parallel counting sort ---
 				chunk := (g.m + p - 1) / p
-				lo, hi := id*chunk, min((id+1)*chunk, g.m)
+				lo, hi := id*chunk, (id+1)*chunk
+				if hi > g.m {
+					hi = g.m
+				}
 				for w := uint64(0); w < 256; w++ {
 					e.Store(hists.Addr(id*256+w), 0)
 				}
@@ -291,7 +300,10 @@ func (b *MSF) ParallelApp() ParallelApp {
 							for {
 								cur := e.Load(reserve.Addr(r))
 								e.Work(1)
-								if pos >= cur || e.CAS(reserve.Addr(r), cur, pos) {
+								if pos >= cur {
+									break
+								}
+								if e.CAS(reserve.Addr(r), cur, pos) {
 									break
 								}
 							}
@@ -315,7 +327,8 @@ func (b *MSF) ParallelApp() ParallelApp {
 							g.uf.Union(e, u, v)
 							e.Store(g.inMSF.Addr(i), 1)
 						} else {
-							pending.Set(e, e.FetchAdd(ctl+24, 1), pos)
+							slot := e.FetchAdd(ctl+24, 1)
+							e.Store(pending.Addr(slot), pos)
 						}
 					})
 					bar.Wait(e, &sense)

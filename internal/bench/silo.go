@@ -215,7 +215,10 @@ func (b *Silo) SwarmApp() SwarmApp {
 			n := e.Load(base + 7*8)
 			ts := e.Timestamp()
 			e.Work(4)
-			end := min(j0+guest.MaxChildren-1, n)
+			end := j0 + guest.MaxChildren - 1
+			if end > n {
+				end = n
+			}
 			for j := j0; j < end; j++ {
 				e.EnqueueHinted(siloNoItemRead, ts+2+3*j, hintTxn(i), [3]uint64{i, packOidJ(oid, j)})
 			}
@@ -345,7 +348,10 @@ func (b *Silo) SwarmApp() SwarmApp {
 			d0 := e.Arg(1)
 			ts := e.Timestamp()
 			e.Work(4)
-			end := min(d0+guest.MaxChildren-1, uint64(l.Scale.Districts))
+			end := d0 + guest.MaxChildren - 1
+			if end > uint64(l.Scale.Districts) {
+				end = uint64(l.Scale.Districts)
+			}
 			for d := d0; d < end; d++ {
 				e.EnqueueHinted(siloDlvPop, ts+1+d*5, hintTxn(i), [3]uint64{i, d})
 			}
