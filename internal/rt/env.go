@@ -21,10 +21,10 @@ const opCap = 1 << 24
 type opCapPanic struct{}
 
 // taskEnv implements guest.TaskEnv for one task attempt: reads come from
-// the committed store (recorded in the read set), writes and child
-// enqueues stay buffered until commit. The DebugChecks commit-time
-// re-execution uses a second taskEnv and compares the buffered write,
-// child and free sets for divergence.
+// the committed store (recorded in the read set, except in the earliest
+// attempt), writes and child enqueues stay buffered until commit. The
+// DebugChecks commit-time re-execution uses a second taskEnv and compares
+// the buffered write, child and free sets for divergence.
 //
 // A taskEnv is an attempt buffer the scheduler recycles: it takes one from
 // its free list at dispatch, and gets it back when the attempt commits or
@@ -50,6 +50,9 @@ type taskEnv struct {
 	ops       uint64
 	forks     uint64 // fork indices handed out by this attempt
 	allocd    bool   // the attempt called Alloc (see Runtime.recheckLocked)
+	// earliest marks an attempt no uncommitted task precedes. Nothing can
+	// commit under it, so its loads keep no read set.
+	earliest bool
 }
 
 // readRec is the first value and version a task observed at an address.
@@ -171,7 +174,7 @@ func (e *taskEnv) reset(desc guest.TaskDesc) {
 	e.writeVals = e.writeVals[:0]
 	e.children = e.children[:0]
 	e.frees = e.frees[:0]
-	e.ops, e.forks, e.allocd = 0, 0, false
+	e.ops, e.forks, e.allocd, e.earliest = 0, 0, false, false
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -182,11 +185,16 @@ func (e *taskEnv) step(n uint64) {
 }
 
 // Load implements guest.Env: read-own-writes, then the read cache, then
-// the committed store (recording the observed version).
+// the committed store (recording the observed version). The earliest
+// attempt reads the store directly, since its words cannot change.
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
 	if i := e.writes.find(addr); i >= 0 {
 		return e.writeVals[i]
+	}
+	if e.earliest {
+		val, _ := e.r.store.read(addr)
+		return val
 	}
 	if i := e.reads.find(addr); i >= 0 {
 		return e.readRecs[i].val

@@ -240,7 +240,6 @@ func (r *Runtime) work(w int) {
 			return
 		}
 		finished = nil
-		t.env.reset(t.desc)
 		if panicked, pval := r.runBody(t.env); panicked {
 			r.sched.handlePanic(w, t, pval)
 			continue
@@ -273,9 +272,9 @@ func (r *Runtime) recheckLocked(t *task) error {
 	if t.env.allocd {
 		return nil
 	}
-	env := r.sched.getEnvLocked()
+	env := r.sched.getEnvLocked(t.desc)
 	defer r.sched.putEnvLocked(env)
-	env.reset(t.desc)
+	env.earliest = true // nothing commits while the lock is held
 	if panicked, pval := r.runBody(env); panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
@@ -207,6 +208,63 @@ func TestForcedAbort(t *testing.T) {
 	}
 	if ps.Commits != 2 || ps.Aborts < 1 {
 		t.Errorf("commits = %d, aborts = %d; want 2 commits and at least 1 abort", ps.Commits, ps.Aborts)
+	}
+}
+
+// TestEarliestAttemptKeepsNoReadSet: on two workers, the ts-1 task is
+// dispatched first, while nothing else runs, so it is the earliest
+// attempt and its load records nothing. It waits until the ts-2 task,
+// dispatched while ts 1 runs, has loaded the same word, and that load is
+// in ts 2's read set, for validation at its commit.
+func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
+	const word = uint64(1 << 12)
+	loaded := make(chan struct{})
+	var once sync.Once
+	var reads [2]int
+	first := func(e guest.TaskEnv) {
+		e.Load(word)
+		<-loaded
+		reads[0] = len(e.(*taskEnv).reads.addrs)
+	}
+	second := func(e guest.TaskEnv) {
+		e.Load(word)
+		reads[1] = len(e.(*taskEnv).reads.addrs)
+		once.Do(func() { close(loaded) })
+	}
+	_, ps, err := runProgram(t, testConfig(t, 2, "rt"), []guest.TaskFn{first, second}, []string{"first", "second"},
+		[]guest.TaskDesc{{Fn: 0, TS: 1}, {Fn: 1, TS: 2}})
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if reads != [2]int{0, 1} {
+		t.Errorf("read sets after the load: ts 1 holds %d, ts 2 holds %d; want 0 and 1", reads[0], reads[1])
+	}
+	if ps.Commits != 2 || ps.Aborts != 0 {
+		t.Errorf("commits = %d, aborts = %d; want 2 and 0", ps.Commits, ps.Aborts)
+	}
+}
+
+// TestDebugChecksCommitUnderEarliest: under DebugChecks, a commit while
+// a running attempt is marked earliest poisons the phase, since nothing
+// may commit under the earliest attempt.
+func TestDebugChecksCommitUnderEarliest(t *testing.T) {
+	cfg := testConfig(t, 2, "rt")
+	cfg.DebugChecks = true
+	r, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r.SetProgram([]guest.TaskFn{func(guest.TaskEnv) {}}, []string{"nop"})
+	s := r.sched
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.running[1] = &task{desc: guest.TaskDesc{TS: 1}, env: s.getEnvLocked(guest.TaskDesc{TS: 1})}
+	s.running[1].env.earliest = true
+	if s.commitLocked(&task{desc: guest.TaskDesc{TS: 2}, env: s.getEnvLocked(guest.TaskDesc{TS: 2})}) {
+		t.Fatal("a task committed under the earliest attempt")
+	}
+	if s.err == nil || !strings.Contains(s.err.Error(), "nop(ts=1) ran as the earliest attempt") {
+		t.Errorf("err = %v, want the earliest attempt named", s.err)
 	}
 }
 
@@ -651,35 +709,47 @@ func TestAllocsPerTask(t *testing.T) {
 // workers run ahead until the commit queue holds CommitQPerCore x Cores
 // finished attempts, and then wait (§4.7). Attempts already running when
 // the queue fills still join it, at most one per worker. UnboundedQueues
-// lifts the bound.
+// lifts the bound. The slow root stays slow by waiting for the quick
+// bodies to run: for a queue's worth of them when bounded, for all of
+// them when unbounded. Neither wait can stall, since nothing commits
+// under the root.
 func TestCommitQueueBound(t *testing.T) {
-	const array, arrayWords = uint64(1 << 24), uint64(1 << 17)
+	const base = uint64(1 << 24)
 	const quick, workers = 1024, 4
 	// Give every worker a thread, so the quick tasks run while the slow
 	// one does even on a one-CPU host.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(workers, runtime.GOMAXPROCS(0))))
-	slow := func(e guest.TaskEnv) {
-		sum := uint64(0)
-		for i := range arrayWords {
-			sum += e.Load(array + i*8)
-		}
-		e.Store(array, sum)
-	}
 	for _, unbounded := range []bool{false, true} {
 		cfg := testConfig(t, workers, "rt")
 		cfg.UnboundedQueues = unbounded
+		capacity := cfg.CommitQPerCore * cfg.Cores()
+		target := int64(capacity)
+		if unbounded {
+			target = quick
+		}
+		var ran atomic.Int64
+		slow := func(e guest.TaskEnv) {
+			for ran.Load() < target {
+				runtime.Gosched()
+			}
+			e.Store(base, 1)
+		}
+		inc := func(e guest.TaskEnv) {
+			ran.Add(1)
+			incArg0(e)
+		}
 		roots := []guest.TaskDesc{{Fn: 0}}
 		for i := range uint64(quick) {
-			roots = append(roots, guest.TaskDesc{Fn: 1, TS: 1 + i, Args: [3]uint64{array + (arrayWords+i)*8}})
+			roots = append(roots, guest.TaskDesc{Fn: 1, TS: 1 + i, Args: [3]uint64{base + (1+i)*8}})
 		}
-		r, ps, err := runProgram(t, cfg, []guest.TaskFn{slow, incArg0}, []string{"slow", "inc"}, roots)
+		r, ps, err := runProgram(t, cfg, []guest.TaskFn{slow, inc}, []string{"slow", "inc"}, roots)
 		if err != nil {
 			t.Fatalf("unbounded=%v: RunPhase: %v", unbounded, err)
 		}
 		if ps.Commits != quick+1 {
 			t.Fatalf("unbounded=%v: %d commits, want %d", unbounded, ps.Commits, quick+1)
 		}
-		peak, capacity := r.sched.peakCommitQ, cfg.CommitQPerCore*cfg.Cores()
+		peak := r.sched.peakCommitQ
 		t.Logf("unbounded=%v: commit queue peaked at %d, capacity %d", unbounded, peak, capacity)
 		if unbounded && peak <= capacity {
 			t.Errorf("unbounded: commit queue peaked at %d, want more than %d", peak, capacity)

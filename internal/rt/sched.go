@@ -318,7 +318,11 @@ func (s *sched) next(w int, finished *task) *task {
 			t := s.ready.pop()
 			s.running[w] = t
 			s.dequeues++
-			t.env = s.getEnvLocked()
+			t.env = s.getEnvLocked(t.desc)
+			// The ready minimum t is the earliest uncommitted task, the GVT
+			// task (§4.7), if no running attempt precedes it: the commit
+			// queue's head always waits on an earlier ready or running task.
+			t.env.earliest = s.minRunningLocked() == t
 			if s.runnableLocked() {
 				s.cond.Signal()
 			}
@@ -336,15 +340,16 @@ func (s *sched) next(w int, finished *task) *task {
 	return nil
 }
 
-// getEnvLocked takes an attempt buffer from the free list; the caller
-// resets it for its task.
-func (s *sched) getEnvLocked() *taskEnv {
+// getEnvLocked takes an attempt buffer from the free list, reset for an
+// attempt of desc.
+func (s *sched) getEnvLocked(desc guest.TaskDesc) *taskEnv {
 	n := len(s.envs)
 	if n == 0 {
-		return newTaskEnv(s.r, guest.TaskDesc{})
+		return newTaskEnv(s.r, desc)
 	}
 	e := s.envs[n-1]
 	s.envs = s.envs[:n-1]
+	e.reset(desc)
 	return e
 }
 
@@ -448,10 +453,11 @@ func (s *sched) drainLocked(run *task) {
 // precedes, and recycles its record and attempt buffer. A failed
 // validation aborts and requeues t instead, and commitLocked reports
 // false: t is again the minimum uncommitted task, so nothing else may
-// commit before its retry. That minimum can never be invalidated while
-// running (nothing may commit under it), so every task eventually
-// commits. A failed DebugChecks re-execution poisons the phase and also
-// reports false.
+// commit before its retry. Its retry runs as the earliest attempt, which
+// keeps no read set and so always validates: every task eventually
+// commits. A failed DebugChecks check poisons the phase and also reports
+// false: an earliest attempt still running, which t's commit would slip
+// under, or a diverging re-execution.
 func (s *sched) commitLocked(t *task) bool {
 	env := t.env
 	if !s.validLocked(env) {
@@ -459,6 +465,12 @@ func (s *sched) commitLocked(t *task) bool {
 		return false
 	}
 	if s.r.cfg.DebugChecks {
+		for _, run := range s.running {
+			if run != nil && run.env.earliest {
+				s.failLocked(s.r.taskErr(run, "ran as the earliest attempt while a task committed"))
+				return false
+			}
+		}
 		if err := s.r.recheckLocked(t); err != nil {
 			s.failLocked(err)
 			return false
