@@ -309,9 +309,12 @@ func (s *sched) runnableLocked() bool {
 func (s *sched) next(w int, finished *task) *task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// run is the earliest running attempt. Until this worker waits, only
+	// its own slot changes.
+	s.running[w] = nil
+	run := s.minRunningLocked()
 	if finished != nil {
-		s.running[w] = nil
-		s.retireLocked(finished)
+		s.retireLocked(finished, run)
 	}
 	for s.err == nil && !s.done {
 		if s.runnableLocked() {
@@ -322,20 +325,19 @@ func (s *sched) next(w int, finished *task) *task {
 			// The ready minimum t is the earliest uncommitted task, the GVT
 			// task (§4.7), if no running attempt precedes it: the commit
 			// queue's head always waits on an earlier ready or running task.
-			t.env.earliest = s.minRunningLocked() == t
+			t.env.earliest = run == nil || before(t, run)
 			if s.runnableLocked() {
 				s.cond.Signal()
 			}
 			return t
 		}
-		if s.ready.len() == 0 && len(s.commitQ) == 0 {
-			if s.minRunningLocked() == nil {
-				s.done = true
-				s.cond.Broadcast()
-				return nil
-			}
+		if s.ready.len() == 0 && len(s.commitQ) == 0 && run == nil {
+			s.done = true
+			s.cond.Broadcast()
+			return nil
 		}
 		s.cond.Wait()
+		run = s.minRunningLocked()
 	}
 	return nil
 }
@@ -416,10 +418,10 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // ready, running and queued task commits on the spot, skipping the commit
 // queue (at 1 worker every attempt does); any other, or any attempt of a
 // poisoned phase, joins the queue. Then whatever has become committable
-// commits. The running set cannot change meanwhile, so its minimum is
-// taken once.
-func (s *sched) retireLocked(t *task) {
-	run, first := s.minRunningLocked(), s.ready.min()
+// commits. run is the earliest running attempt, or nil; the running set
+// cannot change meanwhile.
+func (s *sched) retireLocked(t, run *task) {
+	first := s.ready.min()
 	if s.err != nil || run != nil && before(run, t) ||
 		first != nil && before(first, t) ||
 		len(s.commitQ) > 0 && before(s.commitQ[0], t) {
@@ -453,11 +455,10 @@ func (s *sched) drainLocked(run *task) {
 // precedes, and recycles its record and attempt buffer. A failed
 // validation aborts and requeues t instead, and commitLocked reports
 // false: t is again the minimum uncommitted task, so nothing else may
-// commit before its retry. Its retry runs as the earliest attempt, which
-// keeps no read set and so always validates: every task eventually
-// commits. A failed DebugChecks check poisons the phase and also reports
-// false: an earliest attempt still running, which t's commit would slip
-// under, or a diverging re-execution.
+// commit before its retry, which runs as the earliest attempt and always
+// validates. A failed DebugChecks check poisons the phase and also
+// reports false: a commit under an earliest attempt, or a diverging
+// re-execution.
 func (s *sched) commitLocked(t *task) bool {
 	env := t.env
 	if !s.validLocked(env) {
