@@ -214,8 +214,9 @@ func TestForcedAbort(t *testing.T) {
 // TestEarliestAttemptKeepsNoReadSet: on two workers, the ts-1 task is
 // dispatched first, while nothing else runs, so it is the earliest
 // attempt and its load records nothing. It waits until the ts-2 task,
-// dispatched while ts 1 runs, has loaded the same word, and that load is
-// in ts 2's read set, for validation at its commit.
+// dispatched while ts 1 runs, has loaded the same word twice. Those
+// loads are one entry in ts 2's read set, for validation at its commit;
+// the second is served from it.
 func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
 	const word = uint64(1 << 12)
 	loaded := make(chan struct{})
@@ -228,6 +229,7 @@ func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
 	}
 	second := func(e guest.TaskEnv) {
 		e.Load(word)
+		e.Load(word)
 		reads[1] = len(e.(*taskEnv).reads.addrs)
 		once.Do(func() { close(loaded) })
 	}
@@ -237,7 +239,7 @@ func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
 		t.Fatalf("RunPhase: %v", err)
 	}
 	if reads != [2]int{0, 1} {
-		t.Errorf("read sets after the load: ts 1 holds %d, ts 2 holds %d; want 0 and 1", reads[0], reads[1])
+		t.Errorf("read sets after the loads: ts 1 holds %d, ts 2 holds %d; want 0 and 1", reads[0], reads[1])
 	}
 	if ps.Commits != 2 || ps.Aborts != 0 {
 		t.Errorf("commits = %d, aborts = %d; want 2 and 0", ps.Commits, ps.Aborts)
