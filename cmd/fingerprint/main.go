@@ -19,12 +19,12 @@ import (
 	"hash"
 	"hash/fnv"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/harness"
 	"github.com/swarm-sim/swarm/internal/noc"
 )
 
@@ -43,20 +43,9 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if !core.ValidBackend(*backendFlag) {
-		fatal(fmt.Errorf("unknown backend %q (valid: %s)", *backendFlag, strings.Join(sortStrings(core.BackendNames()), ", ")))
-	}
-	var cores []int
-	for _, f := range strings.Split(*coresFlag, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(f))
-		if err != nil {
-			fatal(fmt.Errorf("bad -cores value %q: %w", f, err))
-		}
-		cores = append(cores, n)
-	}
-	names := bench.AppNames()
-	if *appsFlag != "all" {
-		names = strings.Split(*appsFlag, ",")
+	names, cores, err := validate(*appsFlag, *coresFlag, *mapperFlag, *backendFlag)
+	if err != nil {
+		fatal(err)
 	}
 
 	for _, name := range names {
@@ -79,12 +68,32 @@ func main() {
 	}
 }
 
-// sortStrings returns a sorted copy for alphabetical option lists in
-// error messages.
-func sortStrings(names []string) []string {
-	s := append([]string(nil), names...)
-	sort.Strings(s)
-	return s
+// validate checks the selector flags against the registries before any
+// cell runs, as the other CLIs do, and returns the app names and core
+// counts to sweep.
+func validate(apps, cores, mapper, backend string) ([]string, []int, error) {
+	names, err := harness.ResolveApps(apps)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := harness.ValidateMapper(mapper); err != nil {
+		return nil, nil, err
+	}
+	if err := harness.ValidateBackend(backend); err != nil {
+		return nil, nil, err
+	}
+	var counts []int
+	for _, f := range strings.Split(cores, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(f))
+		if err != nil {
+			return nil, nil, fmt.Errorf("bad -cores value %q: %w", f, err)
+		}
+		if err := harness.ValidateCores(n); err != nil {
+			return nil, nil, err
+		}
+		counts = append(counts, n)
+	}
+	return names, counts, nil
 }
 
 // cellLines fingerprints one (app, cores) cell. Single-phase apps emit

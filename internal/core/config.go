@@ -74,13 +74,6 @@ type Config struct {
 	// full policy list.
 	Mapper string
 
-	// LocalEnqueue is an ablation knob: send children to the parent's own
-	// tile instead of a random one. The paper's design uses random
-	// enqueues for load balance (§7: "distributed priority queues,
-	// load-balanced through random enqueues"); this knob quantifies what
-	// that choice buys.
-	LocalEnqueue bool
-
 	// MaxCycles aborts the simulation if exceeded (0 = no limit); a
 	// safety net against livelock bugs.
 	MaxCycles uint64
@@ -184,12 +177,6 @@ func (c *Config) validate() error {
 		if c.CommitQPerTile() < 1 {
 			return fmt.Errorf("core: commit queue must have at least one entry per tile")
 		}
-	}
-	if c.LocalEnqueue && c.Mapper != "" && c.Mapper != "random" {
-		// LocalEnqueue is an ablation of the random policy; under any
-		// other mapper it would be silently ignored, so reject the
-		// contradictory pair instead.
-		return fmt.Errorf("core: LocalEnqueue only applies to the random mapper, not %q", c.Mapper)
 	}
 	// Keep cache geometry in sync with the machine size.
 	c.Cache.Tiles = c.Tiles

@@ -10,8 +10,8 @@ import (
 
 // Golden property tests under adversarial configurations: the same random
 // chaos programs as TestGoldenRandomPrograms, but with tiny Bloom filters
-// (constant false positives), idealized queues/memory, local enqueues, and
-// single-core machines. All must match sequential timestamp-order
+// (constant false positives), idealized queues/memory, and single-core
+// machines. All must match sequential timestamp-order
 // execution exactly.
 
 func goldenConfigVariants() map[string]Config {
@@ -42,7 +42,6 @@ func goldenConfigVariants() map[string]Config {
 	})
 	out["precise"] = mk(func(c *Config) { c.Bloom = bloom.Config{Precise: true} })
 	out["unbounded"] = mk(func(c *Config) { c.UnboundedQueues = true })
-	out["local-enqueue"] = mk(func(c *Config) { c.LocalEnqueue = true })
 	out["single-core"] = mk(func(c *Config) { c.Tiles = 1; c.CoresPerTile = 1 })
 	zl := mk(func(c *Config) {})
 	zl.Cache.ZeroLatency = true
@@ -152,65 +151,4 @@ func TestBloomSizeOnlyAffectsTiming(t *testing.T) {
 		t.Errorf("64-bit filters aborted less (%d) than precise (%d)?", aborts[0], aborts[2])
 	}
 	t.Logf("aborts by config: 64b=%d 2048b=%d precise=%d", aborts[0], aborts[1], aborts[2])
-}
-
-// TestLocalEnqueueImbalance: the random-placement design choice must show
-// up as a measurable load-balance benefit on a fan-out workload (the
-// ablation DESIGN.md calls out).
-func TestLocalEnqueueImbalance(t *testing.T) {
-	build := func() *Program {
-		var out uint64
-		return &Program{
-			Fns: []guest.TaskFn{
-				func(e guest.TaskEnv) { // root chain spawns all work from one tile
-					i := e.Arg(0)
-					e.Store(out+i*8, e.Timestamp())
-					e.Work(60)
-					if i < 400 {
-						e.Enqueue(0, e.Timestamp()+1, i+1)
-					}
-				},
-			},
-			Setup: func(m *Machine) {
-				out = m.SetupAlloc(8 * 401)
-				m.EnqueueRoot(0, 0, 0)
-			},
-		}
-	}
-	// A serial chain cannot show imbalance; use a tree instead.
-	buildTree := func() *Program {
-		var out uint64
-		return &Program{
-			Fns: []guest.TaskFn{
-				func(e guest.TaskEnv) {
-					i := e.Arg(0)
-					e.Store(out+i*8, 1)
-					e.Work(100)
-					l, r := 2*i+1, 2*i+2
-					if l < 511 {
-						e.Enqueue(0, e.Timestamp()+1, l)
-					}
-					if r < 511 {
-						e.Enqueue(0, e.Timestamp()+1, r)
-					}
-				},
-			},
-			Setup: func(m *Machine) {
-				out = m.SetupAlloc(8 * 512)
-				m.EnqueueRoot(0, 0, 0)
-			},
-		}
-	}
-	_ = build
-	random := DefaultConfig(16)
-	stR, _ := runProgram(t, random, buildTree())
-	local := DefaultConfig(16)
-	local.LocalEnqueue = true
-	stL, _ := runProgram(t, local, buildTree())
-	t.Logf("binary-tree fanout on 16 cores: random placement %d cycles, local placement %d cycles",
-		stR.Cycles, stL.Cycles)
-	if stR.Cycles >= stL.Cycles {
-		t.Errorf("random enqueue placement (%d cycles) should beat local placement (%d): all local work stays on one tile",
-			stR.Cycles, stL.Cycles)
-	}
 }

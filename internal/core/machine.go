@@ -224,9 +224,6 @@ func (m *Machine) Mem() *mem.Memory { return m.gmem }
 // (initialization is outside the measured region).
 func (m *Machine) SetupAlloc(nBytes uint64) uint64 { return m.heap.AllocLineAligned(nBytes) }
 
-// Now returns the current cycle.
-func (m *Machine) Now() uint64 { return m.eng.Now() }
-
 // EnqueueRoot inserts a parentless task during Setup (zero cost).
 func (m *Machine) EnqueueRoot(fn guest.FnID, ts uint64, args ...uint64) {
 	d := guest.TaskDesc{Fn: fn, TS: ts}
@@ -396,7 +393,6 @@ func (m *Machine) newTask(d guest.TaskDesc, tileID int, parent *task) *task {
 	t.allocToken = m.nextToken()
 	if parent != nil {
 		t.parent = parent
-		guest.CheckChildren(len(parent.children))
 		parent.children = append(parent.children, t)
 	}
 	t.rs = m.getFilter()

@@ -46,19 +46,12 @@ func newMapper(name string) (mapper, error) {
 }
 
 // randomMapper reproduces the paper's uniform-random enqueue placement.
-// The rng draw happens even when LocalEnqueue overrides the target, so the
-// machine's random stream — and therefore every simulated outcome — is
-// bit-identical to the pre-mapper implementation.
 type randomMapper struct{}
 
 func (*randomMapper) name() string { return "random" }
 
-func (*randomMapper) place(m *Machine, _ guest.TaskDesc, src int) int {
-	target := m.rng.Intn(m.cfg.Tiles)
-	if m.cfg.LocalEnqueue && src >= 0 {
-		return src
-	}
-	return target
+func (*randomMapper) place(m *Machine, _ guest.TaskDesc, _ int) int {
+	return m.rng.Intn(m.cfg.Tiles)
 }
 
 // hintTile is the home tile of a spatial hint key: a fixed 64-bit mix

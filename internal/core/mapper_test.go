@@ -31,18 +31,6 @@ func TestNewMapperNames(t *testing.T) {
 	} else if want := `core: unknown backend "native" (valid: rt, rt-conservative, sim)`; err.Error() != want {
 		t.Errorf("error text:\n got: %s\nwant: %s", err, want)
 	}
-	// LocalEnqueue is a random-policy ablation: pairing it with any other
-	// mapper must be rejected, not silently ignored.
-	cfg := DefaultConfig(4)
-	cfg.LocalEnqueue = true
-	cfg.Mapper = "hint"
-	if err := cfg.validate(); err == nil {
-		t.Error("LocalEnqueue + hint mapper should fail validation")
-	}
-	cfg.Mapper = "random"
-	if err := cfg.validate(); err != nil {
-		t.Errorf("LocalEnqueue + random mapper should validate: %v", err)
-	}
 }
 
 func TestHintTile(t *testing.T) {

@@ -9,7 +9,9 @@
 // guests interleave: Swarm cores, baseline threads), and direct execution,
 // where the simulator embeds an Env that applies operations inline (used
 // for single-threaded serial baselines and the oracle profiler, which need
-// no interleaving).
+// no interleaving). Every engine's TaskEnv — the coroutine's, swarm-rt's
+// attempt buffer, the oracle's profiler — embeds Attempt, the one
+// implementation of §4.1's task rules.
 //
 // Guest code obeys a purity contract: between surrendered operations a
 // body touches only coroutine-local state (locals, its Env, read-only
@@ -190,40 +192,93 @@ type TaskEnv interface {
 // NoHint marks an EnqueueSub child with no spatial hint key.
 const NoHint = ^uint64(0)
 
-// PackArgs copies an Enqueue or Fork argument list into a descriptor's
-// argument words. It panics when the list is longer: a task that needs
-// more words allocates memory for them (§4.1). Every TaskEnv calls it, so
-// all backends and the oracle reject the same enqueues.
-func PackArgs(args []uint64) (a [3]uint64) {
-	if len(args) > len(a) {
-		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
-	}
-	copy(a[:], args)
-	return a
-}
-
-// CheckChildTS panics when a child's timestamp precedes its parent's: a
-// task enqueues children at or after its own timestamp. Every TaskEnv
-// calls it on EnqueueArgs and EnqueueHinted.
-func CheckChildTS(child, parent uint64) {
-	if child < parent {
-		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", child, parent))
-	}
-}
-
 // MaxChildren is the hardware limit on the children one task attempt may
 // enqueue, forks included (§4.1): the commit queue keeps a pointer to
 // each so an abort can find them.
 const MaxChildren = 8
 
-// CheckChildren panics when a task attempt that has already enqueued n
-// children would pass MaxChildren with one more; a task that needs more
-// enqueues a spawner task (§4.1). The simulator, the native runtime and
-// the oracle all call it, so they reject the same programs.
-func CheckChildren(n int) {
-	if n >= MaxChildren {
-		panic(fmt.Sprintf("guest: task exceeded the %d-child hardware limit; enqueue a spawner task instead (§4.1)", MaxChildren))
+// Attempt implements the task side of TaskEnv once for every engine:
+// argument packing, the child-timestamp check, nested-path inheritance,
+// per-attempt fork numbering, hint tagging and the MaxChildren limit
+// (§4.1). An engine's TaskEnv embeds it beside its memory operations,
+// calls Begin at the start of every attempt, and takes each accepted
+// child through its ChildSink, so every engine rejects the same programs.
+type Attempt struct {
+	desc     TaskDesc
+	forks    uint64 // fork indices handed out by this attempt
+	children int    // children accepted by this attempt, forks included
+	sink     ChildSink
+}
+
+// ChildSink takes the children an Attempt accepts, in enqueue order.
+type ChildSink interface {
+	AddChild(d TaskDesc)
+}
+
+// Begin starts an attempt of desc whose children go to sink. Fork
+// indices restart at zero, so a retried task forks an identical subtree.
+// Fields are assigned one by one: a struct literal would zero and copy a
+// temporary, and swarm-rt calls Begin under its scheduler lock.
+func (a *Attempt) Begin(desc TaskDesc, sink ChildSink) {
+	a.desc, a.forks, a.children, a.sink = desc, 0, 0, sink
+}
+
+func (a *Attempt) Timestamp() uint64 { return a.desc.TS }
+func (a *Attempt) Arg(i int) uint64  { return a.desc.Args[i] }
+
+func (a *Attempt) Enqueue(fn FnID, ts uint64, args ...uint64) {
+	a.EnqueueArgs(fn, ts, packArgs(args))
+}
+
+func (a *Attempt) EnqueueArgs(fn FnID, ts uint64, args [3]uint64) {
+	a.admit(ts)
+	a.sink.AddChild(TaskDesc{Fn: fn, TS: ts, Path: a.desc.Path, Args: args})
+}
+
+func (a *Attempt) EnqueueHinted(fn FnID, ts uint64, hint uint64, args [3]uint64) {
+	a.admit(ts)
+	a.sink.AddChild(TaskDesc{Fn: fn, TS: ts, Path: a.desc.Path, Args: args}.WithHint(hint))
+}
+
+func (a *Attempt) Fork(fn FnID, args ...uint64) {
+	a.EnqueueSub(fn, NoHint, packArgs(args))
+}
+
+func (a *Attempt) EnqueueSub(fn FnID, hint uint64, args [3]uint64) {
+	d := TaskDesc{Fn: fn, TS: a.desc.TS, Path: a.desc.Path.Child(a.forks), Args: args}
+	a.forks++
+	if hint != NoHint {
+		d = d.WithHint(hint)
 	}
+	a.admit(d.TS)
+	a.sink.AddChild(d)
+}
+
+// admit counts a child at ts under §4.1's rules. It inlines, so each
+// enqueue method builds its child straight into the sink call.
+func (a *Attempt) admit(ts uint64) {
+	if ts < a.desc.TS || a.children >= MaxChildren {
+		a.reject(ts)
+	}
+	a.children++
+}
+
+// reject panics with the rule a child at ts breaks.
+func (a *Attempt) reject(ts uint64) {
+	if ts < a.desc.TS {
+		panic(fmt.Sprintf("guest: child timestamp %d before parent %d", ts, a.desc.TS))
+	}
+	panic(fmt.Sprintf("guest: task exceeded the %d-child hardware limit; enqueue a spawner task instead (§4.1)", MaxChildren))
+}
+
+// packArgs copies an Enqueue or Fork argument list into a descriptor's
+// argument words; a task that needs more allocates memory for them.
+func packArgs(args []uint64) (a [3]uint64) {
+	if len(args) > len(a) {
+		panic("guest: task descriptors hold at most 3 argument words; allocate memory for more (§4.1)")
+	}
+	copy(a[:], args)
+	return a
 }
 
 // ThreadEnv is the environment visible to a software-baseline thread.
@@ -319,8 +374,7 @@ func (co *Coroutine) taskSeq(yield func(Op) bool) {
 	co.yieldFn = yield
 	for {
 		j := co.job
-		co.env.desc = j.desc
-		co.env.forks = 0
+		co.env.Begin(j.desc, &co.env)
 		if runGuest(func() { j.fn(&co.env) }) {
 			if !yield(Op{Kind: OpAborted}) {
 				return
@@ -358,7 +412,7 @@ func (co *Coroutine) Recycle() {
 	// Drop the finished body's closure so a parked coroutine does not keep
 	// its machine's guest state reachable for the process lifetime.
 	co.job = taskJob{}
-	co.env.desc = TaskDesc{}
+	co.env.Attempt = Attempt{}
 	taskPool.Lock()
 	taskPool.free = append(taskPool.free, co)
 	taskPool.Unlock()
@@ -424,40 +478,15 @@ func (e *coEnv) Work(n uint64) {
 func (e *coEnv) Alloc(n uint64) uint64 { return e.exec(Op{Kind: OpAlloc, N: n}).Val }
 func (e *coEnv) Free(addr, n uint64)   { e.exec(Op{Kind: OpFree, Addr: addr, N: n}) }
 
+// coTaskEnv is a pooled coroutine's TaskEnv: each child its Attempt
+// accepts is surrendered as an OpEnqueue.
 type coTaskEnv struct {
 	coEnv
-	desc  TaskDesc
-	forks uint64 // fork indices handed out by this body run
+	Attempt
 }
 
-func (e *coTaskEnv) Timestamp() uint64 { return e.desc.TS }
-func (e *coTaskEnv) Arg(i int) uint64  { return e.desc.Args[i] }
-func (e *coTaskEnv) Enqueue(fn FnID, ts uint64, args ...uint64) {
-	e.EnqueueArgs(fn, ts, PackArgs(args))
-}
-
-func (e *coTaskEnv) EnqueueArgs(fn FnID, ts uint64, args [3]uint64) {
-	CheckChildTS(ts, e.desc.TS)
-	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}})
-}
-
-func (e *coTaskEnv) EnqueueHinted(fn FnID, ts uint64, hint uint64, args [3]uint64) {
-	CheckChildTS(ts, e.desc.TS)
-	e.exec(Op{Kind: OpEnqueue, Task: TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint)})
-}
-
-func (e *coTaskEnv) Fork(fn FnID, args ...uint64) {
-	e.EnqueueSub(fn, NoHint, PackArgs(args))
-}
-
-func (e *coTaskEnv) EnqueueSub(fn FnID, hint uint64, args [3]uint64) {
-	d := TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
-	e.forks++
-	if hint != NoHint {
-		d = d.WithHint(hint)
-	}
-	e.exec(Op{Kind: OpEnqueue, Task: d})
-}
+// AddChild implements ChildSink.
+func (e *coTaskEnv) AddChild(d TaskDesc) { e.exec(Op{Kind: OpEnqueue, Task: d}) }
 
 type coThreadEnv struct {
 	coEnv

@@ -1,6 +1,9 @@
 package guest
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // drive runs a coroutine to completion, answering ops with the given
 // function, and returns the ops observed.
@@ -118,6 +121,56 @@ func TestTooManyArgsPanics(t *testing.T) {
 		e.Enqueue(0, 10, 1, 2, 3, 4)
 	}, TaskDesc{TS: 10})
 	drive(co, func(Op) Result { return Result{} })
+}
+
+// childLog is a ChildSink that records the children an Attempt accepts.
+type childLog []TaskDesc
+
+func (l *childLog) AddChild(d TaskDesc) { *l = append(*l, d) }
+
+// TestAttemptChildren pins the enqueue rules every engine's TaskEnv
+// embeds: plain enqueues inherit the parent's path, forks take the next
+// per-attempt index below it, hints tag the descriptor, the ninth child
+// of an attempt panics, and Begin restarts the fork index and the count.
+func TestAttemptChildren(t *testing.T) {
+	parent := TaskDesc{TS: 7}.Sub(3)
+	var log childLog
+	var a Attempt
+	a.Begin(parent, &log)
+	a.Enqueue(1, 9, 5)
+	a.EnqueueHinted(1, 8, 42, [3]uint64{6})
+	a.Fork(2, 1, 2)
+	a.EnqueueSub(2, 43, [3]uint64{})
+	a.EnqueueSub(2, NoHint, [3]uint64{4})
+	want := []TaskDesc{
+		{Fn: 1, TS: 9, Path: parent.Path, Args: [3]uint64{5}},
+		TaskDesc{Fn: 1, TS: 8, Path: parent.Path, Args: [3]uint64{6}}.WithHint(42),
+		TaskDesc{Fn: 2, TS: 7, Path: parent.Path, Args: [3]uint64{1, 2}}.Sub(0),
+		TaskDesc{Fn: 2, TS: 7, Path: parent.Path}.Sub(1).WithHint(43),
+		TaskDesc{Fn: 2, TS: 7, Path: parent.Path, Args: [3]uint64{4}}.Sub(2),
+	}
+	if !slices.Equal(log, want) {
+		t.Fatalf("children = %+v, want %+v", log, want)
+	}
+	for len(log) < MaxChildren {
+		a.Enqueue(1, 7)
+	}
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		a.Fork(2)
+		return nil
+	}()
+	if got != "guest: task exceeded the 8-child hardware limit; enqueue a spawner task instead (§4.1)" {
+		t.Fatalf("ninth child: recovered %v", got)
+	}
+	log = log[:0]
+	a.Begin(parent, &log)
+	for range MaxChildren {
+		a.Fork(2)
+	}
+	if log[0] != (TaskDesc{Fn: 2, TS: 7, Path: parent.Path}.Sub(0)) {
+		t.Fatalf("first fork after Begin = %+v", log[0])
+	}
 }
 
 func TestThreadProtocol(t *testing.T) {

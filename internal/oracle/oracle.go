@@ -75,18 +75,16 @@ func (h *profHeap) Pop() any {
 
 // profEnv implements guest.TaskEnv over a host map, recording footprints.
 type profEnv struct {
+	guest.Attempt
 	mem   map[uint64]uint64
 	brk   uint64
 	queue profHeap
 	seq   uint64
 
-	desc     guest.TaskDesc
-	curIdx   int
-	instrs   uint64
-	forks    uint64
-	children int // children enqueued by the running task, forks included
-	reads    map[uint64]struct{}
-	writes   map[uint64]struct{}
+	curIdx int
+	instrs uint64
+	reads  map[uint64]struct{}
+	writes map[uint64]struct{}
 }
 
 func newProfEnv() *profEnv {
@@ -95,8 +93,6 @@ func newProfEnv() *profEnv {
 
 func (p *profEnv) resetTask() {
 	p.instrs = 0
-	p.forks = 0
-	p.children = 0
 	p.reads = make(map[uint64]struct{})
 	p.writes = make(map[uint64]struct{})
 }
@@ -130,47 +126,9 @@ func (p *profEnv) Alloc(n uint64) uint64 { p.instrs += 4; return p.allocSetup(n)
 // Free implements guest.Env.
 func (p *profEnv) Free(uint64, uint64) { p.instrs += 4 }
 
-// Timestamp implements guest.TaskEnv.
-func (p *profEnv) Timestamp() uint64 { return p.desc.TS }
-
-// Arg implements guest.TaskEnv.
-func (p *profEnv) Arg(i int) uint64 { return p.desc.Args[i] }
-
-// Enqueue implements guest.TaskEnv.
-func (p *profEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	p.EnqueueArgs(fn, ts, guest.PackArgs(args))
-}
-
-// EnqueueArgs implements guest.TaskEnv. Children inherit the parent's
-// nested path verbatim (matching the machine backends).
-func (p *profEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
-	guest.CheckChildTS(ts, p.desc.TS)
-	p.push(guest.TaskDesc{Fn: fn, TS: ts, Path: p.desc.Path, Args: args})
-}
-
-// EnqueueHinted implements guest.TaskEnv; the oracle's idealized scheduler
-// has no tiles, so the hint is dropped.
-func (p *profEnv) EnqueueHinted(fn guest.FnID, ts uint64, _ uint64, args [3]uint64) {
-	p.EnqueueArgs(fn, ts, args)
-}
-
-// Fork implements guest.TaskEnv.
-func (p *profEnv) Fork(fn guest.FnID, args ...uint64) {
-	p.EnqueueSub(fn, guest.NoHint, guest.PackArgs(args))
-}
-
-// EnqueueSub implements guest.TaskEnv: the child lands inside the
-// parent's timestamp slot at the next fork index, so the profiler's
-// serial schedule interleaves it exactly where the machines commit it.
-func (p *profEnv) EnqueueSub(fn guest.FnID, _ uint64, args [3]uint64) {
-	p.push(guest.TaskDesc{Fn: fn, TS: p.desc.TS, Path: p.desc.Path.Child(p.forks), Args: args})
-	p.forks++
-}
-
-// push queues a child of the running task, within the §4.1 limit.
-func (p *profEnv) push(d guest.TaskDesc) {
-	guest.CheckChildren(p.children)
-	p.children++
+// AddChild implements guest.ChildSink: the child joins the profile queue,
+// where the serial schedule runs it exactly where the machines commit it.
+func (p *profEnv) AddChild(d guest.TaskDesc) {
 	p.instrs++
 	p.seq++
 	heap.Push(&p.queue, profItem{desc: d, seq: p.seq, parent: p.curIdx})
@@ -200,7 +158,7 @@ func ProfileTasks(build BuildFn, maxTasks int) *Profile {
 	prof := &Profile{}
 	for env.queue.Len() > 0 {
 		it := heap.Pop(&env.queue).(profItem)
-		env.desc = it.desc
+		env.Begin(it.desc, env)
 		env.curIdx = len(prof.Tasks)
 		env.resetTask()
 		fns[it.desc.Fn](env)

@@ -148,33 +148,62 @@ func TestProfileSerialExcludesPrologue(t *testing.T) {
 
 // TestRejectsWhatMachinesReject: an enqueue the machines refuse — a 4th
 // argument word through Enqueue or Fork, a child timestamp below the
-// parent's through EnqueueArgs or EnqueueHinted, or a ninth child — makes
-// ProfileTasks panic with the simulator's own message instead of
-// profiling a program no backend can run.
+// parent's through EnqueueArgs or EnqueueHinted, or a ninth child, even
+// one the simulator's GVT task overflows to memory — makes ProfileTasks
+// panic with the simulator's own message instead of profiling a program
+// no backend can run.
 func TestRejectsWhatMachinesReject(t *testing.T) {
-	cases := map[string]func(e guest.TaskEnv, fn guest.FnID){
-		"enqueue-4-args": func(e guest.TaskEnv, fn guest.FnID) { e.Enqueue(fn, 11, 1, 2, 3, 4) },
-		"fork-4-args":    func(e guest.TaskEnv, fn guest.FnID) { e.Fork(fn, 1, 2, 3, 4) },
-		"args-early-ts":  func(e guest.TaskEnv, fn guest.FnID) { e.EnqueueArgs(fn, 9, [3]uint64{}) },
-		"hinted-early-ts": func(e guest.TaskEnv, fn guest.FnID) {
-			e.EnqueueHinted(fn, 9, 0, [3]uint64{})
-		},
-		"nine-children": func(e guest.TaskEnv, fn guest.FnID) {
-			for range guest.MaxChildren {
-				e.Enqueue(fn, 11)
-			}
-			e.Fork(fn)
-		},
-	}
-	for name, bad := range cases {
-		build := func(b *guest.AppBuild) []guest.TaskDesc {
+	// parentAt10 builds a one-root program whose ts-10 task runs bad.
+	parentAt10 := func(bad func(e guest.TaskEnv, fn guest.FnID)) BuildFn {
+		return func(b *guest.AppBuild) []guest.TaskDesc {
 			var leaf guest.FnID
 			parent := b.Fn("parent", func(e guest.TaskEnv) { bad(e, leaf) })
 			leaf = b.Fn("leaf", func(guest.TaskEnv) {})
 			return []guest.TaskDesc{{Fn: parent, TS: 10}}
 		}
+	}
+	cases := map[string]struct {
+		cores int
+		build BuildFn
+	}{
+		"enqueue-4-args": {1, parentAt10(func(e guest.TaskEnv, fn guest.FnID) { e.Enqueue(fn, 11, 1, 2, 3, 4) })},
+		"fork-4-args":    {1, parentAt10(func(e guest.TaskEnv, fn guest.FnID) { e.Fork(fn, 1, 2, 3, 4) })},
+		"args-early-ts":  {1, parentAt10(func(e guest.TaskEnv, fn guest.FnID) { e.EnqueueArgs(fn, 9, [3]uint64{}) })},
+		"hinted-early-ts": {1, parentAt10(func(e guest.TaskEnv, fn guest.FnID) {
+			e.EnqueueHinted(fn, 9, 0, [3]uint64{})
+		})},
+		"nine-children": {1, parentAt10(func(e guest.TaskEnv, fn guest.FnID) {
+			for range guest.MaxChildren {
+				e.Enqueue(fn, 11)
+			}
+			e.Fork(fn)
+		})},
+		// The GVT task's children overflow to memory while its tile queue
+		// is full, so the limit must hold where they never become tasks:
+		// a depth-4 eight-way fan-out keeps the 4-core tile's 256-entry
+		// queue full of speculative tasks while the ts-0 task enqueues.
+		"nine-overflowed-children": {4, func(b *guest.AppBuild) []guest.TaskDesc {
+			var leaf, fan guest.FnID
+			gvt := b.Fn("gvt", func(e guest.TaskEnv) {
+				for range guest.MaxChildren + 1 {
+					e.Work(100)
+					e.Enqueue(leaf, 1)
+				}
+			})
+			fan = b.Fn("fan", func(e guest.TaskEnv) {
+				if depth := e.Arg(0); depth < 4 {
+					for range guest.MaxChildren {
+						e.Enqueue(fan, e.Timestamp()+1, depth+1)
+					}
+				}
+			})
+			leaf = b.Fn("leaf", func(guest.TaskEnv) {})
+			return []guest.TaskDesc{{Fn: gvt, TS: 0}, {Fn: fan, TS: 10}}
+		}},
+	}
+	for name, tc := range cases {
 		simMsg := panicValue(func() {
-			bk, err := bench.SwarmApp{Build: build}.Backend(core.DefaultConfig(1))
+			bk, err := bench.SwarmApp{Build: tc.build}.Backend(core.DefaultConfig(tc.cores))
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}
@@ -183,7 +212,7 @@ func TestRejectsWhatMachinesReject(t *testing.T) {
 		if simMsg == nil {
 			t.Fatalf("%s: the simulator accepted the enqueue", name)
 		}
-		if got := panicValue(func() { ProfileTasks(build, 0) }); got != simMsg {
+		if got := panicValue(func() { ProfileTasks(tc.build, 0) }); got != simMsg {
 			t.Errorf("%s: oracle panic = %v, want the simulator's %v", name, got, simMsg)
 		}
 	}

@@ -34,8 +34,8 @@ type opCapPanic struct{}
 // keep their capacity across attempts, so a steady-state attempt
 // allocates nothing.
 type taskEnv struct {
-	r    *Runtime
-	desc guest.TaskDesc
+	guest.Attempt
+	r *Runtime
 
 	// reads holds each address the attempt read from the store, in
 	// first-read order; readRecs[i] is what reads.addrs[i] returned.
@@ -48,8 +48,7 @@ type taskEnv struct {
 	children  []guest.TaskDesc
 	frees     []span
 	ops       uint64
-	forks     uint64 // fork indices handed out by this attempt
-	allocd    bool   // the attempt called Alloc (see Runtime.recheckLocked)
+	allocd    bool // the attempt called Alloc (see Runtime.recheckLocked)
 	// earliest marks an attempt no uncommitted task precedes. Nothing can
 	// commit under it, so its loads keep no read set.
 	earliest bool
@@ -162,19 +161,21 @@ func (a *addrSet) reset() {
 }
 
 func newTaskEnv(r *Runtime, desc guest.TaskDesc) *taskEnv {
-	return &taskEnv{r: r, desc: desc}
+	e := &taskEnv{r: r}
+	e.Begin(desc, e)
+	return e
 }
 
 // reset empties the buffers for a new attempt of desc.
 func (e *taskEnv) reset(desc guest.TaskDesc) {
-	e.desc = desc
+	e.Begin(desc, e)
 	e.reads.reset()
 	e.readRecs = e.readRecs[:0]
 	e.writes.reset()
 	e.writeVals = e.writeVals[:0]
 	e.children = e.children[:0]
 	e.frees = e.frees[:0]
-	e.ops, e.forks, e.allocd, e.earliest = 0, 0, false, false
+	e.ops, e.allocd, e.earliest = 0, false, false
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -246,56 +247,10 @@ func (e *taskEnv) Free(addr, n uint64) {
 	e.frees = append(e.frees, span{addr: addr, n: n})
 }
 
-// Timestamp implements guest.TaskEnv.
-func (e *taskEnv) Timestamp() uint64 { return e.desc.TS }
-
-// Arg implements guest.TaskEnv.
-func (e *taskEnv) Arg(i int) uint64 { return e.desc.Args[i] }
-
-// Enqueue implements guest.TaskEnv.
-func (e *taskEnv) Enqueue(fn guest.FnID, ts uint64, args ...uint64) {
-	e.EnqueueArgs(fn, ts, guest.PackArgs(args))
-}
-
-// EnqueueArgs implements guest.TaskEnv: children are buffered and become
+// AddChild implements guest.ChildSink: children are buffered and become
 // runnable only when the parent commits, so a misspeculated parent's
-// children never exist and aborts cannot cascade. Children inherit the
-// parent's nested path, keeping them inside its slice of the slot.
-func (e *taskEnv) EnqueueArgs(fn guest.FnID, ts uint64, args [3]uint64) {
-	guest.CheckChildTS(ts, e.desc.TS)
-	e.addChild(guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args})
-}
-
-// EnqueueHinted implements guest.TaskEnv. Spatial hints steer the
-// simulator's tile mappers; the native scheduler places work by virtual
-// time only, so the hint is carried but unused.
-func (e *taskEnv) EnqueueHinted(fn guest.FnID, ts uint64, hint uint64, args [3]uint64) {
-	guest.CheckChildTS(ts, e.desc.TS)
-	e.addChild(guest.TaskDesc{Fn: fn, TS: ts, Path: e.desc.Path, Args: args}.WithHint(hint))
-}
-
-// Fork implements guest.TaskEnv: a child ordered within the parent's
-// timestamp slot, after previously forked siblings.
-func (e *taskEnv) Fork(fn guest.FnID, args ...uint64) {
-	e.EnqueueSub(fn, guest.NoHint, guest.PackArgs(args))
-}
-
-// EnqueueSub implements guest.TaskEnv. Fork indices restart at zero on
-// every attempt (each attempt starts from a reset taskEnv), so a retried
-// task buffers an identical child set — which the DebugChecks
-// re-execution comparison requires.
-func (e *taskEnv) EnqueueSub(fn guest.FnID, hint uint64, args [3]uint64) {
-	d := guest.TaskDesc{Fn: fn, TS: e.desc.TS, Path: e.desc.Path.Child(e.forks), Args: args}
-	e.forks++
-	if hint != guest.NoHint {
-		d = d.WithHint(hint)
-	}
-	e.addChild(d)
-}
-
-// addChild buffers one child of the attempt, within the §4.1 limit.
-func (e *taskEnv) addChild(d guest.TaskDesc) {
-	guest.CheckChildren(len(e.children))
+// children never exist and aborts cannot cascade.
+func (e *taskEnv) AddChild(d guest.TaskDesc) {
 	e.step(1)
 	e.children = append(e.children, d)
 }

@@ -240,7 +240,7 @@ func (r *Runtime) work(w int) {
 			return
 		}
 		finished = nil
-		if panicked, pval := r.runBody(t.env); panicked {
+		if panicked, pval := r.runBody(t.desc.Fn, t.env); panicked {
 			r.sched.handlePanic(w, t, pval)
 			continue
 		}
@@ -248,14 +248,14 @@ func (r *Runtime) work(w int) {
 	}
 }
 
-// runBody invokes the guest function, capturing any panic.
-func (r *Runtime) runBody(env *taskEnv) (panicked bool, pval any) {
+// runBody invokes guest function fn, capturing any panic.
+func (r *Runtime) runBody(fn guest.FnID, env *taskEnv) (panicked bool, pval any) {
 	defer func() {
 		if v := recover(); v != nil {
 			panicked, pval = true, v
 		}
 	}()
-	r.fns[env.desc.Fn](env)
+	r.fns[fn](env)
 	return false, nil
 }
 
@@ -275,7 +275,7 @@ func (r *Runtime) recheckLocked(t *task) error {
 	env := r.sched.getEnvLocked(t.desc)
 	defer r.sched.putEnvLocked(env)
 	env.earliest = true // nothing commits while the lock is held
-	if panicked, pval := r.runBody(env); panicked {
+	if panicked, pval := r.runBody(t.desc.Fn, env); panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}
 	// Compare by content: a nil set equals an empty one.

@@ -18,10 +18,8 @@ import (
 // the same size as the parallel system under comparison (Fig 12), so a
 // 64-core machine's larger L3 benefits the serial run too.
 type SerialMachine struct {
-	cfg   Config
 	gmem  *mem.Memory
 	heap  *mem.Allocator
-	mesh  *noc.Mesh
 	hier  *cache.Hierarchy
 	clock uint64
 }
@@ -32,14 +30,11 @@ var _ guest.Env = (*SerialMachine)(nil)
 func NewSerialMachine(cfg Config) *SerialMachine {
 	cfg.Cache.Tiles = cfg.Tiles
 	cfg.Cache.CoresPerTile = cfg.CoresPerTile
-	m := &SerialMachine{
-		cfg:  cfg,
+	return &SerialMachine{
 		gmem: mem.New(),
 		heap: mem.NewAllocator(),
-		mesh: noc.New(cfg.Tiles, cfg.HopCycles),
+		hier: cache.New(cfg.Cache, noc.New(cfg.Tiles, cfg.HopCycles)),
 	}
-	m.hier = cache.New(cfg.Cache, m.mesh)
-	return m
 }
 
 // Mem exposes guest memory for setup and verification.
@@ -53,20 +48,6 @@ func (m *SerialMachine) Run(fn func(guest.Env)) uint64 {
 	start := m.clock
 	fn(m)
 	return m.clock - start
-}
-
-// Cycles returns the accumulated clock.
-func (m *SerialMachine) Cycles() uint64 { return m.clock }
-
-// Stats returns machine statistics so far.
-func (m *SerialMachine) Stats() Stats {
-	return Stats{
-		Cycles:       m.clock,
-		Cores:        1,
-		BusyCycles:   m.clock,
-		Cache:        m.hier.Stats(),
-		TrafficBytes: m.mesh.TotalBytes(),
-	}
 }
 
 // Load implements guest.Env.

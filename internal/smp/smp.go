@@ -55,11 +55,8 @@ func (c Config) Cores() int { return c.Tiles * c.CoresPerTile }
 
 // Stats summarizes a baseline run.
 type Stats struct {
-	Cycles       uint64
-	Cores        int
-	BusyCycles   uint64 // summed across threads
-	Cache        cache.Stats
-	TrafficBytes [noc.NumClasses]uint64
+	Cycles uint64
+	Cores  int
 }
 
 // Machine runs one thread per core against the simulated hierarchy.
@@ -68,7 +65,6 @@ type Machine struct {
 	eng  sim.Engine
 	gmem *mem.Memory
 	heap *mem.Allocator
-	mesh *noc.Mesh
 	hier *cache.Hierarchy
 
 	threads []*thread
@@ -79,8 +75,6 @@ type thread struct {
 	id   int
 	tile int
 	co   *guest.Coroutine
-	busy uint64
-	end  uint64
 }
 
 // NewMachine builds a baseline machine. setup initializes guest memory
@@ -88,14 +82,12 @@ type thread struct {
 func NewMachine(cfg Config) *Machine {
 	cfg.Cache.Tiles = cfg.Tiles
 	cfg.Cache.CoresPerTile = cfg.CoresPerTile
-	m := &Machine{
+	return &Machine{
 		cfg:  cfg,
 		gmem: mem.New(),
 		heap: mem.NewAllocator(),
-		mesh: noc.New(cfg.Tiles, cfg.HopCycles),
+		hier: cache.New(cfg.Cache, noc.New(cfg.Tiles, cfg.HopCycles)),
 	}
-	m.hier = cache.New(cfg.Cache, m.mesh)
-	return m
 }
 
 // Mem exposes guest memory for setup and verification.
@@ -121,16 +113,7 @@ func (m *Machine) Run(fn guest.ThreadFn) (Stats, error) {
 	if m.live != 0 {
 		return Stats{}, errors.New("smp: threads deadlocked")
 	}
-	st := Stats{
-		Cycles:       m.eng.Now(),
-		Cores:        n,
-		Cache:        m.hier.Stats(),
-		TrafficBytes: m.mesh.TotalBytes(),
-	}
-	for _, th := range m.threads {
-		st.BusyCycles += th.busy
-	}
-	return st, nil
+	return Stats{Cycles: m.eng.Now(), Cores: n}, nil
 }
 
 func (m *Machine) resume(th *thread, r guest.Result) {
@@ -148,19 +131,16 @@ func (m *Machine) access(th *thread, line uint64, write bool) uint64 {
 func (m *Machine) handleOp(th *thread, op guest.Op) {
 	switch op.Kind {
 	case guest.OpWork:
-		th.busy += op.N
 		m.eng.After(op.N, func() { m.resume(th, guest.Result{}) })
 
 	case guest.OpLoad:
 		lat := m.access(th, mem.Line(op.Addr), false)
 		val := m.gmem.Load(op.Addr)
-		th.busy += lat
 		m.eng.After(lat, func() { m.resume(th, guest.Result{Val: val}) })
 
 	case guest.OpStore:
 		lat := m.access(th, mem.Line(op.Addr), true)
 		m.gmem.Store(op.Addr, op.Val)
-		th.busy += lat
 		m.eng.After(lat, func() { m.resume(th, guest.Result{}) })
 
 	case guest.OpCAS:
@@ -170,30 +150,25 @@ func (m *Machine) handleOp(th *thread, op guest.Op) {
 			m.gmem.Store(op.Addr, op.Val)
 			ok = true
 		}
-		th.busy += lat
 		m.eng.After(lat, func() { m.resume(th, guest.Result{OK: ok}) })
 
 	case guest.OpFetchAdd:
 		lat := m.access(th, mem.Line(op.Addr), true) + m.cfg.AtomicCost
 		old := m.gmem.Load(op.Addr)
 		m.gmem.Store(op.Addr, old+op.Val)
-		th.busy += lat
 		m.eng.After(lat, func() { m.resume(th, guest.Result{Val: old}) })
 
 	case guest.OpAlloc:
 		addr := m.heap.Alloc(op.N)
-		th.busy += mem.AllocCycles
 		m.eng.After(mem.AllocCycles, func() { m.resume(th, guest.Result{Val: addr}) })
 
 	case guest.OpFree:
 		// Non-speculative: recycle immediately (token 0, released now).
 		m.heap.Free(0, op.Addr, op.N)
 		m.heap.ReleaseQuarantine(0)
-		th.busy += mem.AllocCycles
 		m.eng.After(mem.AllocCycles, func() { m.resume(th, guest.Result{}) })
 
 	case guest.OpDone:
-		th.end = m.eng.Now()
 		m.live--
 
 	default:
