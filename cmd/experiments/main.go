@@ -23,6 +23,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/core"
@@ -36,7 +37,7 @@ func main() {
 	mapper := flag.String("mapper", "",
 		"task-mapping policy for every Swarm run ("+strings.Join(core.MapperNames(), ", ")+"); default random")
 	backendF := flag.String("backend", "",
-		"execution backend for every Swarm run ("+strings.Join(core.BackendNames(), ", ")+"); default sim. "+
+		"execution backend for every Swarm run ("+strings.Join(backend.Names(), ", ")+"); default sim. "+
 			"Native rt backends report zero cycles, so cycle-based figures degenerate")
 	csvDir := flag.String("csv", "", "also write plot-ready CSV files to this directory")
 	workers := flag.Int("workers", runtime.NumCPU(), "concurrent simulations on the host (1 = sequential; results are identical)")

@@ -22,6 +22,7 @@ import (
 	"strconv"
 	"strings"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/harness"
@@ -35,7 +36,7 @@ func main() {
 	mapperFlag := flag.String("mapper", "random",
 		"task-mapping policy: "+strings.Join(core.MapperNames(), ", "))
 	backendFlag := flag.String("backend", "sim",
-		"execution backend: "+strings.Join(core.BackendNames(), ", ")+
+		"execution backend: "+strings.Join(backend.Names(), ", ")+
 			"; native rt digests cover only the deterministic counters")
 	flag.Parse()
 

@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"strings"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/harness"
@@ -41,7 +42,7 @@ func main() {
 	mapper := flag.String("mapper", "random",
 		"task-mapping policy: "+strings.Join(core.MapperNames(), ", "))
 	backendF := flag.String("backend", "sim",
-		"execution backend: "+strings.Join(core.BackendNames(), ", ")+
+		"execution backend: "+strings.Join(backend.Names(), ", ")+
 			" (native rt backends report wall-clock, not cycles)")
 	phases := flag.Bool("phases", false,
 		"print per-phase statistics for session (multi-phase) benchmarks")

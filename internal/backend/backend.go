@@ -1,14 +1,18 @@
 // Package backend is the seam between Swarm's public API and its
-// execution engines. A Backend is a started, program-loaded machine
-// parked at a quiescent point; everything above this package — the
-// swarm.Sim session surface, the benchmark suite, the harness, the
-// daemon — drives that surface only, so the cycle-level simulator
-// (internal/core) and the native speculative runtime (internal/rt) are
-// interchangeable per run via Config.Backend.
+// execution engines. A Backend is a program-loaded engine parked at a
+// quiescent point; everything above this package — the swarm.Sim
+// session surface, the benchmark suite, the harness, the daemon — drives
+// that surface only, so the cycle-level simulator (internal/core) and the
+// native speculative runtime (internal/rt) are interchangeable per run
+// via Config.Backend. This package is the one place that knows which
+// engines exist and how one is built.
 package backend
 
 import (
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -18,8 +22,8 @@ import (
 
 // Backend is one execution engine running one guest program: phased
 // execution to quiescence, root injection and setup-cost memory access
-// between phases, and cumulative statistics. *core.Machine satisfies it
-// natively; rt.Runtime mirrors the surface.
+// between phases, and cumulative statistics. *core.Machine and
+// *rt.Runtime both satisfy it natively.
 type Backend interface {
 	// Mem exposes guest memory at quiescent points (setup, between
 	// phases, result extraction).
@@ -31,11 +35,6 @@ type Backend interface {
 	EnqueueRootDesc(d guest.TaskDesc)
 	// QueuedTasks returns the number of injected-but-unrun root tasks.
 	QueuedTasks() int
-	// Start makes the backend live. New returns started backends, so
-	// callers normally never invoke it; both engines reject reuse.
-	Start() error
-	// Quiesced reports whether the backend is parked between phases.
-	Quiesced() bool
 	// RunPhase drains all queued tasks and their descendants to the
 	// §4.1 termination condition and reports the phase.
 	RunPhase() (core.PhaseStats, error)
@@ -45,62 +44,66 @@ type Backend interface {
 	Snapshot() core.Stats
 }
 
+// engine is what New needs of a freshly constructed engine: the Backend
+// surface plus the one-time installation of the program's functions.
+type engine interface {
+	Backend
+	SetProgram(ft *guest.FnTable)
+}
+
+// names lists the valid Config.Backend values, default first: the
+// cycle-level simulator, then the native runtime and its conservative
+// variant.
+var names = []string{"sim", "rt", "rt-conservative"}
+
+// Names lists the valid Config.Backend values, default first.
+func Names() []string { return slices.Clone(names) }
+
+// CheckName reports whether name selects an engine ("" selects the
+// default simulator and is valid); the error lists the valid names.
+func CheckName(name string) error {
+	if name == "" || slices.Contains(names, name) {
+		return nil
+	}
+	valid := Names()
+	slices.Sort(valid)
+	return fmt.Errorf("unknown backend %q (valid: %s)", name, strings.Join(valid, ", "))
+}
+
 // BuildFunc lays out guest memory through the backend's setup surface,
 // registers the program's task functions, and returns the root tasks.
 // It runs exactly once, on a quiescent backend, before any task executes.
 type BuildFunc func(b Backend) (roots []guest.TaskDesc, fns *guest.FnTable)
 
-// New constructs, programs and starts the backend cfg.Backend selects
-// ("" and "sim" are the simulator), runs build against it, and enqueues
-// the returned roots. Programs that register no task functions or return
-// no roots are rejected identically on every backend — a silently empty
-// run is an error, not a result.
+// New constructs the engine cfg.Backend selects (each engine validates
+// cfg and starts live and quiescent), runs build against it, installs the
+// program and enqueues the returned roots: one sequence for every engine.
+// Programs that register no task functions or return no roots are
+// rejected identically on every backend — a silently empty run is an
+// error, not a result.
 func New(cfg core.Config, build BuildFunc) (Backend, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := CheckName(cfg.Backend); err != nil {
 		return nil, err
 	}
-	switch cfg.Backend {
-	case "", "sim":
-		prog := &core.Program{}
-		var roots []guest.TaskDesc
-		var ft *guest.FnTable
-		prog.Setup = func(m *core.Machine) {
-			roots, ft = build(m)
-			prog.Fns = ft.Fns()
-			prog.FnNames = ft.Names()
-			for _, d := range roots {
-				m.EnqueueRootDesc(d)
-			}
-		}
-		m, err := core.NewMachine(cfg, prog)
-		if err != nil {
-			return nil, err
-		}
-		if err := m.Start(); err != nil {
-			return nil, err
-		}
-		if err := checkProgram(ft, roots); err != nil {
-			return nil, err
-		}
-		return m, nil
-	default: // "rt", "rt-conservative": Validate rejected everything else
-		r, err := rt.New(cfg)
-		if err != nil {
-			return nil, err
-		}
-		if err := r.Start(); err != nil {
-			return nil, err
-		}
-		roots, ft := build(r)
-		if err := checkProgram(ft, roots); err != nil {
-			return nil, err
-		}
-		r.SetProgram(ft.Fns(), ft.Names())
-		for _, d := range roots {
-			r.EnqueueRootDesc(d)
-		}
-		return r, nil
+	var e engine
+	var err error
+	if cfg.Backend == "" || cfg.Backend == names[0] {
+		e, err = core.NewMachine(cfg)
+	} else {
+		e, err = rt.New(cfg)
 	}
+	if err != nil {
+		return nil, err
+	}
+	roots, ft := build(e)
+	if err := checkProgram(ft, roots); err != nil {
+		return nil, err
+	}
+	e.SetProgram(ft)
+	for _, d := range roots {
+		e.EnqueueRootDesc(d)
+	}
+	return e, nil
 }
 
 // checkProgram enforces the build contract once, for every engine, with

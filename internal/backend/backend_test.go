@@ -37,13 +37,10 @@ func config(backend string) core.Config {
 // shared surface and requires identical final guest memory.
 func TestEveryBackendRuns(t *testing.T) {
 	var want map[uint64]uint64
-	for _, name := range append([]string{""}, core.BackendNames()...) {
+	for _, name := range append([]string{""}, Names()...) {
 		b, err := New(config(name), counterBuild(50))
 		if err != nil {
 			t.Fatalf("backend %q: New: %v", name, err)
-		}
-		if !b.Quiesced() {
-			t.Errorf("backend %q: not quiesced after New", name)
 		}
 		if got := b.QueuedTasks(); got != 50 {
 			t.Errorf("backend %q: QueuedTasks = %d, want 50", name, got)
@@ -74,20 +71,6 @@ func TestEveryBackendRuns(t *testing.T) {
 	}
 }
 
-// TestStartIsSingleUse: New returns started backends; both engines must
-// reject a second Start.
-func TestStartIsSingleUse(t *testing.T) {
-	for _, name := range []string{"sim", "rt"} {
-		b, err := New(config(name), counterBuild(1))
-		if err != nil {
-			t.Fatalf("backend %q: New: %v", name, err)
-		}
-		if err := b.Start(); err == nil {
-			t.Errorf("backend %q: second Start succeeded, want error", name)
-		}
-	}
-}
-
 // TestHoistedBuildValidation: a program with no functions or no roots is
 // rejected with the same error on every backend.
 func TestHoistedBuildValidation(t *testing.T) {
@@ -99,7 +82,7 @@ func TestHoistedBuildValidation(t *testing.T) {
 		ft.Fn("noop", func(guest.TaskEnv) {})
 		return nil, ft
 	}
-	for _, name := range append([]string{""}, core.BackendNames()...) {
+	for _, name := range append([]string{""}, Names()...) {
 		if _, err := New(config(name), noFns); err == nil ||
 			err.Error() != "swarm: App.Build registered no task functions (use Builder.Fn)" {
 			t.Errorf("backend %q: no-fns err = %v", name, err)
@@ -115,7 +98,7 @@ func TestHoistedBuildValidation(t *testing.T) {
 // the core package's error text regardless of backend, and an unknown
 // backend name lists the valid ones.
 func TestSharedConfigValidation(t *testing.T) {
-	for _, name := range append([]string{""}, core.BackendNames()...) {
+	for _, name := range append([]string{""}, Names()...) {
 		cfg := config(name)
 		cfg.Tiles = 0
 		_, err := New(cfg, counterBuild(1))

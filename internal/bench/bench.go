@@ -142,7 +142,7 @@ func (r runner) RunSwarm(cfg core.Config) (core.Stats, error) {
 // nCores, runs the body in direct mode and verifies the result.
 func (r runner) RunSerial(nCores int) (uint64, error) {
 	app := r.app.SerialApp()
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
+	m := smp.NewSerialMachine(nCores)
 	body := app.Build(m.SetupAlloc, m.Mem().Store)
 	cycles := m.Run(func(e guest.Env) { body(e, func() {}) })
 	return cycles, app.Verify(m.Mem().Load)
@@ -153,7 +153,7 @@ func (r runner) RunSerial(nCores int) (uint64, error) {
 // result.
 func RunParallel(p Parallel, nCores int) (uint64, error) {
 	app := p.ParallelApp()
-	m := smp.NewMachine(smp.DefaultConfig(nCores))
+	m := smp.NewMachine(nCores)
 	st, err := m.Run(app.Build(m.SetupAlloc, m.Mem().Store, uint64(nCores)))
 	if err != nil {
 		return 0, err
@@ -203,18 +203,14 @@ type Session struct {
 	total  int
 	phases []core.PhaseStats
 	step   func(phase int) (core.PhaseStats, error)
-	snap   func() core.Stats
 }
 
 // NewSession assembles a live session for OpenSession implementations:
-// total phases, a step hook executing 0-based phase k (inject the phase's
-// inputs, run to quiescence, verify), and a cumulative-stats snapshot hook.
-func NewSession(app string, total int, step func(phase int) (core.PhaseStats, error), snap func() core.Stats) *Session {
-	return &Session{app: app, total: total, step: step, snap: snap}
+// total phases and a step hook executing 0-based phase k (inject the
+// phase's inputs, run to quiescence, verify).
+func NewSession(app string, total int, step func(phase int) (core.PhaseStats, error)) *Session {
+	return &Session{app: app, total: total, step: step}
 }
-
-// App returns the benchmark name the session runs.
-func (s *Session) App() string { return s.app }
 
 // PhaseCount returns the session's total phase count.
 func (s *Session) PhaseCount() int { return s.total }
@@ -227,10 +223,6 @@ func (s *Session) Remaining() int { return s.total - len(s.phases) }
 
 // Phases returns the statistics of every completed phase, in order.
 func (s *Session) Phases() []core.PhaseStats { return s.phases }
-
-// Stats returns cumulative statistics at the session's current quiescent
-// point.
-func (s *Session) Stats() core.Stats { return s.snap() }
 
 // Step executes the next phase — injecting that phase's inputs, running
 // to quiescence and verifying against the per-phase reference — and

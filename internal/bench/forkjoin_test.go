@@ -33,14 +33,14 @@ func TestForkJoinScales(t *testing.T) {
 // fresh serial machine and verify against the host references.
 func TestForkJoinSerialApp(t *testing.T) {
 	ms := NewMSort(64, 8)
-	m := smp.NewSerialMachine(smp.DefaultConfig(1))
+	m := smp.NewSerialMachine(1)
 	body := ms.SerialApp().Build(m.SetupAlloc, m.Mem().Store)
 	if cyc := m.Run(func(e guest.Env) { body(e, func() {}) }); cyc == 0 {
 		t.Fatal("msort SerialApp: no cycles")
 	}
 
 	tb := NewTreeBuild(64, 2)
-	m = smp.NewSerialMachine(smp.DefaultConfig(1))
+	m = smp.NewSerialMachine(1)
 	body = tb.SerialApp().Build(m.SetupAlloc, m.Mem().Store)
 	if cyc := m.Run(func(e guest.Env) { body(e, func() {}) }); cyc == 0 {
 		t.Fatal("treebuild SerialApp: no cycles")

@@ -211,7 +211,7 @@ func (b *IncSSSP) OpenSession(cfg core.Config) (*Session, error) {
 		}
 		return ph, nil
 	}
-	return NewSession(b.Name(), b.PhaseCount(), step, bk.Snapshot), nil
+	return NewSession(b.Name(), b.PhaseCount(), step), nil
 }
 
 // RunSwarm implements Benchmark: the whole session's cumulative
@@ -231,7 +231,7 @@ func (b *IncSSSP) RunSwarm(cfg core.Config) (core.Stats, error) {
 // applying the updates in guest stores (a few cycles against thousands of
 // relaxations).
 func (b *IncSSSP) RunSerial(nCores int) (uint64, error) {
-	m := smp.NewSerialMachine(smp.DefaultConfig(nCores))
+	m := smp.NewSerialMachine(nCores)
 	gc := graph.Pack(b.g, m.SetupAlloc, m.Mem().Store)
 	capacity := uint64(b.g.M())*uint64(b.PhaseCount()) + 64
 	pq := swrt.NewHeap(m.SetupAlloc, capacity)

@@ -103,8 +103,7 @@ func TestIncSSSPSwarmMatchesPhases(t *testing.T) {
 
 // TestIncSSSPSession drives the live-session API step by step and checks
 // it is exactly RunPhases unrolled: same phase statistics, correct
-// Done/Remaining accounting, cumulative snapshots at each quiescent
-// point, and a loud error past the last phase.
+// Done/Remaining accounting, and a loud error past the last phase.
 func TestIncSSSPSession(t *testing.T) {
 	b := NewIncSSSP(10, 10, 2, 5, 3)
 	want, err := RunPhases(b, core.DefaultConfig(4))
@@ -116,8 +115,8 @@ func TestIncSSSPSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.App() != "incsssp" || s.PhaseCount() != b.PhaseCount() || s.Done() != 0 {
-		t.Fatalf("fresh session: app=%q total=%d done=%d", s.App(), s.PhaseCount(), s.Done())
+	if s.PhaseCount() != b.PhaseCount() || s.Done() != 0 {
+		t.Fatalf("fresh session: total=%d done=%d", s.PhaseCount(), s.Done())
 	}
 	for k := 0; s.Remaining() > 0; k++ {
 		ph, err := s.Step()
@@ -129,9 +128,6 @@ func TestIncSSSPSession(t *testing.T) {
 		}
 		if s.Done() != k+1 {
 			t.Fatalf("after step %d: Done = %d", k+1, s.Done())
-		}
-		if got := s.Stats(); got.Cycles != ph.Cumulative.Cycles || got.Commits != ph.Cumulative.Commits {
-			t.Fatalf("step %d: session snapshot disagrees with the phase's cumulative stats", k+1)
 		}
 	}
 	if !reflect.DeepEqual(s.Phases(), want) {

@@ -266,59 +266,6 @@ func (f *Filter) InsertProbe(p *Probe) {
 	}
 }
 
-// Union ORs other's set into f (hardware: a wired-OR over the two
-// signatures). Both filters must share a configuration. The union
-// over-approximates the exact set union: anything either filter may
-// contain, the union may contain — the invariant FuzzFilter checks.
-func (f *Filter) Union(other *Filter) {
-	if f.cfg != other.cfg {
-		panic(fmt.Sprintf("bloom: Union across configs %v and %v", f.cfg, other.cfg))
-	}
-	f.count += other.count
-	if f.precise != nil {
-		for l := range other.precise {
-			f.precise[l] = struct{}{}
-		}
-		return
-	}
-	for i := range f.words {
-		f.words[i] |= other.words[i]
-	}
-}
-
-// Intersects reports whether the two sets may intersect (hardware: a
-// wired-AND then a per-way zero check, Fig 6). False positives are
-// possible (unless Precise); false negatives are not: if any address was
-// inserted into both filters, it set the same bits in both, so every
-// way's intersection is non-empty.
-func (f *Filter) Intersects(other *Filter) bool {
-	if f.cfg != other.cfg {
-		panic(fmt.Sprintf("bloom: Intersects across configs %v and %v", f.cfg, other.cfg))
-	}
-	if f.precise != nil {
-		a, b := f.precise, other.precise
-		if len(b) < len(a) {
-			a, b = b, a
-		}
-		for l := range a {
-			if _, ok := b[l]; ok {
-				return true
-			}
-		}
-		return false
-	}
-	for w := 0; w < f.cfg.Ways; w++ {
-		hit := uint64(0)
-		for i := w * f.wordsPerWay; i < (w+1)*f.wordsPerWay; i++ {
-			hit |= f.words[i] & other.words[i]
-		}
-		if hit == 0 {
-			return false
-		}
-	}
-	return true
-}
-
 // Clear empties the signature (a flash-clear in hardware).
 func (f *Filter) Clear() {
 	f.count = 0
@@ -329,11 +276,5 @@ func (f *Filter) Clear() {
 	clear(f.words)
 }
 
-// Empty reports whether nothing has been inserted since the last Clear.
-func (f *Filter) Empty() bool { return f.count == 0 }
-
 // Count returns the number of Insert calls since the last Clear.
 func (f *Filter) Count() int { return f.count }
-
-// Config returns the filter's configuration.
-func (f *Filter) Config() Config { return f.cfg }

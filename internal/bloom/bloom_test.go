@@ -95,15 +95,15 @@ func TestFalsePositiveRateOrdering(t *testing.T) {
 func TestClear(t *testing.T) {
 	for _, cfg := range configs() {
 		f := NewFilter(cfg)
-		if !f.Empty() {
+		if f.Count() != 0 {
 			t.Fatalf("%v: new filter not empty", cfg)
 		}
 		f.Insert(12345)
-		if f.Empty() || f.Count() != 1 {
+		if f.Count() != 1 {
 			t.Fatalf("%v: count wrong after insert", cfg)
 		}
 		f.Clear()
-		if !f.Empty() {
+		if f.Count() != 0 {
 			t.Fatalf("%v: not empty after clear", cfg)
 		}
 		if f.MayContain(12345) {

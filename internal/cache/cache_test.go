@@ -9,7 +9,7 @@ import (
 )
 
 func testHierarchy(tiles, cores int) *Hierarchy {
-	return New(DefaultParams(tiles, cores), noc.New(tiles, 3))
+	return New(DefaultParams(tiles, cores), noc.New(tiles))
 }
 
 func TestL1HitAfterLoad(t *testing.T) {
@@ -169,7 +169,7 @@ func TestStickySurvivesEviction(t *testing.T) {
 	p := DefaultParams(2, 1)
 	p.L2KB = 1 // tiny L2: 1KB/64B/8w = 2 sets, evictions are easy
 	p.L3BankKB = 64
-	h := New(p, noc.New(2, 3))
+	h := New(p, noc.New(2))
 	v := vt.Time{TS: 1, Cycle: 1, Tile: 0}
 	h.Access(Access{Core: 0, Tile: 0, Line: 4, Spec: true, VT: v})
 	// Evict line 4 from tile 0's L2 (same set: line numbers ≡ 4 mod 2… use
@@ -204,7 +204,7 @@ func TestStickySurvivesEviction(t *testing.T) {
 func TestZeroLatencyIdealization(t *testing.T) {
 	p := DefaultParams(4, 4)
 	p.ZeroLatency = true
-	h := New(p, noc.New(4, 3))
+	h := New(p, noc.New(4))
 	r := h.Access(Access{Core: 0, Tile: 0, Line: 77})
 	if r.Latency != 0 {
 		t.Fatalf("ideal latency = %d, want 0", r.Latency)
@@ -218,7 +218,7 @@ func TestZeroLatencyIdealization(t *testing.T) {
 func TestCanaryPerLine(t *testing.T) {
 	p := DefaultParams(1, 1)
 	p.CanaryPerLine = true
-	h := New(p, noc.New(1, 3))
+	h := New(p, noc.New(1))
 	later := vt.Time{TS: 10, Cycle: 1, Tile: 0}
 	early := vt.Time{TS: 5, Cycle: 2, Tile: 0}
 	// Install line A with a later VT; line B (same set, different line)

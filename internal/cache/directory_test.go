@@ -18,7 +18,7 @@ func TestDirectoryInclusionProperty(t *testing.T) {
 		p := DefaultParams(4, 2)
 		p.L2KB = 2     // tiny: lots of evictions
 		p.L3BankKB = 8 // tiny: recalls
-		h := New(p, noc.New(4, 3))
+		h := New(p, noc.New(4))
 		for i := 0; i < 20000; i++ {
 			core := rng.Intn(8)
 			h.Access(Access{
@@ -54,7 +54,7 @@ func TestDirectoryInclusionProperty(t *testing.T) {
 // and an owned line cannot be resident in another tile's L2.
 func TestSingleOwnerInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	h := New(DefaultParams(4, 1), noc.New(4, 3))
+	h := New(DefaultParams(4, 1), noc.New(4))
 	for i := 0; i < 30000; i++ {
 		c := rng.Intn(4)
 		h.Access(Access{
@@ -83,7 +83,7 @@ func TestSingleOwnerInvariant(t *testing.T) {
 // TestWriteInvalidatesAllReaders: after a write from one tile, no other
 // tile can L2-hit the line.
 func TestWriteInvalidatesAllReaders(t *testing.T) {
-	h := New(DefaultParams(4, 1), noc.New(4, 3))
+	h := New(DefaultParams(4, 1), noc.New(4))
 	for tile := 0; tile < 4; tile++ {
 		h.Access(Access{Core: tile, Tile: tile, Line: 42})
 	}
@@ -100,7 +100,7 @@ func TestWriteInvalidatesAllReaders(t *testing.T) {
 
 // BenchmarkAccessL1Hit measures the hot path of the hierarchy.
 func BenchmarkAccessL1Hit(b *testing.B) {
-	h := New(DefaultParams(16, 4), noc.New(16, 3))
+	h := New(DefaultParams(16, 4), noc.New(16))
 	h.Access(Access{Core: 0, Tile: 0, Line: 7})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -110,7 +110,7 @@ func BenchmarkAccessL1Hit(b *testing.B) {
 
 // BenchmarkAccessL2Miss measures the miss path including directory work.
 func BenchmarkAccessL2Miss(b *testing.B) {
-	h := New(DefaultParams(16, 4), noc.New(16, 3))
+	h := New(DefaultParams(16, 4), noc.New(16))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		h.Access(Access{Core: i % 64, Tile: (i % 64) / 4, Line: uint64(i)})

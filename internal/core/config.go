@@ -8,11 +8,10 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"github.com/swarm-sim/swarm/internal/bloom"
 	"github.com/swarm-sim/swarm/internal/cache"
+	"github.com/swarm-sim/swarm/internal/noc"
 )
 
 // Fixed Table 3 parameters of every machine.
@@ -62,9 +61,6 @@ type Config struct {
 	// copied in. Set Cache.ZeroLatency for Table 5's ideal memory.
 	Cache cache.Params
 
-	// HopCycles is the mesh per-hop latency (Table 3: 3).
-	HopCycles uint64
-
 	// Seed drives the random tile selection for task enqueues.
 	Seed int64
 
@@ -89,49 +85,20 @@ type Config struct {
 	// Backend names the execution engine that runs the program. "" or
 	// "sim" is the cycle-level simulator (this package); "rt" is the
 	// native speculative host runtime (internal/rt) and "rt-conservative"
-	// its conservative ordered-scheduling mode. The core package itself
-	// only executes "sim"; the backend layer (internal/backend) dispatches
-	// on this field, and every backend applies the same Validate rules.
+	// its conservative ordered-scheduling mode. The backend layer
+	// (internal/backend) owns the list of names and rejects unknown ones;
+	// every engine applies the same Validate rules to the rest.
 	Backend string
-}
-
-// BackendNames lists the valid Config.Backend values, default first.
-func BackendNames() []string { return []string{"sim", "rt", "rt-conservative"} }
-
-// sortedNames joins a name list alphabetically for error messages (the
-// registries themselves stay in semantic order, default first).
-func sortedNames(names []string) string {
-	s := append([]string(nil), names...)
-	sort.Strings(s)
-	return strings.Join(s, ", ")
-}
-
-// ValidBackend reports whether name selects a known execution backend
-// ("" selects the default simulator and is valid).
-func ValidBackend(name string) bool {
-	if name == "" {
-		return true
-	}
-	for _, b := range BackendNames() {
-		if b == name {
-			return true
-		}
-	}
-	return false
 }
 
 // DefaultConfig returns Table 3's configuration scaled to nCores cores.
 // Per-core queue and cache capacities stay constant as the system scales
-// (§6.1): machines below 4 cores use a single tile.
+// (§6.1): machines below 4 cores use a single tile (see noc.Tiling).
 func DefaultConfig(nCores int) Config {
-	cpt := 4
-	if nCores < 4 {
-		cpt = nCores
+	tiles, cpt, ok := noc.Tiling(nCores)
+	if !ok {
+		panic(fmt.Sprintf("core: %d cores not divisible into %d-core tiles", nCores, noc.CoresPerTile))
 	}
-	if nCores%cpt != 0 {
-		panic(fmt.Sprintf("core: %d cores not divisible into %d-core tiles", nCores, cpt))
-	}
-	tiles := nCores / cpt
 	return Config{
 		Tiles:          tiles,
 		CoresPerTile:   cpt,
@@ -141,7 +108,6 @@ func DefaultConfig(nCores int) Config {
 		SpillBatch:     15,
 		Bloom:          bloom.Default(),
 		Cache:          cache.DefaultParams(tiles, cpt),
-		HopCycles:      3,
 		Seed:           1,
 		Mapper:         "random",
 		MaxCycles:      20_000_000_000,
@@ -157,18 +123,15 @@ func (c Config) TaskQPerTile() int { return c.TaskQPerCore * c.CoresPerTile }
 // CommitQPerTile returns the per-tile commit queue capacity.
 func (c Config) CommitQPerTile() int { return c.CommitQPerCore * c.CoresPerTile }
 
-// Validate normalizes and checks the configuration: machine geometry,
-// queue capacities, runtime knobs. NewMachine applies it for the
-// simulator; non-simulator backends (internal/rt) call it themselves so
-// a bad Config is rejected with an identical error on every backend.
+// Validate normalizes and checks the configuration: machine geometry and
+// queue capacities. NewMachine applies it for the simulator and rt.New
+// for the native runtime, so a bad Config is rejected with an identical
+// error on every backend. Backend names are checked by internal/backend.
 func (c *Config) Validate() error { return c.validate() }
 
 func (c *Config) validate() error {
 	if c.Tiles <= 0 || c.CoresPerTile <= 0 {
 		return fmt.Errorf("core: invalid machine size %dx%d", c.Tiles, c.CoresPerTile)
-	}
-	if !ValidBackend(c.Backend) {
-		return fmt.Errorf("core: unknown backend %q (valid: %s)", c.Backend, sortedNames(BackendNames()))
 	}
 	if !c.UnboundedQueues {
 		if c.TaskQPerTile() < 2*c.SpillBatch {

@@ -13,7 +13,7 @@ import (
 // runProgram builds and runs a machine, failing the test on error.
 func runProgram(t *testing.T, cfg Config, prog *Program) (Stats, *Machine) {
 	t.Helper()
-	m, err := NewMachine(cfg, prog)
+	m, err := loadProgram(cfg, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +392,6 @@ func TestGoldenRandomPrograms(t *testing.T) {
 			GVTPeriod:  100,
 			SpillBatch: 4,
 			Bloom:      bloom.Default(),
-			HopCycles:  3,
 			Seed:       int64(seed),
 			MaxCycles:  500_000_000,
 		}
@@ -415,7 +414,7 @@ func TestGoldenRandomPrograms(t *testing.T) {
 			},
 		}
 
-		m, err := NewMachine(cfg, prog)
+		m, err := loadProgram(cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

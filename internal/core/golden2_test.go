@@ -22,7 +22,6 @@ func goldenConfigVariants() map[string]Config {
 			GVTPeriod:   100,
 			SpillBatch:  4,
 			Bloom:       bloom.Default(),
-			HopCycles:   3,
 			Seed:        99,
 			MaxCycles:   500_000_000,
 			DebugChecks: true,
@@ -66,7 +65,7 @@ func runGoldenOnce(t *testing.T, name string, cfg Config, seed uint64) {
 			}
 		},
 	}
-	m, err := NewMachine(cfg, prog)
+	m, err := loadProgram(cfg, prog)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -125,7 +124,7 @@ func TestBloomSizeOnlyAffectsTiming(t *testing.T) {
 		cfg := DefaultConfig(8)
 		cfg.Bloom = bc
 		prog, _ := build()
-		m, err := NewMachine(cfg, prog)
+		m, err := loadProgram(cfg, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -16,28 +16,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/vt"
 )
 
-// Program is a Swarm application: a table of task functions plus a Setup
-// hook that initializes guest memory and enqueues the root task(s). Setup
-// runs before the measured parallel region (the paper fast-forwards through
-// initialization, §5). FnNames, when present, aligns positionally with Fns
-// and names the functions in diagnostics (named registration fills it; see
-// guest.FnTable).
-type Program struct {
-	Fns     []guest.TaskFn
-	FnNames []string
-	Setup   func(*Machine)
-}
-
-// FnName returns a diagnostic name for a function handle: the registered
-// name when the program was built through named registration, else a
-// positional placeholder.
-func (p *Program) FnName(id guest.FnID) string {
-	if int(id) >= 0 && int(id) < len(p.FnNames) {
-		return fmt.Sprintf("%q (#%d)", p.FnNames[id], int(id))
-	}
-	return fmt.Sprintf("#%d", int(id))
-}
-
 // cpu is one simple core (IPC-1 except misses and Swarm instructions).
 type cpu struct {
 	id, tile int
@@ -116,7 +94,7 @@ type Machine struct {
 
 	tiles  []*tile
 	cores  []*cpu
-	prog   *Program
+	fns    []guest.TaskFn
 	rng    *rand.Rand
 	mapper mapper
 
@@ -157,7 +135,6 @@ type Machine struct {
 
 	st      internalStats
 	tracer  *tracer
-	started bool
 	running bool
 
 	// Phase bookkeeping for resumable (session) execution: phase counts
@@ -167,13 +144,12 @@ type Machine struct {
 	snap  phaseSnap
 }
 
-// NewMachine builds a machine for the config and program.
-func NewMachine(cfg Config, prog *Program) (*Machine, error) {
+// NewMachine builds a machine for the config, parked at its initial
+// quiescent point: guest memory may be laid out and roots enqueued before
+// SetProgram installs the task functions and the first RunPhase runs them.
+func NewMachine(cfg Config) (*Machine, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	if prog == nil || prog.Setup == nil {
-		return nil, errors.New("core: program must have a Setup hook")
 	}
 	mp, err := newMapper(cfg.Mapper)
 	if err != nil {
@@ -183,11 +159,11 @@ func NewMachine(cfg Config, prog *Program) (*Machine, error) {
 		cfg:        cfg,
 		gmem:       mem.New(),
 		heap:       mem.NewAllocator(),
-		mesh:       noc.New(cfg.Tiles, cfg.HopCycles),
-		prog:       prog,
+		mesh:       noc.New(cfg.Tiles),
 		rng:        rand.New(rand.NewSource(cfg.Seed)),
 		mapper:     mp,
 		spillStore: make(map[uint64]spillBatch),
+		done:       true, // quiescent until a phase runs
 	}
 	m.gvtFn = m.gvtRound
 	m.hier = cache.New(cfg.Cache, m.mesh)
@@ -217,24 +193,19 @@ func NewMachine(cfg Config, prog *Program) (*Machine, error) {
 	return m, nil
 }
 
-// Mem exposes guest memory (for Setup and for result verification).
+// SetProgram installs the program's task functions. Must be called before
+// the first RunPhase.
+func (m *Machine) SetProgram(ft *guest.FnTable) { m.fns = ft.Fns() }
+
+// Mem exposes guest memory (for setup and for result verification).
 func (m *Machine) Mem() *mem.Memory { return m.gmem }
 
-// SetupAlloc allocates guest memory with no simulated cost; valid in Setup
-// (initialization is outside the measured region).
+// SetupAlloc allocates guest memory with no simulated cost; valid at
+// quiescent points (initialization is outside the measured region).
 func (m *Machine) SetupAlloc(nBytes uint64) uint64 { return m.heap.AllocLineAligned(nBytes) }
 
-// EnqueueRoot inserts a parentless task during Setup (zero cost).
-func (m *Machine) EnqueueRoot(fn guest.FnID, ts uint64, args ...uint64) {
-	d := guest.TaskDesc{Fn: fn, TS: ts}
-	if len(args) > 3 {
-		panic("core: root tasks take at most 3 argument words")
-	}
-	copy(d.Args[:], args)
-	m.EnqueueRootDesc(d)
-}
-
-// EnqueueRootDesc inserts a parentless task descriptor during Setup.
+// EnqueueRootDesc inserts a parentless task descriptor at zero cost; valid
+// at quiescent points.
 func (m *Machine) EnqueueRootDesc(d guest.TaskDesc) {
 	target := m.mapper.place(m, d, -1)
 	tt := m.tiles[target]
@@ -244,38 +215,6 @@ func (m *Machine) EnqueueRootDesc(d guest.TaskDesc) {
 		heap.Push(&tt.overflow, d)
 	}
 }
-
-// Run executes the program to completion and returns statistics: the
-// one-shot path, equivalent to Start followed by a single RunPhase.
-func (m *Machine) Run() (Stats, error) {
-	if err := m.Start(); err != nil {
-		return Stats{}, err
-	}
-	ph, err := m.RunPhase()
-	if err != nil {
-		return Stats{}, err
-	}
-	return ph.Cumulative, nil
-}
-
-// Start runs the program's Setup hook — guest-memory layout plus the root
-// enqueues — without executing anything. After Start, the machine is
-// quiescent: callers may inspect QueuedTasks, enqueue further roots, and
-// drive execution phase by phase with RunPhase.
-func (m *Machine) Start() error {
-	if m.started {
-		return errors.New("core: machine already ran")
-	}
-	m.started = true
-	m.done = true // quiescent until a phase runs
-	m.prog.Setup(m)
-	return nil
-}
-
-// Quiesced reports whether the machine is at a quiescent point: started,
-// not mid-phase, and with no speculative state in flight. Guest memory
-// reads, setup-cost mutation and root enqueues are valid exactly here.
-func (m *Machine) Quiesced() bool { return m.started && !m.running }
 
 // QueuedTasks returns the number of task descriptors waiting anywhere in
 // the machine — hardware task queues, memory overflow buffers and spilled
@@ -307,9 +246,6 @@ func (m *Machine) SetupFree(addr, nBytes uint64) {
 // RunPhase again — the clock, caches and queue state carry over, so later
 // phases run against the warmed machine.
 func (m *Machine) RunPhase() (PhaseStats, error) {
-	if !m.started {
-		return PhaseStats{}, errors.New("core: RunPhase before Start")
-	}
 	if m.running {
 		return PhaseStats{}, errors.New("core: RunPhase re-entered mid-phase")
 	}
@@ -347,9 +283,10 @@ func (m *Machine) RunPhase() (PhaseStats, error) {
 // Phase returns the number of completed phases.
 func (m *Machine) Phase() int { return m.phase }
 
-// Snapshot returns cumulative statistics at a quiescent point (after
-// Start, between phases, or after the final phase) without disturbing the
-// machine: sessions sample mid-run occupancy/commit/NoC state here.
+// Snapshot returns cumulative statistics at a quiescent point (before
+// the first phase, between phases, or after the final phase) without
+// disturbing the machine: sessions sample mid-run occupancy/commit/NoC
+// state here.
 func (m *Machine) Snapshot() Stats { return m.collectStats() }
 
 func (m *Machine) describeState() string {
@@ -767,10 +704,10 @@ func (m *Machine) startBody(c *cpu, t *task) {
 		m.runSplitter(c, t)
 		return
 	}
-	if int(t.desc.Fn) < 0 || int(t.desc.Fn) >= len(m.prog.Fns) {
-		panic(fmt.Sprintf("core: task function %s out of range", m.prog.FnName(t.desc.Fn)))
+	if int(t.desc.Fn) < 0 || int(t.desc.Fn) >= len(m.fns) {
+		panic(fmt.Sprintf("core: task function #%d out of range", int(t.desc.Fn)))
 	}
-	t.co = guest.StartTask(m.prog.Fns[t.desc.Fn], t.desc)
+	t.co = guest.StartTask(m.fns[t.desc.Fn], t.desc)
 	m.resumeTask(c, t, guest.Result{})
 }
 

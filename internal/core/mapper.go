@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"github.com/swarm-sim/swarm/internal/guest"
 )
@@ -26,7 +28,7 @@ import (
 type mapper interface {
 	name() string
 	// place returns the destination tile for d, enqueued from tile src
-	// (src < 0 for root enqueues during Setup).
+	// (src < 0 for root enqueues).
 	place(m *Machine, d guest.TaskDesc, src int) int
 }
 
@@ -42,7 +44,9 @@ func newMapper(name string) (mapper, error) {
 	case "hint":
 		return &hintMapper{}, nil
 	}
-	return nil, fmt.Errorf("core: unknown mapper %q (valid: %s)", name, sortedNames(MapperNames()))
+	valid := MapperNames()
+	slices.Sort(valid)
+	return nil, fmt.Errorf("core: unknown mapper %q (valid: %s)", name, strings.Join(valid, ", "))
 }
 
 // randomMapper reproduces the paper's uniform-random enqueue placement.
@@ -68,7 +72,7 @@ func hintTile(key uint64, tiles int) int {
 
 // hintMapper sends hinted tasks to their key's home tile and keeps
 // hintless tasks (spawners, continuations) on the enqueuing tile; hintless
-// roots fall back to round-robin so Setup still seeds every tile.
+// roots fall back to round-robin so the roots still seed every tile.
 type hintMapper struct{ rootRR int }
 
 func (*hintMapper) name() string { return "hint" }

@@ -24,13 +24,6 @@ func TestNewMapperNames(t *testing.T) {
 	} else if want := `core: unknown mapper "bogus" (valid: hint, random)`; err.Error() != want {
 		t.Errorf("error text:\n got: %s\nwant: %s", err, want)
 	}
-	badCfg := DefaultConfig(4)
-	badCfg.Backend = "native"
-	if err := badCfg.validate(); err == nil {
-		t.Error("backend=native should fail validation")
-	} else if want := `core: unknown backend "native" (valid: rt, rt-conservative, sim)`; err.Error() != want {
-		t.Errorf("error text:\n got: %s\nwant: %s", err, want)
-	}
 }
 
 func TestHintTile(t *testing.T) {

@@ -122,7 +122,6 @@ func (p nestedProgram) program(base *uint64) *Program {
 				func(c int) { e.EnqueueSub(0, guest.NoHint, [3]uint64{uint64(c)}) })
 		}
 		prog.Fns = []guest.TaskFn{body}
-		prog.FnNames = []string{"nested"}
 		for _, r := range p.roots {
 			m.EnqueueRoot(0, p.tasks[r].ts, uint64(r))
 		}
@@ -188,7 +187,7 @@ func TestNestedCommitProtocolProperties(t *testing.T) {
 			defer func() { debugCommitHook, debugAbortHook = nil, nil }()
 
 			var base uint64
-			m, err := NewMachine(propConfig(seed), p.program(&base))
+			m, err := loadProgram(propConfig(seed), p.program(&base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -305,7 +304,7 @@ func TestNestedSpillBounds(t *testing.T) {
 			m.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 0, Path: prog.tasks[id].path, Args: [3]uint64{uint64(id)}})
 		}
 	}
-	m, err := NewMachine(propConfig(42), p)
+	m, err := loadProgram(propConfig(42), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,14 +376,13 @@ func TestDescCompare(t *testing.T) {
 // head suppresses the rescue (normal freeSlot drains suffice), and a
 // head that precedes everything resident is re-materialized.
 func TestRescueOverflowGate(t *testing.T) {
-	prog := &Program{
-		Fns:   []guest.TaskFn{func(e guest.TaskEnv) {}},
-		Setup: func(m *Machine) { m.EnqueueRoot(0, 0) },
-	}
-	m, err := NewMachine(DefaultConfig(4), prog)
+	m, err := NewMachine(DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ft := &guest.FnTable{}
+	ft.Fn("nop", func(guest.TaskEnv) {})
+	m.SetProgram(ft)
 	tt := m.tiles[0]
 
 	m.rescueOverflow(tt) // empty overflow: nothing to do

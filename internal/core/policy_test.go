@@ -16,7 +16,6 @@ func tinyConfig(tiles, cpt, tq, cq int) Config {
 		GVTPeriod:   100,
 		SpillBatch:  4,
 		Bloom:       bloom.Default(),
-		HopCycles:   3,
 		Seed:        1,
 		MaxCycles:   200_000_000,
 		DebugChecks: true,

@@ -200,7 +200,7 @@ func TestCommitProtocolProperties(t *testing.T) {
 			defer func() { debugCommitHook, debugAbortHook = nil, nil }()
 
 			var base uint64
-			m, err := NewMachine(propConfig(seed), p.program(&base))
+			m, err := loadProgram(propConfig(seed), p.program(&base))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -290,16 +290,12 @@ func TestCommitProtocolPhasedInjection(t *testing.T) {
 					}
 				}
 				prog.Fns = []guest.TaskFn{body(p1, 0), body(p2, 1)}
-				prog.FnNames = []string{"phase1", "phase2"}
 				for _, r := range p1.roots {
 					m.EnqueueRoot(0, p1.tasks[r].ts, uint64(r))
 				}
 			}
-			m, err := NewMachine(propConfig(seed), prog)
+			m, err := loadProgram(propConfig(seed), prog)
 			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Start(); err != nil {
 				t.Fatal(err)
 			}
 			ph1, err := m.RunPhase()

@@ -27,7 +27,7 @@ type internalStats struct {
 type Stats struct {
 	// Backend names the execution engine that produced the run: "sim"
 	// for the cycle-level simulator, "rt"/"rt-conservative" for the
-	// native host runtime (see BackendNames).
+	// native host runtime (see backend.Names).
 	Backend string
 
 	// Cycles is the end-to-end run time in cycles. Zero under the native

@@ -113,15 +113,6 @@ func (d TaskDesc) Compare(o TaskDesc) int {
 	return tsdom.Compare(d.Path, o.Path)
 }
 
-// Sub returns the descriptor of d's i-th nested subtask: same timestamp
-// slot, path extended by fork index i. Root task sets use it to seed a
-// fork-join domain below one programmer timestamp; inside a running task,
-// Fork/EnqueueSub assign fork indices automatically.
-func (d TaskDesc) Sub(i uint64) TaskDesc {
-	d.Path = d.Path.Child(i)
-	return d
-}
-
 // Op is one operation surrendered by a guest.
 type Op struct {
 	Kind OpKind

@@ -133,7 +133,8 @@ func (l *childLog) AddChild(d TaskDesc) { *l = append(*l, d) }
 // per-attempt index below it, hints tag the descriptor, the ninth child
 // of an attempt panics, and Begin restarts the fork index and the count.
 func TestAttemptChildren(t *testing.T) {
-	parent := TaskDesc{TS: 7}.Sub(3)
+	parent := TaskDesc{TS: 7}
+	parent.Path = parent.Path.Child(3)
 	var log childLog
 	var a Attempt
 	a.Begin(parent, &log)
@@ -145,9 +146,9 @@ func TestAttemptChildren(t *testing.T) {
 	want := []TaskDesc{
 		{Fn: 1, TS: 9, Path: parent.Path, Args: [3]uint64{5}},
 		TaskDesc{Fn: 1, TS: 8, Path: parent.Path, Args: [3]uint64{6}}.WithHint(42),
-		TaskDesc{Fn: 2, TS: 7, Path: parent.Path, Args: [3]uint64{1, 2}}.Sub(0),
-		TaskDesc{Fn: 2, TS: 7, Path: parent.Path}.Sub(1).WithHint(43),
-		TaskDesc{Fn: 2, TS: 7, Path: parent.Path, Args: [3]uint64{4}}.Sub(2),
+		{Fn: 2, TS: 7, Path: parent.Path.Child(0), Args: [3]uint64{1, 2}},
+		TaskDesc{Fn: 2, TS: 7, Path: parent.Path.Child(1)}.WithHint(43),
+		{Fn: 2, TS: 7, Path: parent.Path.Child(2), Args: [3]uint64{4}},
 	}
 	if !slices.Equal(log, want) {
 		t.Fatalf("children = %+v, want %+v", log, want)
@@ -168,7 +169,7 @@ func TestAttemptChildren(t *testing.T) {
 	for range MaxChildren {
 		a.Fork(2)
 	}
-	if log[0] != (TaskDesc{Fn: 2, TS: 7, Path: parent.Path}.Sub(0)) {
+	if log[0] != (TaskDesc{Fn: 2, TS: 7, Path: parent.Path.Child(0)}) {
 		t.Fatalf("first fork after Begin = %+v", log[0])
 	}
 }

@@ -69,19 +69,20 @@ func TestCSVExports(t *testing.T) {
 	}
 }
 
-// TestCSVNoNaNOnEmptyApp runs an app whose Setup enqueues nothing — the
+// TestCSVNoNaNOnEmptyApp runs a machine with nothing enqueued — the
 // measured region is empty and the serial/parallel baselines report zero
 // cycles — and requires every exporter to emit finite numbers: a zero
 // denominator must become 0 in the CSV, never NaN or Inf.
 func TestCSVNoNaNOnEmptyApp(t *testing.T) {
-	m, err := core.NewMachine(core.DefaultConfig(4), &core.Program{Setup: func(m *core.Machine) {}})
+	m, err := core.NewMachine(core.DefaultConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := m.Run()
+	ph, err := m.RunPhase()
 	if err != nil {
 		t.Fatal(err)
 	}
+	st := ph.Cumulative
 	if st.Commits != 0 {
 		t.Fatalf("empty app committed %d tasks", st.Commits)
 	}

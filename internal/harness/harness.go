@@ -77,7 +77,7 @@ func (s *Suite) SetMapper(name string) { s.mapperName = name }
 
 // SetBackend selects the execution engine of every Swarm run the suite
 // builds ("" or "sim" keeps the cycle-level simulator; see
-// core.BackendNames). Note that cycle-based metrics are all zero under
+// backend.Names). Note that cycle-based metrics are all zero under
 // the native backends, so sweeps that chart cycles are only meaningful
 // on the simulator. Call before any sweep: the deduplicating run caches
 // key on (app, cores) only.

@@ -5,8 +5,10 @@ import (
 	"sort"
 	"strings"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/noc"
 )
 
 // optionList joins names in sorted order for error messages: registries
@@ -66,10 +68,10 @@ func ValidateMapper(name string) error {
 
 // ValidateCores checks that a core count builds a legal machine: the CMP
 // is tiled 4 cores per tile (machines under 4 cores are one smaller
-// tile), so the count must be 1-4 or a multiple of 4. Without this check
-// the config layer panics during machine construction.
+// tile; see noc.Tiling), so the count must be 1-4 or a multiple of 4.
+// Without this check the config layer panics during machine construction.
 func ValidateCores(n int) error {
-	if n >= 1 && (n <= 4 || n%4 == 0) {
+	if _, _, ok := noc.Tiling(n); ok {
 		return nil
 	}
 	return fmt.Errorf("invalid core count %d (valid: 1, 2, 3, 4, or any multiple of 4)", n)
@@ -77,11 +79,6 @@ func ValidateCores(n int) error {
 
 // ValidateBackend checks an execution-backend name against the engines
 // the backend layer can build ("" selects the default simulator and is
-// valid). Matches core.Config validation, but fails before any input
-// generation and with flag-level context.
-func ValidateBackend(name string) error {
-	if core.ValidBackend(name) {
-		return nil
-	}
-	return fmt.Errorf("unknown backend %q (valid: %s)", name, optionList(core.BackendNames()))
-}
+// valid). It is the check backend.New makes, but fails before any input
+// generation.
+func ValidateBackend(name string) error { return backend.CheckName(name) }

@@ -47,18 +47,36 @@ const (
 	GVTMsgBytes   = 16
 )
 
+// HopCycles is the per-hop link latency (Table 3: 3 cycles).
+const HopCycles = 3
+
+// CoresPerTile is the number of cores sharing one mesh tile (Table 3 and
+// Fig 2: 4).
+const CoresPerTile = 4
+
+// Tiling splits an nCores CMP into tiles of CoresPerTile cores; machines
+// under CoresPerTile cores are one smaller tile. ok is false when nCores
+// cannot be tiled (not positive, or above CoresPerTile and not a multiple
+// of it).
+func Tiling(nCores int) (tiles, coresPerTile int, ok bool) {
+	if nCores < 1 {
+		return 0, 0, false
+	}
+	cpt := min(nCores, CoresPerTile)
+	return nCores / cpt, cpt, nCores%cpt == 0
+}
+
 // Mesh is a W×H mesh of tiles with X-Y dimension-order routing.
 type Mesh struct {
 	width, height int
 	tiles         int
-	hopCycles     uint64
 	injected      [][NumClasses]uint64 // per source tile, bytes
 	messages      [][NumClasses]uint64 // per source tile, message count
 }
 
 // New builds the smallest W×H mesh (W >= H, W-H <= 1 pattern: nearly
 // square) that holds nTiles tiles.
-func New(nTiles int, hopCycles uint64) *Mesh {
+func New(nTiles int) *Mesh {
 	if nTiles < 1 {
 		panic("noc: need at least one tile")
 	}
@@ -68,7 +86,7 @@ func New(nTiles int, hopCycles uint64) *Mesh {
 	}
 	h := (nTiles + w - 1) / w
 	return &Mesh{
-		width: w, height: h, tiles: nTiles, hopCycles: hopCycles,
+		width: w, height: h, tiles: nTiles,
 		injected: make([][NumClasses]uint64, nTiles),
 		messages: make([][NumClasses]uint64, nTiles),
 	}
@@ -97,7 +115,7 @@ func (m *Mesh) Hops(a, b int) int {
 }
 
 // Latency returns the cycle cost of a one-way message from tile a to b.
-func (m *Mesh) Latency(a, b int) uint64 { return uint64(m.Hops(a, b)) * m.hopCycles }
+func (m *Mesh) Latency(a, b int) uint64 { return uint64(m.Hops(a, b)) * HopCycles }
 
 // EdgeLatency returns the latency from a tile to the nearest chip edge
 // (memory controllers sit at the edges, Table 3).
@@ -113,7 +131,7 @@ func (m *Mesh) EdgeLatency(tile int) uint64 {
 	if r := m.height - 1 - y; r < d {
 		d = r
 	}
-	return uint64(d) * m.hopCycles
+	return uint64(d) * HopCycles
 }
 
 // Send accounts a message of the given class and size injected at src and

@@ -7,7 +7,7 @@ func TestMeshDims(t *testing.T) {
 		{1, 1, 1}, {2, 2, 1}, {4, 2, 2}, {8, 3, 3}, {9, 3, 3}, {16, 4, 4},
 	}
 	for _, c := range cases {
-		m := New(c.tiles, 3)
+		m := New(c.tiles)
 		w, h := m.Dims()
 		if w != c.w || h != c.h {
 			t.Errorf("tiles=%d: dims=%dx%d, want %dx%d", c.tiles, w, h, c.w, c.h)
@@ -19,7 +19,7 @@ func TestMeshDims(t *testing.T) {
 }
 
 func TestHopsXY(t *testing.T) {
-	m := New(16, 3) // 4x4
+	m := New(16) // 4x4
 	if m.Hops(0, 0) != 0 {
 		t.Error("self hops != 0")
 	}
@@ -38,7 +38,7 @@ func TestHopsXY(t *testing.T) {
 }
 
 func TestTriangleInequality(t *testing.T) {
-	m := New(16, 3)
+	m := New(16)
 	for a := 0; a < 16; a++ {
 		for b := 0; b < 16; b++ {
 			for c := 0; c < 16; c++ {
@@ -51,7 +51,7 @@ func TestTriangleInequality(t *testing.T) {
 }
 
 func TestEdgeLatency(t *testing.T) {
-	m := New(16, 3)
+	m := New(16)
 	if m.EdgeLatency(0) != 0 { // corner is on the edge
 		t.Errorf("corner EdgeLatency = %d", m.EdgeLatency(0))
 	}
@@ -61,7 +61,7 @@ func TestEdgeLatency(t *testing.T) {
 }
 
 func TestTrafficAccounting(t *testing.T) {
-	m := New(4, 3)
+	m := New(4)
 	m.Send(0, 1, ClassMem, 72)
 	m.Send(0, 2, ClassEnqueue, TaskDescBytes)
 	m.Send(1, 0, ClassAbort, AbortMsgBytes)

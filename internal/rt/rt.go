@@ -43,10 +43,10 @@ import (
 var errGuestPanic = errors.New("rt: guest task panicked")
 
 // Runtime executes one Swarm guest program natively. It presents the
-// same phased-machine surface as core.Machine (Start, RunPhase,
-// EnqueueRootDesc, Snapshot, ...) so the backend layer can swap the two.
-// Like the machine it is single-use: one program, one run to completion,
-// phase by phase.
+// same phased-machine surface as core.Machine (SetProgram, RunPhase,
+// EnqueueRootDesc, Snapshot, ...), so backend.New builds and programs
+// both engines through one sequence. Like the machine it runs one
+// program, phase by phase.
 type Runtime struct {
 	cfg  core.Config
 	name string
@@ -60,14 +60,14 @@ type Runtime struct {
 	fns     []guest.TaskFn
 	fnNames []string
 
-	started bool
 	running bool
 	phase   int
 	wallNS  uint64
 }
 
-// New builds a native runtime for cfg. cfg.Backend selects the variant
-// ("rt" or "rt-conservative"); cfg.Cores() bounds worker parallelism;
+// New builds a native runtime for cfg, parked at its initial quiescent
+// point. cfg.Backend "rt-conservative" selects the conservative variant
+// and names the run in Stats; cfg.Cores() bounds worker parallelism;
 // cfg.CommitQPerCore x cfg.Cores() bounds the software commit queue, as
 // in the simulated machine, unless cfg.UnboundedQueues; cfg.DebugChecks
 // enables the commit-time purity re-execution check.
@@ -75,27 +75,20 @@ func New(cfg core.Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	name := cfg.Backend
-	if name != "rt" && name != "rt-conservative" {
-		return nil, fmt.Errorf("rt: config backend %q is not a native runtime", cfg.Backend)
-	}
 	r := &Runtime{
 		cfg:  cfg,
-		name: name,
+		name: cfg.Backend,
 		base: mem.New(),
 		heap: mem.NewAllocator(),
 	}
 	r.store = newStore(r.base)
-	r.sched = newSched(r, name == "rt-conservative")
+	r.sched = newSched(r, cfg.Backend == "rt-conservative")
 	return r, nil
 }
 
 // SetProgram installs the guest function table. Must be called before
 // the first RunPhase.
-func (r *Runtime) SetProgram(fns []guest.TaskFn, names []string) {
-	r.fns = fns
-	r.fnNames = names
-}
+func (r *Runtime) SetProgram(ft *guest.FnTable) { r.fns, r.fnNames = ft.Fns(), ft.Names() }
 
 // Mem returns the guest memory. Between phases (and before/after the
 // run) it holds exactly the committed state; during a phase it is frozen
@@ -134,20 +127,6 @@ func (r *Runtime) QueuedTasks() int {
 	return r.sched.ready.len()
 }
 
-// Start marks the runtime live. It exists for surface parity with the
-// machine (which runs guest setup here); the backend layer runs setup
-// itself and errors the same way on reuse.
-func (r *Runtime) Start() error {
-	if r.started {
-		return errors.New("rt: runtime already ran")
-	}
-	r.started = true
-	return nil
-}
-
-// Quiesced reports whether the runtime is started and between phases.
-func (r *Runtime) Quiesced() bool { return r.started && !r.running }
-
 // Phase returns the number of completed phases.
 func (r *Runtime) Phase() int { return r.phase }
 
@@ -155,9 +134,6 @@ func (r *Runtime) Phase() int { return r.phase }
 // quiescence on cfg.Cores() worker goroutines, then folds committed
 // state into guest memory and reports the phase.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
-	if !r.started {
-		return core.PhaseStats{}, errors.New("rt: RunPhase before Start")
-	}
 	if r.running {
 		return core.PhaseStats{}, errors.New("rt: RunPhase re-entered mid-phase")
 	}

@@ -19,6 +19,15 @@ func testConfig(t *testing.T, cores int, backend string) core.Config {
 	return cfg
 }
 
+// program registers fns under names, positionally, in one function table.
+func program(fns []guest.TaskFn, names []string) *guest.FnTable {
+	ft := &guest.FnTable{}
+	for i, fn := range fns {
+		ft.Fn(names[i], fn)
+	}
+	return ft
+}
+
 // runProgram builds a runtime for one function table, enqueues roots,
 // and drains a single phase.
 func runProgram(t *testing.T, cfg core.Config, fns []guest.TaskFn, names []string, roots []guest.TaskDesc) (*Runtime, core.PhaseStats, error) {
@@ -27,10 +36,7 @@ func runProgram(t *testing.T, cfg core.Config, fns []guest.TaskFn, names []strin
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.SetProgram(fns, names)
-	if err := r.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	r.SetProgram(program(fns, names))
 	for _, d := range roots {
 		r.EnqueueRootDesc(d)
 	}
@@ -256,7 +262,7 @@ func TestDebugChecksCommitUnderEarliest(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.SetProgram([]guest.TaskFn{func(guest.TaskEnv) {}}, []string{"nop"})
+	r.SetProgram(program([]guest.TaskFn{func(guest.TaskEnv) {}}, []string{"nop"}))
 	s := r.sched
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -281,16 +287,7 @@ func TestMultiPhase(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.SetProgram([]guest.TaskFn{body}, []string{"add"})
-	if _, err := r.RunPhase(); err == nil || !strings.Contains(err.Error(), "RunPhase before Start") {
-		t.Fatalf("RunPhase before Start: err = %v", err)
-	}
-	if err := r.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
-	if err := r.Start(); err == nil {
-		t.Fatal("second Start succeeded, want error")
-	}
+	r.SetProgram(program([]guest.TaskFn{body}, []string{"add"}))
 	total := uint64(0)
 	for phase := 1; phase <= 3; phase++ {
 		add := uint64(phase * 10)
@@ -308,9 +305,6 @@ func TestMultiPhase(t *testing.T) {
 		}
 		if got := r.Mem().Load(cell); got != total {
 			t.Errorf("phase %d: cell = %d, want %d", phase, got, total)
-		}
-		if !r.Quiesced() {
-			t.Errorf("phase %d: not quiesced after RunPhase", phase)
 		}
 	}
 	st := r.Snapshot()
@@ -502,18 +496,10 @@ func TestConservativeNoCrossTimestampSpeculation(t *testing.T) {
 	}
 }
 
-// TestInvalidBackendConfig: rt.New refuses non-native and malformed
-// configurations with the shared config validation error.
+// TestInvalidBackendConfig: rt.New refuses a malformed configuration
+// with the shared config validation error. Backend names are checked by
+// backend.New.
 func TestInvalidBackendConfig(t *testing.T) {
-	cfg := core.DefaultConfig(4)
-	cfg.Backend = "sim"
-	if _, err := New(cfg); err == nil {
-		t.Error("New with sim backend succeeded, want error")
-	}
-	cfg.Backend = "turbo"
-	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "unknown backend") {
-		t.Errorf("New with bogus backend: err = %v, want unknown-backend", err)
-	}
 	bad := core.DefaultConfig(4)
 	bad.Backend = "rt"
 	bad.Tiles = 0
@@ -602,8 +588,8 @@ func TestFailedPhaseKeepsCommits(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "infinite loop") {
 		t.Fatalf("err = %v, want op-cap error", err)
 	}
-	if c := r.Snapshot().Commits; c != 1 || !r.Quiesced() {
-		t.Fatalf("commits = %d, quiesced = %v; want 1 commit, quiesced", c, r.Quiesced())
+	if c := r.Snapshot().Commits; c != 1 || r.running {
+		t.Fatalf("commits = %d, running = %v; want 1 commit, quiesced", c, r.running)
 	}
 	if got := r.Mem().Load(cell); got != 7 {
 		t.Errorf("committed word = %d after the failed phase, want 7", got)
@@ -626,8 +612,8 @@ func chainStep(e guest.TaskEnv) {
 	}
 }
 
-// startedRuntime returns a started rt runtime whose program is fn, and a
-// setup allocation of words words.
+// startedRuntime returns an rt runtime whose program is fn, parked before
+// its first phase, and a setup allocation of words words.
 func startedRuntime(tb testing.TB, workers int, fn guest.TaskFn, words uint64) (*Runtime, uint64) {
 	cfg := core.DefaultConfig(workers)
 	cfg.Backend = "rt"
@@ -635,10 +621,7 @@ func startedRuntime(tb testing.TB, workers int, fn guest.TaskFn, words uint64) (
 	if err != nil {
 		tb.Fatalf("New: %v", err)
 	}
-	r.SetProgram([]guest.TaskFn{fn}, []string{"fn"})
-	if err := r.Start(); err != nil {
-		tb.Fatalf("Start: %v", err)
-	}
+	r.SetProgram(program([]guest.TaskFn{fn}, []string{"fn"}))
 	return r, r.SetupAlloc(words * 8)
 }
 

@@ -107,10 +107,7 @@ func TestStoreGrowsMidPhase(t *testing.T) {
 		if err != nil {
 			t.Fatalf("New: %v", err)
 		}
-		r.SetProgram([]guest.TaskFn{writer, reader}, []string{"writer", "reader"})
-		if err := r.Start(); err != nil {
-			t.Fatalf("Start: %v", err)
-		}
+		r.SetProgram(program([]guest.TaskFn{writer, reader}, []string{"writer", "reader"}))
 		r.Mem().Store(out, 1) // one base page in the phase's read view
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 0})
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 1})
@@ -150,10 +147,7 @@ func TestHighAddressRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	r.SetProgram(fns, []string{"inc", "double", "sum"})
-	if err := r.Start(); err != nil {
-		t.Fatalf("Start: %v", err)
-	}
+	r.SetProgram(program(fns, []string{"inc", "double", "sum"}))
 	r.Mem().Store(hi, 5)
 	r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 0})
 	r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 1})

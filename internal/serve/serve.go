@@ -34,8 +34,8 @@ import (
 	"net/http/pprof"
 	"time"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/harness"
 )
 
@@ -335,7 +335,7 @@ func (s *Server) handleApps(w http.ResponseWriter, _ *http.Request) {
 			Figures:     m.Figures,
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"apps": out, "backends": core.BackendNames()})
+	writeJSON(w, http.StatusOK, map[string]any{"apps": out, "backends": backend.Names()})
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

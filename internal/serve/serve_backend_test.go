@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/backend"
 )
 
 // TestBackendJobs: a -backend rt job runs end-to-end through the HTTP
@@ -106,8 +106,8 @@ func TestBackendValidationAndRegistry(t *testing.T) {
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatal(err)
 	}
-	if len(doc.Backends) != len(core.BackendNames()) {
-		t.Fatalf("/apps backends = %v, registry has %v", doc.Backends, core.BackendNames())
+	if len(doc.Backends) != len(backend.Names()) {
+		t.Fatalf("/apps backends = %v, registry has %v", doc.Backends, backend.Names())
 	}
 }
 

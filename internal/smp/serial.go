@@ -4,7 +4,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/cache"
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/mem"
-	"github.com/swarm-sim/swarm/internal/noc"
 )
 
 // SerialMachine runs a single-threaded guest program in direct mode: the
@@ -26,14 +25,14 @@ type SerialMachine struct {
 
 var _ guest.Env = (*SerialMachine)(nil)
 
-// NewSerialMachine builds a direct-mode machine with the given geometry.
-func NewSerialMachine(cfg Config) *SerialMachine {
-	cfg.Cache.Tiles = cfg.Tiles
-	cfg.Cache.CoresPerTile = cfg.CoresPerTile
+// NewSerialMachine builds a direct-mode machine with the geometry of an
+// nCores machine.
+func NewSerialMachine(nCores int) *SerialMachine {
+	hier, _ := hierarchy(nCores)
 	return &SerialMachine{
 		gmem: mem.New(),
 		heap: mem.NewAllocator(),
-		hier: cache.New(cfg.Cache, noc.New(cfg.Tiles, cfg.HopCycles)),
+		hier: hier,
 	}
 }
 

@@ -16,42 +16,25 @@ import (
 	"github.com/swarm-sim/swarm/internal/sim"
 )
 
-// Config sizes the baseline machine; DefaultConfig mirrors Table 3 scaled
-// to nCores (same scaling rule as the Swarm machine: constant per-core
-// cache capacity).
-type Config struct {
-	Tiles        int
-	CoresPerTile int
-	Cache        cache.Params
-	HopCycles    uint64
-	// AtomicCost is the extra cost of an atomic read-modify-write over a
+const (
+	// atomicCost is the extra cost of an atomic read-modify-write over a
 	// plain store (reservation + retry window).
-	AtomicCost uint64
-	MaxCycles  uint64
-}
+	atomicCost = 4
+	// maxCycles aborts a run that exceeds it: a safety net against
+	// livelock bugs in baseline programs.
+	maxCycles = 2_000_000_000_000
+)
 
-// DefaultConfig returns the Table 3 machine scaled to nCores.
-func DefaultConfig(nCores int) Config {
-	cpt := 4
-	if nCores < 4 {
-		cpt = nCores
-	}
-	if nCores%cpt != 0 {
+// hierarchy builds the Table 3 memory hierarchy of an nCores machine,
+// tiled as the Swarm machine is (noc.Tiling), so per-core cache capacity
+// stays constant as the machine scales.
+func hierarchy(nCores int) (h *cache.Hierarchy, coresPerTile int) {
+	tiles, cpt, ok := noc.Tiling(nCores)
+	if !ok {
 		panic(fmt.Sprintf("smp: %d cores not divisible into tiles", nCores))
 	}
-	tiles := nCores / cpt
-	return Config{
-		Tiles:        tiles,
-		CoresPerTile: cpt,
-		Cache:        cache.DefaultParams(tiles, cpt),
-		HopCycles:    3,
-		AtomicCost:   4,
-		MaxCycles:    2_000_000_000_000,
-	}
+	return cache.New(cache.DefaultParams(tiles, cpt), noc.New(tiles)), cpt
 }
-
-// Cores returns the machine's core (= thread) count.
-func (c Config) Cores() int { return c.Tiles * c.CoresPerTile }
 
 // Stats summarizes a baseline run.
 type Stats struct {
@@ -61,7 +44,9 @@ type Stats struct {
 
 // Machine runs one thread per core against the simulated hierarchy.
 type Machine struct {
-	cfg  Config
+	cores        int
+	coresPerTile int
+
 	eng  sim.Engine
 	gmem *mem.Memory
 	heap *mem.Allocator
@@ -77,16 +62,16 @@ type thread struct {
 	co   *guest.Coroutine
 }
 
-// NewMachine builds a baseline machine. setup initializes guest memory
-// (untimed, like Swarm's Setup).
-func NewMachine(cfg Config) *Machine {
-	cfg.Cache.Tiles = cfg.Tiles
-	cfg.Cache.CoresPerTile = cfg.CoresPerTile
+// NewMachine builds a baseline machine of nCores cores: the Table 3
+// machine scaled to nCores.
+func NewMachine(nCores int) *Machine {
+	hier, cpt := hierarchy(nCores)
 	return &Machine{
-		cfg:  cfg,
-		gmem: mem.New(),
-		heap: mem.NewAllocator(),
-		hier: cache.New(cfg.Cache, noc.New(cfg.Tiles, cfg.HopCycles)),
+		cores:        nCores,
+		coresPerTile: cpt,
+		gmem:         mem.New(),
+		heap:         mem.NewAllocator(),
+		hier:         hier,
 	}
 }
 
@@ -98,16 +83,16 @@ func (m *Machine) SetupAlloc(nBytes uint64) uint64 { return m.heap.AllocLineAlig
 
 // Run launches one thread per core running fn and waits for all of them.
 func (m *Machine) Run(fn guest.ThreadFn) (Stats, error) {
-	n := m.cfg.Cores()
+	n := m.cores
 	m.threads = make([]*thread, n)
 	m.live = n
 	for i := 0; i < n; i++ {
-		th := &thread{id: i, tile: i / m.cfg.CoresPerTile}
+		th := &thread{id: i, tile: i / m.coresPerTile}
 		th.co = guest.StartThread(fn, i, n)
 		m.threads[i] = th
 		m.eng.At(0, func() { m.resume(th, guest.Result{}) })
 	}
-	if err := m.eng.Run(m.cfg.MaxCycles); err != nil {
+	if err := m.eng.Run(maxCycles); err != nil {
 		return Stats{}, fmt.Errorf("smp: %w", err)
 	}
 	if m.live != 0 {
@@ -144,7 +129,7 @@ func (m *Machine) handleOp(th *thread, op guest.Op) {
 		m.eng.After(lat, func() { m.resume(th, guest.Result{}) })
 
 	case guest.OpCAS:
-		lat := m.access(th, mem.Line(op.Addr), true) + m.cfg.AtomicCost
+		lat := m.access(th, mem.Line(op.Addr), true) + atomicCost
 		ok := false
 		if m.gmem.Load(op.Addr) == op.Old {
 			m.gmem.Store(op.Addr, op.Val)
@@ -153,7 +138,7 @@ func (m *Machine) handleOp(th *thread, op guest.Op) {
 		m.eng.After(lat, func() { m.resume(th, guest.Result{OK: ok}) })
 
 	case guest.OpFetchAdd:
-		lat := m.access(th, mem.Line(op.Addr), true) + m.cfg.AtomicCost
+		lat := m.access(th, mem.Line(op.Addr), true) + atomicCost
 		old := m.gmem.Load(op.Addr)
 		m.gmem.Store(op.Addr, old+op.Val)
 		m.eng.After(lat, func() { m.resume(th, guest.Result{Val: old}) })

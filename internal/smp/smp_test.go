@@ -7,7 +7,7 @@ import (
 )
 
 func TestThreadsSumDisjoint(t *testing.T) {
-	m := NewMachine(DefaultConfig(8))
+	m := NewMachine(8)
 	base := m.SetupAlloc(8 * 8)
 	st, err := m.Run(func(e guest.ThreadEnv) {
 		var s uint64
@@ -30,7 +30,7 @@ func TestThreadsSumDisjoint(t *testing.T) {
 }
 
 func TestFetchAddContention(t *testing.T) {
-	m := NewMachine(DefaultConfig(16))
+	m := NewMachine(16)
 	ctr := m.SetupAlloc(8)
 	_, err := m.Run(func(e guest.ThreadEnv) {
 		for i := 0; i < 50; i++ {
@@ -46,7 +46,7 @@ func TestFetchAddContention(t *testing.T) {
 }
 
 func TestCASSemantics(t *testing.T) {
-	m := NewMachine(DefaultConfig(4))
+	m := NewMachine(4)
 	slot := m.SetupAlloc(8)
 	wins := m.SetupAlloc(8)
 	_, err := m.Run(func(e guest.ThreadEnv) {
@@ -66,7 +66,7 @@ func TestCASSemantics(t *testing.T) {
 }
 
 func TestSerialDirectMode(t *testing.T) {
-	m := NewSerialMachine(DefaultConfig(1))
+	m := NewSerialMachine(1)
 	a := m.SetupAlloc(80)
 	cycles := m.Run(func(e guest.Env) {
 		for i := uint64(0); i < 10; i++ {
@@ -99,7 +99,7 @@ func TestSerialDirectMode(t *testing.T) {
 }
 
 func TestSerialAllocFree(t *testing.T) {
-	m := NewSerialMachine(DefaultConfig(1))
+	m := NewSerialMachine(1)
 	var addr uint64
 	m.Run(func(e guest.Env) {
 		addr = e.Alloc(64)
@@ -122,11 +122,11 @@ func TestSerialAgreesWithSMP1(t *testing.T) {
 			e.Work(3)
 		}
 	}
-	sm := NewSerialMachine(DefaultConfig(1))
+	sm := NewSerialMachine(1)
 	sb := sm.SetupAlloc(32 * 8)
 	serialCycles := sm.Run(func(e guest.Env) { body(e, sb) })
 
-	em := NewMachine(DefaultConfig(1))
+	em := NewMachine(1)
 	eb := em.SetupAlloc(32 * 8)
 	st, err := em.Run(func(e guest.ThreadEnv) { body(e, eb) })
 	if err != nil {

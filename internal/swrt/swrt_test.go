@@ -14,7 +14,7 @@ import (
 	"github.com/swarm-sim/swarm/internal/smp"
 )
 
-func serialEnv() *smp.SerialMachine { return smp.NewSerialMachine(smp.DefaultConfig(1)) }
+func serialEnv() *smp.SerialMachine { return smp.NewSerialMachine(1) }
 
 // Property: the guest heap behaves exactly like container/heap.
 func TestHeapMatchesReference(t *testing.T) {
@@ -187,7 +187,7 @@ func TestUnionFindMatchesReference(t *testing.T) {
 }
 
 func TestSpinLockMutualExclusion(t *testing.T) {
-	m := smp.NewMachine(smp.DefaultConfig(8))
+	m := smp.NewMachine(8)
 	lock := SpinLock{Addr: m.SetupAlloc(64)}
 	shared := m.SetupAlloc(8)
 	_, err := m.Run(func(e guest.ThreadEnv) {
@@ -209,7 +209,7 @@ func TestSpinLockMutualExclusion(t *testing.T) {
 
 func TestBarrierPhases(t *testing.T) {
 	const threads = 8
-	m := smp.NewMachine(smp.DefaultConfig(threads))
+	m := smp.NewMachine(threads)
 	bar := NewBarrier(m.SetupAlloc, threads)
 	phase := NewArray(m.SetupAlloc, threads)
 	ok := true
@@ -241,7 +241,7 @@ func TestBarrierPhases(t *testing.T) {
 // of [0, n) exactly once, with a chunk that does not divide n.
 func TestClaimCoversRangeOnce(t *testing.T) {
 	const threads, n, chunk = 8, 1000, 7
-	m := smp.NewMachine(smp.DefaultConfig(threads))
+	m := smp.NewMachine(threads)
 	cursor := m.SetupAlloc(64)
 	hits := NewArray(m.SetupAlloc, n)
 	claimers := make(map[int]bool)
@@ -271,7 +271,7 @@ func TestClaimCoversRangeOnce(t *testing.T) {
 func TestWorklistLevels(t *testing.T) {
 	const threads, levels = 4, 6
 	const n = 1 << levels // the tree's items are 1..n-1
-	m := smp.NewMachine(smp.DefaultConfig(threads))
+	m := smp.NewMachine(threads)
 	wl := NewWorklist(m.SetupAlloc, m.Mem().Store, n/2, []uint64{1})
 	levelAddr := wl.Ctl + 40
 	seen := NewArray(m.SetupAlloc, n) // sum of (level+1) over v's visits
@@ -315,7 +315,7 @@ func TestWorklistLevels(t *testing.T) {
 // TestWorklistPushPastCapacityPanics: a push past a list's capacity must
 // panic rather than write past the list.
 func TestWorklistPushPastCapacityPanics(t *testing.T) {
-	m := smp.NewMachine(smp.DefaultConfig(1))
+	m := smp.NewMachine(1)
 	wl := NewWorklist(m.SetupAlloc, m.Mem().Store, 2, []uint64{7})
 	var got any
 	func() {

@@ -105,7 +105,7 @@ func TestReferenceInvariants(t *testing.T) {
 func TestSerialMachineMatchesReference(t *testing.T) {
 	sc := DefaultScale(2, 200)
 	txns := Generate(sc, 200, 13)
-	m := smp.NewSerialMachine(smp.DefaultConfig(1))
+	m := smp.NewSerialMachine(1)
 	l := Pack(sc, txns, m.SetupAlloc, m.Mem().Store)
 	cycles := m.Run(func(e guest.Env) {
 		for i := 0; i < len(txns); i++ {

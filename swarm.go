@@ -58,17 +58,20 @@ type FnID = guest.FnID
 // timestamp, and up to three argument words.
 type Task = guest.TaskDesc
 
-// Config describes the simulated machine (Table 3 of the paper).
-// Config.Backend selects the execution engine: the cycle-level simulator
-// (the default) or the native speculative runtime (see BackendNames and
-// DESIGN.md, "Execution backends").
+// Config describes the simulated machine (Table 3 of the paper). Table 3
+// parameters that no experiment varies, such as the 3-cycle mesh hop,
+// are constants rather than fields. Config.Backend selects the execution
+// engine: the cycle-level simulator (the default) or the native
+// speculative runtime (see BackendNames and DESIGN.md, "Execution
+// backends").
 type Config = core.Config
 
-// BackendNames lists the valid Config.Backend values: "sim" (the
-// cycle-level simulator, also selected by the empty string), "rt" (the
-// native speculative runtime) and "rt-conservative" (the native runtime
-// without cross-timestamp speculation).
-func BackendNames() []string { return core.BackendNames() }
+// BackendNames lists the valid Config.Backend values, default first:
+// "sim" (the cycle-level simulator, also selected by the empty string),
+// "rt" (the native speculative runtime) and "rt-conservative" (the native
+// runtime without cross-timestamp speculation). NewSim and Run reject any
+// other name with an error that lists these.
+func BackendNames() []string { return backend.Names() }
 
 // Stats reports a run's cycles, commits, aborts, queue occupancies, NoC
 // traffic and cycle breakdowns.
