@@ -14,7 +14,7 @@
 # It prints, without failing on them:
 #   - swarmd-jobs' allocs_per_op. That workload's allocations scale with
 #     status polls per job, and polls per job depend on host speed
-#     (1,564-1,568 allocs per job at GOMAXPROCS=2 and 1,683 at
+#     (1,308-1,318 allocs per job at GOMAXPROCS=2 and 1,472 at
 #     GOMAXPROCS=4 on that VM), so a runner unlike the recording host
 #     would trip a 10% bound with no code change.
 #   - every workload's work_per_s and latency_ms as ratios to its record.

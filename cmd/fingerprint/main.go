@@ -160,7 +160,7 @@ func phaseDigest(app string, cores, nPhases int, ph core.PhaseStats) string {
 		app, cores, ph.Phase, nPhases, ph.StartCycle, ph.EndCycle, ph.Events, ph.Commits, ph.Aborts,
 		ph.Enqueues, ph.Dequeues, ph.NACKs, ph.PolicyAborts, ph.SpilledTasks,
 		ph.CommittedCycles, ph.AbortedCycles, ph.SpillCycles, ph.StallCycles, ph.GVTUpdates,
-		ph.AvgTaskQueueOcc, ph.AvgCommitQueueOcc, ph.TrafficBytes)
+		ph.AvgTaskQueueOcc, ph.AvgCommitQueueOcc, ph.TotalTrafficBytes())
 }
 
 // digest renders every deterministic Stats field on one line, including

@@ -181,9 +181,17 @@ func main() {
 }
 
 // printPhases reports each quiescence-to-quiescence phase of a session
-// benchmark before the cumulative report.
+// benchmark before the cumulative report: model cycles, spills and queue
+// occupancies on the simulator, host wall time on the native backends.
 func printPhases(w io.Writer, app string, phs []core.PhaseStats) {
 	fmt.Fprintf(w, "%s session: %d phases\n", app, len(phs))
+	if len(phs) > 0 && native(phs[0].Stats) {
+		fmt.Fprintf(w, "  %5s %12s %10s %8s\n", "phase", "wall_ms", "commits", "aborts")
+		for _, ph := range phs {
+			fmt.Fprintf(w, "  %5d %12.3f %10d %8d\n", ph.Phase, float64(ph.WallNS)/1e6, ph.Commits, ph.Aborts)
+		}
+		return
+	}
 	fmt.Fprintf(w, "  %5s %12s %10s %8s %8s %8s %8s\n",
 		"phase", "cycles", "commits", "aborts", "spilled", "tq_occ", "cq_occ")
 	for _, ph := range phs {
@@ -193,8 +201,12 @@ func printPhases(w io.Writer, app string, phs []core.PhaseStats) {
 	}
 }
 
+// native reports whether a run executed on a native (rt*) backend, which
+// measures wall time instead of model cycles.
+func native(st core.Stats) bool { return st.Backend != "" && st.Backend != "sim" }
+
 func printStats(w io.Writer, app string, st core.Stats) {
-	if st.Backend != "" && st.Backend != "sim" {
+	if native(st) {
 		printNativeStats(w, app, st)
 		return
 	}

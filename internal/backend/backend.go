@@ -36,10 +36,8 @@ type Backend interface {
 	// QueuedTasks returns the number of injected-but-unrun root tasks.
 	QueuedTasks() int
 	// RunPhase drains all queued tasks and their descendants to the
-	// §4.1 termination condition and reports the phase.
+	// §4.1 termination condition and reports the phase (core.PhaseOf).
 	RunPhase() (core.PhaseStats, error)
-	// Phase returns the number of completed phases.
-	Phase() int
 	// Snapshot returns cumulative run statistics.
 	Snapshot() core.Stats
 }

@@ -142,11 +142,12 @@ func TestMultiPhaseParity(t *testing.T) {
 		}
 		b.Mem().Store(acc, b.Mem().Load(acc)*10) // setup-cost edit between phases
 		b.EnqueueRootDesc(guest.TaskDesc{Fn: fn, TS: 0, Args: [3]uint64{7}})
-		if _, err := b.RunPhase(); err != nil {
+		ph, err := b.RunPhase()
+		if err != nil {
 			t.Fatalf("backend %q: phase 2: %v", name, err)
 		}
-		if b.Phase() != 2 {
-			t.Errorf("backend %q: Phase = %d, want 2", name, b.Phase())
+		if ph.Phase != 2 {
+			t.Errorf("backend %q: Phase = %d, want 2", name, ph.Phase)
 		}
 		if got := b.Mem().Load(acc); got != 57 {
 			t.Errorf("backend %q: acc = %d, want 57", name, got)

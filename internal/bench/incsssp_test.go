@@ -1,52 +1,111 @@
 package bench
 
 import (
+	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
 )
 
-// TestIncSSSPPhases: the phased session solves every batch correctly
-// (per-phase verification runs inside RunPhases) and the phase
-// accounting is coherent: contiguous cycle ranges, commits summing to the
-// cumulative count, and one phase per batch plus the initial solve.
+// TestIncSSSPPhases: on every backend, and on the simulator with a
+// tracer, the phased session solves every batch correctly (per-phase
+// verification runs inside RunPhases) and core.PhaseOf's accounting is
+// coherent: one numbered phase per batch plus the initial solve, phase
+// k+1 starting where phase k ended, every counter of the phases' own
+// Stats summing to the last phase's Cumulative, and the phases' traces
+// concatenating to the cumulative trace.
 func TestIncSSSPPhases(t *testing.T) {
-	b := NewIncSSSP(10, 10, 2, 5, 3)
-	phases, err := RunPhases(b, core.DefaultConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(phases) != b.PhaseCount() {
-		t.Fatalf("phases = %d, want %d", len(phases), b.PhaseCount())
-	}
-	var commits uint64
-	for i, ph := range phases {
-		if ph.Phase != i+1 {
-			t.Fatalf("phase %d numbered %d", i+1, ph.Phase)
+	cases := []struct {
+		backend string
+		trace   uint64
+	}{{"sim", 0}, {"rt", 0}, {"rt-conservative", 0}, {"sim", 500}}
+	for _, tc := range cases {
+		b, err := New("incsssp", ScaleTiny)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if i > 0 && ph.StartCycle != phases[i-1].EndCycle {
-			t.Fatalf("phase %d starts at %d but phase %d ended at %d",
-				i+1, ph.StartCycle, i, phases[i-1].EndCycle)
+		cfg := core.DefaultConfig(4)
+		cfg.Backend, cfg.TraceInterval = tc.backend, tc.trace
+		name := fmt.Sprintf("%s trace=%d", tc.backend, tc.trace)
+		phases, err := RunPhases(b.(Sessioned), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
-		if ph.Cycles != ph.EndCycle-ph.StartCycle {
-			t.Fatalf("phase %d cycle arithmetic: %d != %d-%d", i+1, ph.Cycles, ph.EndCycle, ph.StartCycle)
+		if len(phases) != 3 {
+			t.Fatalf("%s: %d phases, want 3", name, len(phases))
 		}
-		if ph.Commits == 0 {
-			t.Fatalf("phase %d committed nothing", i+1)
+		sum := map[string]uint64{}
+		var trace []core.TraceSample
+		for i, ph := range phases {
+			if ph.Phase != i+1 {
+				t.Errorf("%s: phase %d numbered %d", name, i+1, ph.Phase)
+			}
+			if i > 0 && ph.StartCycle != phases[i-1].EndCycle {
+				t.Errorf("%s: phase %d starts at %d but phase %d ended at %d",
+					name, i+1, ph.StartCycle, i, phases[i-1].EndCycle)
+			}
+			if ph.Cycles != ph.EndCycle-ph.StartCycle {
+				t.Errorf("%s: phase %d cycle arithmetic: %d != %d-%d", name, i+1, ph.Cycles, ph.EndCycle, ph.StartCycle)
+			}
+			if ph.Commits == 0 {
+				t.Errorf("%s: phase %d committed nothing", name, i+1)
+			}
+			for c, v := range counters(ph.Stats) {
+				sum[c] += v
+			}
+			trace = append(trace, ph.Trace...)
 		}
-		commits += ph.Commits
+		last := phases[len(phases)-1].Cumulative
+		want := counters(last)
+		if len(want) < 30 {
+			t.Fatalf("only %d counters found in Stats", len(want))
+		}
+		for _, c := range slices.Sorted(maps.Keys(want)) {
+			if sum[c] != want[c] {
+				t.Errorf("%s: phases' %s sum to %d, cumulative is %d", name, c, sum[c], want[c])
+			}
+		}
+		if (tc.backend == "sim") != (last.Cycles > 0) || (tc.backend != "sim") != (last.WallNS > 0) {
+			t.Errorf("%s: cumulative cycles %d, wall time %d ns", name, last.Cycles, last.WallNS)
+		}
+		if (tc.trace > 0) != (len(trace) > 0) || !reflect.DeepEqual(trace, last.Trace) {
+			t.Errorf("%s: phases hold %d trace samples, cumulative %d", name, len(trace), len(last.Trace))
+		}
+		// Incremental phases must be much cheaper than the initial solve:
+		// that is the point of the workload.
+		if phases[1].Commits >= phases[0].Commits {
+			t.Errorf("%s: incremental phase re-ran the world: %d commits vs initial %d",
+				name, phases[1].Commits, phases[0].Commits)
+		}
 	}
-	last := phases[len(phases)-1].Cumulative
-	if commits != last.Commits {
-		t.Fatalf("phase commits sum to %d, cumulative says %d", commits, last.Commits)
+}
+
+// counters flattens every uint64 counter of a Stats — its own fields, the
+// cache counters and the per-class traffic — by name.
+func counters(st core.Stats) map[string]uint64 {
+	out := map[string]uint64{}
+	var walk func(name string, v reflect.Value)
+	walk = func(name string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Uint64:
+			out[name] = v.Uint()
+		case reflect.Struct:
+			for i := range v.NumField() {
+				if f := v.Type().Field(i); f.IsExported() {
+					walk(name+"."+f.Name, v.Field(i))
+				}
+			}
+		case reflect.Array:
+			for i := range v.Len() {
+				walk(fmt.Sprintf("%s[%d]", name, i), v.Index(i))
+			}
+		}
 	}
-	// Incremental phases must be much cheaper than the initial solve:
-	// that is the point of the workload.
-	if phases[1].Commits >= phases[0].Commits {
-		t.Fatalf("incremental phase re-ran the world: %d commits vs initial %d",
-			phases[1].Commits, phases[0].Commits)
-	}
+	walk("Stats", reflect.ValueOf(st))
+	return out
 }
 
 // TestIncSSSPSerial: the serial incremental reference matches the final

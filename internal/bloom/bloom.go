@@ -181,6 +181,12 @@ type Probe struct {
 // the line. Meaningless for Precise configs.
 func (p *Probe) Way0() uint32 { return p.way0 }
 
+// Way0Words returns the filter's way-0 words: bit i (word i>>6, bit
+// i&63) is set exactly when an inserted line's Probe.Way0 is i. Nil for
+// Precise filters. The slice aliases the filter, so Insert and Clear
+// change it.
+func (f *Filter) Way0Words() []uint64 { return f.words[:f.wordsPerWay] }
+
 // Way0Bits returns the number of way-0 bit indexes (bits per way) for a
 // non-Precise config.
 func (c Config) Way0Bits() int {

@@ -105,6 +105,24 @@ type Stats struct {
 	StickyChecksFiltered uint64 // global checks avoided thanks to empty sharer/sticky sets
 }
 
+// Sub returns the events counted between the earlier snapshot o and s.
+func (s Stats) Sub(o Stats) Stats {
+	return Stats{
+		Loads:                s.Loads - o.Loads,
+		Stores:               s.Stores - o.Stores,
+		L1Hits:               s.L1Hits - o.L1Hits,
+		L2Hits:               s.L2Hits - o.L2Hits,
+		L3Hits:               s.L3Hits - o.L3Hits,
+		MemAccesses:          s.MemAccesses - o.MemAccesses,
+		CanaryFails:          s.CanaryFails - o.CanaryFails,
+		GlobalChecks:         s.GlobalChecks - o.GlobalChecks,
+		Invalidations:        s.Invalidations - o.Invalidations,
+		Writebacks:           s.Writebacks - o.Writebacks,
+		L1FlashClears:        s.L1FlashClears - o.L1FlashClears,
+		StickyChecksFiltered: s.StickyChecksFiltered - o.StickyChecksFiltered,
+	}
+}
+
 type dirEntry struct {
 	sharers uint64 // bitmask of tiles with the line in their L2
 	owner   int8   // tile holding the line exclusively, or -1

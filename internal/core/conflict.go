@@ -70,13 +70,11 @@ func (m *Machine) access(c *cpu, t *task, op guest.Op) (lat, val uint64) {
 			t.ws.InsertProbe(&m.probe)
 			if tt.ws0.rows != nil {
 				tt.ws0.set(m.probe.Way0(), t.slot)
-				t.ws0Bits = append(t.ws0Bits, m.probe.Way0())
 			}
 		} else {
 			t.rs.InsertProbe(&m.probe)
 			if tt.rs0.rows != nil {
 				tt.rs0.set(m.probe.Way0(), t.slot)
-				t.rs0Bits = append(t.rs0Bits, m.probe.Way0())
 			}
 		}
 	}
@@ -130,7 +128,7 @@ func (m *Machine) checkLat(l uint64) uint64 {
 // conflictors are appended to victims.
 func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite bool, victims *[]victimRef) (cost uint64, anySpec bool) {
 	cost = tileCheckCost
-	m.st.bloomChecks++
+	m.st.BloomChecks++
 	tt := m.tiles[tileID]
 
 	// probe tests one resident task's signatures against the precomputed
@@ -161,7 +159,7 @@ func (m *Machine) checkTile(tileID int, accessor *task, line uint64, isWrite boo
 			return
 		}
 		cost++
-		m.st.vtCompares++
+		m.st.VTCompares++
 		if accessor.vt.Less(v.vt) {
 			*victims = append(*victims, victimRef{t: v, key: key})
 		}
@@ -263,7 +261,7 @@ func (m *Machine) abortTask(t *task, discard bool) {
 		return
 	}
 
-	m.st.aborts++
+	m.st.Aborts++
 	tt := m.tiles[t.tile]
 	tt.abortsCount++
 	if debugAbortHook != nil {

@@ -32,23 +32,22 @@ func (m *Machine) gvtRound() {
 	// drains the commit queues (sampling after would always see the
 	// post-commit minimum). Per-tile sums feed the mapper diagnostics
 	// (placement skew is invisible in the machine-wide averages).
-	for i, tt := range m.tiles {
+	for _, tt := range m.tiles {
 		tq := uint64(tt.nTasks)
 		cq := uint64(tt.commitQ.Len() + tt.finishWait.Len())
 		m.st.tqOccSum += tq
 		m.st.cqOccSum += cq
-		m.st.tileTqOccSum[i] += tq
-		m.st.tileCqOccSum[i] += cq
+		tt.tqOccSum += tq
+		tt.cqOccSum += cq
 	}
 	// Arbiter broadcast (the arbiter sits by tile 0).
 	m.mesh.Account(0, noc.ClassGVT, noc.GVTMsgBytes*m.cfg.Tiles)
 	m.gvt = gvt
-	m.st.gvtUpdates++
-	m.st.occSamples++
+	m.st.GVTUpdates++
 
-	prevCommits := m.st.commits
+	prevCommits := m.st.Commits
 	m.commitRound(gvt)
-	if m.st.commits != prevCommits {
+	if m.st.Commits != prevCommits {
 		m.dryRounds = 0
 	} else if m.dryRounds++; m.dryRounds >= rescueDryRounds {
 		m.dryRounds = 0
@@ -132,7 +131,7 @@ func (m *Machine) unblockTile(tt *tile, now uint64) {
 		}
 	}
 	if maxT != nil {
-		m.st.policyAborts++
+		m.st.PolicyAborts++
 		m.abortTask(maxT, false)
 	}
 }
@@ -227,7 +226,7 @@ func (m *Machine) commitTask(t *task) {
 		panic("core: committing a task that is not finished")
 	}
 	t.state = taskCommitted
-	m.st.commits++
+	m.st.Commits++
 	tt.commitsCount++
 	m.releaseSlot(tt, t)
 	if t.lastCore >= 0 {

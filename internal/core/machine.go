@@ -81,6 +81,9 @@ type tile struct {
 	spillWanted   bool
 	commitsCount  uint64 // per-tile, for tracing
 	abortsCount   uint64
+
+	// Occupancy sums over GVT rounds: Stats.TileTaskQOcc/TileCommitQOcc.
+	tqOccSum, cqOccSum uint64
 }
 
 // Machine is a full Swarm CMP.
@@ -133,15 +136,12 @@ type Machine struct {
 	taskGrave []*task
 	graveHead int
 
-	st      internalStats
+	// st holds the run's counters; collectStats adds the clock, caches,
+	// NoC and cores to it.
+	st      Stats
 	tracer  *tracer
 	running bool
-
-	// Phase bookkeeping for resumable (session) execution: phase counts
-	// completed RunPhase calls, snap holds the cumulative counters at the
-	// current phase's start (phase deltas are diffs against it).
-	phase int
-	snap  phaseSnap
+	phase   int // RunPhase calls so far: the running phase's index
 }
 
 // NewMachine builds a machine for the config, parked at its initial
@@ -164,11 +164,10 @@ func NewMachine(cfg Config) (*Machine, error) {
 		mapper:     mp,
 		spillStore: make(map[uint64]spillBatch),
 		done:       true, // quiescent until a phase runs
+		st:         Stats{Backend: "sim", Cores: cfg.Cores(), Tiles: cfg.Tiles, Mapper: mp.name()},
 	}
 	m.gvtFn = m.gvtRound
 	m.hier = cache.New(cfg.Cache, m.mesh)
-	m.st.tileTqOccSum = make([]uint64, cfg.Tiles)
-	m.st.tileCqOccSum = make([]uint64, cfg.Tiles)
 	m.tiles = make([]*tile, cfg.Tiles)
 	for i := range m.tiles {
 		t := &tile{id: i}
@@ -252,7 +251,7 @@ func (m *Machine) RunPhase() (PhaseStats, error) {
 	m.phase++
 	m.running = true
 	m.done = false
-	m.snap = m.takeSnap()
+	start := m.collectStats()
 	for _, c := range m.cores {
 		if c.task == nil {
 			m.scheduleDispatch(c, 0)
@@ -267,7 +266,7 @@ func (m *Machine) RunPhase() (PhaseStats, error) {
 	}
 	limit := m.cfg.MaxCycles
 	if limit != 0 {
-		limit += m.snap.cycle // per-phase budget, absolute engine cycle
+		limit += start.Cycles // per-phase budget, absolute engine cycle
 	}
 	err := m.eng.Run(limit)
 	m.running = false
@@ -277,11 +276,8 @@ func (m *Machine) RunPhase() (PhaseStats, error) {
 	if !m.done {
 		return PhaseStats{}, fmt.Errorf("core: simulation stalled at cycle %d: %s", m.eng.Now(), m.describeState())
 	}
-	return m.phaseStats(), nil
+	return PhaseOf(m.phase, start, m.collectStats()), nil
 }
-
-// Phase returns the number of completed phases.
-func (m *Machine) Phase() int { return m.phase }
 
 // Snapshot returns cumulative statistics at a quiescent point (before
 // the first phase, between phases, or after the final phase) without
@@ -317,7 +313,7 @@ func (m *Machine) describeState() string {
 	}
 	return fmt.Sprintf("%d queued (%d idle, %d finishWait), %d in commit queues, %d overflowed, %d coalescing, %d spill batches, cores=%s, gvt=%v, commits=%d aborts=%d dequeues=%d nacks=%d spilled=%d",
 		tq, idle, fw, cq, ovf, coal, len(m.spillStore), cores, m.gvt,
-		m.st.commits, m.st.aborts, m.st.dequeues, m.st.nacks, m.st.spilledTasks)
+		m.st.Commits, m.st.Aborts, m.st.Dequeues, m.st.NACKs, m.st.SpilledTasks)
 }
 
 // ---------------------------------------------------------------- tasks --
@@ -377,8 +373,6 @@ func (m *Machine) allocTask() *task {
 		t.cqIdx = -1
 		t.qSeq = 0
 		t.slot = -1
-		t.ws0Bits = t.ws0Bits[:0]
-		t.rs0Bits = t.rs0Bits[:0]
 		return t
 	}
 	t := &task{core: -1, lastCore: -1, heapIdx: -1, cqIdx: -1, slot: -1}
@@ -420,10 +414,15 @@ func (b *slotBitmaps) set(i uint32, slot int32) {
 	b.rows[i] = row
 }
 
-func (b *slotBitmaps) clear(i uint32, slot int32) {
-	row := b.rows[i]
-	if int(slot>>6) < len(row) {
-		row[slot>>6] &^= 1 << (slot & 63)
+// clear drops slot from every row whose bit is set in way0, the words
+// of a signature's way 0 (bloom.Filter.Way0Words).
+func (b *slotBitmaps) clear(way0 []uint64, slot int32) {
+	for wi, w := range way0 {
+		for ; w != 0; w &= w - 1 {
+			if row := b.rows[wi*64+trailingZeros(w)]; int(slot>>6) < len(row) {
+				row[slot>>6] &^= 1 << (slot & 63)
+			}
+		}
 	}
 }
 
@@ -439,21 +438,15 @@ func (m *Machine) assignSlot(tt *tile, t *task) {
 	tt.slotTasks = append(tt.slotTasks, t)
 }
 
-// releaseSlot drops a task from the way-0 index (clearing every bit its
-// inserts set) and recycles its slot id. Paired with clearing the task's
-// signatures.
+// releaseSlot drops a task from the way-0 index and recycles its slot
+// id. It must run before the task's signatures are cleared: their way-0
+// bits name exactly the rows its inserts set.
 func (m *Machine) releaseSlot(tt *tile, t *task) {
 	if t.slot < 0 {
 		return
 	}
-	for _, i := range t.ws0Bits {
-		tt.ws0.clear(i, t.slot)
-	}
-	for _, i := range t.rs0Bits {
-		tt.rs0.clear(i, t.slot)
-	}
-	t.ws0Bits = t.ws0Bits[:0]
-	t.rs0Bits = t.rs0Bits[:0]
+	tt.ws0.clear(t.ws.Way0Words(), t.slot)
+	tt.rs0.clear(t.rs.Way0Words(), t.slot)
 	tt.slotTasks[t.slot] = nil
 	tt.freeSlots = append(tt.freeSlots, t.slot)
 	t.slot = -1
@@ -548,7 +541,7 @@ func (m *Machine) coresPolicy(tt *tile, arrived *task) {
 		}
 	}
 	if maxRun != nil {
-		m.st.policyAborts++
+		m.st.PolicyAborts++
 		m.abortTask(maxRun, false)
 	}
 }
@@ -686,7 +679,7 @@ func (m *Machine) dispatch(c *cpu) {
 	if t.spec() {
 		m.assignSlot(tt, t)
 	}
-	m.st.dequeues++
+	m.st.Dequeues++
 
 	// L1 conflict-filter invariant: flash-clear when running backwards.
 	if c.everRan && t.vt.Less(c.lastVT) {
@@ -769,7 +762,7 @@ func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 	m.busy(c, t, enqueueCost)
 	target := m.mapper.place(m, d, t.tile)
 	tt := m.tiles[target]
-	m.st.enqueues++
+	m.st.Enqueues++
 	m.mesh.Send(t.tile, target, noc.ClassEnqueue, noc.TaskDescBytes)
 
 	switch {
@@ -787,14 +780,13 @@ func (m *Machine) enqueueOp(c *cpu, t *task, d guest.TaskDesc, attempt int) {
 		// always makes progress (no parent tracking needed).
 		heap.Push(&tt.overflow, d)
 		m.mesh.Send(target, t.tile, noc.ClassEnqueue, noc.AckBytes)
-		m.st.overflowed++
 
 	default:
 		// NACK; retry with linear backoff, capped so a task that becomes
 		// the GVT task discovers its overflow privilege promptly. The
 		// wait is not attributed to the task (it surfaces as stall time).
 		m.mesh.Send(target, t.tile, noc.ClassEnqueue, noc.AckBytes)
-		m.st.nacks++
+		m.st.NACKs++
 		backoff := enqueueCost + uint64(attempt+1)*10
 		if backoff > m.cfg.GVTPeriod/2 {
 			backoff = m.cfg.GVTPeriod / 2
@@ -829,7 +821,7 @@ func (m *Machine) tryFinish(c *cpu, t *task) {
 			}
 		}
 		if maxF != nil && t.vt.Less(maxF.vt) {
-			m.st.policyAborts++
+			m.st.PolicyAborts++
 			m.abortTask(maxF, false)
 		} else {
 			t.state = taskFinishing

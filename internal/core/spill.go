@@ -93,7 +93,7 @@ func (m *Machine) runCoalescer(c *cpu) bool {
 		t.state = taskKilled
 		m.freeSlotNoDrain(t)
 	}
-	m.st.spilledTasks += uint64(len(descs))
+	m.st.SpilledTasks += uint64(len(descs))
 
 	// Install the splitter task immediately (space is guaranteed: the
 	// batch slots were just freed and nothing can run in between). The

@@ -5,24 +5,6 @@ import (
 	"github.com/swarm-sim/swarm/internal/noc"
 )
 
-type internalStats struct {
-	commits, aborts    uint64
-	dequeues           uint64
-	enqueues, nacks    uint64
-	overflowed         uint64
-	policyAborts       uint64
-	spilledTasks       uint64
-	bloomChecks        uint64
-	vtCompares         uint64
-	gvtUpdates         uint64
-	tqOccSum, cqOccSum uint64
-	occSamples         uint64
-
-	// Per-tile occupancy sums (same sampling points as the aggregates):
-	// the mapper diagnostics behind Stats.TileTaskQOcc/TileCommitQOcc.
-	tileTqOccSum, tileCqOccSum []uint64
-}
-
 // Stats is the result of one Swarm run.
 type Stats struct {
 	// Backend names the execution engine that produced the run: "sim"
@@ -68,9 +50,11 @@ type Stats struct {
 
 	GVTUpdates uint64
 
-	// Average queue occupancies, whole machine (Fig 15).
-	AvgTaskQueueOcc   float64
-	AvgCommitQueueOcc float64
+	// Average queue occupancies, whole machine (Fig 15): the sums of the
+	// occupancies sampled at each GVT round, over GVTUpdates.
+	AvgTaskQueueOcc    float64
+	AvgCommitQueueOcc  float64
+	tqOccSum, cqOccSum uint64
 
 	// Mapper is the task-mapping policy the machine ran with.
 	Mapper string
@@ -132,34 +116,34 @@ func (s Stats) TaskQOccImbalance() float64 {
 	return max / (sum / float64(len(s.TileTaskQOcc)))
 }
 
-func (m *Machine) collectStats() Stats {
-	s := Stats{
-		Backend:      "sim",
-		Cycles:       m.eng.Now(),
-		Events:       m.eng.Fired(),
-		Cores:        m.cfg.Cores(),
-		Tiles:        m.cfg.Tiles,
-		Commits:      m.st.commits,
-		Aborts:       m.st.aborts,
-		Enqueues:     m.st.enqueues,
-		Dequeues:     m.st.dequeues,
-		NACKs:        m.st.nacks,
-		PolicyAborts: m.st.policyAborts,
-		SpilledTasks: m.st.spilledTasks,
-		BloomChecks:  m.st.bloomChecks,
-		VTCompares:   m.st.vtCompares,
-		GVTUpdates:   m.st.gvtUpdates,
-		Mapper:       m.mapper.name(),
-		Cache:        m.hier.Stats(),
-		TrafficBytes: m.mesh.TotalBytes(),
+// derive computes the fields that follow from the counters: StallCycles
+// and the average queue occupancies.
+func (s *Stats) derive() {
+	s.StallCycles = 0
+	busy := s.CommittedCycles + s.AbortedCycles + s.SpillCycles
+	if tot := s.TotalCoreCycles(); tot > busy {
+		s.StallCycles = tot - busy
 	}
+	s.AvgTaskQueueOcc, s.AvgCommitQueueOcc = 0, 0
+	if s.GVTUpdates > 0 {
+		s.AvgTaskQueueOcc = float64(s.tqOccSum) / float64(s.GVTUpdates)
+		s.AvgCommitQueueOcc = float64(s.cqOccSum) / float64(s.GVTUpdates)
+	}
+}
+
+func (m *Machine) collectStats() Stats {
+	s := m.st
+	s.Cycles = m.eng.Now()
+	s.Events = m.eng.Fired()
+	s.Cache = m.hier.Stats()
+	s.TrafficBytes = m.mesh.TotalBytes()
 	s.TileTaskQOcc = make([]float64, m.cfg.Tiles)
 	s.TileCommitQOcc = make([]float64, m.cfg.Tiles)
 	s.TileTrafficBytes = make([]uint64, m.cfg.Tiles)
-	for i := range m.tiles {
-		if m.st.occSamples > 0 {
-			s.TileTaskQOcc[i] = float64(m.st.tileTqOccSum[i]) / float64(m.st.occSamples)
-			s.TileCommitQOcc[i] = float64(m.st.tileCqOccSum[i]) / float64(m.st.occSamples)
+	for i, tt := range m.tiles {
+		if s.GVTUpdates > 0 {
+			s.TileTaskQOcc[i] = float64(tt.tqOccSum) / float64(s.GVTUpdates)
+			s.TileCommitQOcc[i] = float64(tt.cqOccSum) / float64(s.GVTUpdates)
 		}
 		for _, b := range m.mesh.InjectedBytes(i) {
 			s.TileTrafficBytes[i] += b
@@ -170,14 +154,7 @@ func (m *Machine) collectStats() Stats {
 		s.AbortedCycles += c.abortedCyc
 		s.SpillCycles += c.wallSpill
 	}
-	busy := s.CommittedCycles + s.AbortedCycles + s.SpillCycles
-	if tot := s.TotalCoreCycles(); tot > busy {
-		s.StallCycles = tot - busy
-	}
-	if m.st.occSamples > 0 {
-		s.AvgTaskQueueOcc = float64(m.st.tqOccSum) / float64(m.st.occSamples)
-		s.AvgCommitQueueOcc = float64(m.st.cqOccSum) / float64(m.st.occSamples)
-	}
+	s.derive()
 	if m.tracer != nil {
 		s.Trace = m.tracer.samples
 	}

@@ -99,12 +99,9 @@ type task struct {
 	cqIdx   int    // position in the tile's commitQ or finishWait heap, -1 otherwise
 	qSeq    uint64 // order of entry into that queue (conflict-probe order)
 
-	// Way-0 index state: the tile slot id held while dispatched, and the
-	// way-0 bit indexes this task's signature inserts set (so releaseSlot
-	// can clear exactly those bitmap bits).
-	slot    int32
-	ws0Bits []uint32
-	rs0Bits []uint32
+	// slot is the tile slot id (way-0 index column) held while
+	// dispatched, -1 otherwise.
+	slot int32
 
 	graveEv uint64 // engine event count when the task was freed (recycling age)
 }

@@ -129,7 +129,7 @@ func WritePhasesCSV(w io.Writer, pts []PhasePoint) error {
 			p.App, p.Cores, ph.Phase, ph.StartCycle, ph.EndCycle, ph.Cycles,
 			ph.Commits, ph.Aborts, ph.Enqueues, ph.SpilledTasks,
 			ph.CommittedCycles, ph.AbortedCycles, ph.SpillCycles, ph.StallCycles,
-			ph.AvgTaskQueueOcc, ph.AvgCommitQueueOcc, ph.TrafficBytes,
+			ph.AvgTaskQueueOcc, ph.AvgCommitQueueOcc, ph.TotalTrafficBytes(),
 			ph.Cumulative.Cycles, ph.Cumulative.Commits); err != nil {
 			return err
 		}

@@ -61,7 +61,7 @@ type Runtime struct {
 	fnNames []string
 
 	running bool
-	phase   int
+	phase   int // RunPhase calls so far: the running phase's index
 	wallNS  uint64
 }
 
@@ -127,9 +127,6 @@ func (r *Runtime) QueuedTasks() int {
 	return r.sched.ready.len()
 }
 
-// Phase returns the number of completed phases.
-func (r *Runtime) Phase() int { return r.phase }
-
 // RunPhase drains all queued tasks (and their transitive children) to
 // quiescence on cfg.Cores() worker goroutines, then folds committed
 // state into guest memory and reports the phase.
@@ -142,11 +139,11 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	}
 	r.running = true
 	r.phase++
+	start := r.Snapshot()
 
 	s := r.sched
 	s.mu.Lock()
 	s.done = false
-	start := [4]uint64{s.commits, s.aborts, s.enqueues, s.dequeues}
 	s.mu.Unlock()
 
 	r.store.beginPhase()
@@ -160,8 +157,7 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 		}()
 	}
 	wg.Wait()
-	wall := uint64(time.Since(t0))
-	r.wallNS += wall
+	r.wallNS += uint64(time.Since(t0))
 	r.running = false
 	// Fold committed words into guest memory even when the phase failed:
 	// its committed prefix is the state Mem promises between phases.
@@ -169,20 +165,11 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 
 	s.mu.Lock()
 	err := s.err
-	end := [4]uint64{s.commits, s.aborts, s.enqueues, s.dequeues}
 	s.mu.Unlock()
 	if err != nil {
 		return core.PhaseStats{}, err
 	}
-	return core.PhaseStats{
-		Phase:      r.phase,
-		WallNS:     wall,
-		Commits:    end[0] - start[0],
-		Aborts:     end[1] - start[1],
-		Enqueues:   end[2] - start[2],
-		Dequeues:   end[3] - start[3],
-		Cumulative: r.Snapshot(),
-	}, nil
+	return core.PhaseOf(r.phase, start, r.Snapshot()), nil
 }
 
 // Snapshot returns cumulative run statistics in the shared Stats shape.

@@ -223,7 +223,9 @@ type sched struct {
 	done   bool
 	err    error
 
-	commits, aborts    uint64
+	commits, aborts uint64
+	// enqueues counts committed children, not root injections: as in the
+	// simulator, only a task's enqueue is a task event.
 	enqueues, dequeues uint64
 }
 
@@ -248,7 +250,6 @@ func newSched(r *Runtime, conservative bool) *sched {
 // is deterministic.
 func (s *sched) enqueueLocked(d guest.TaskDesc) {
 	s.seqCtr++
-	s.enqueues++
 	if s.free == nil {
 		slab := make([]task, 64)
 		for i := range slab {
@@ -483,6 +484,7 @@ func (s *sched) commitLocked(t *task) bool {
 	for _, d := range env.children {
 		s.enqueueLocked(d)
 	}
+	s.enqueues += uint64(len(env.children))
 	if len(env.frees) > 0 {
 		s.r.heapMu.Lock()
 		for _, f := range env.frees {

@@ -78,7 +78,7 @@ func BackendNames() []string { return backend.Names() }
 type Stats = core.Stats
 
 // PhaseStats reports one quiescence-to-quiescence phase of a session:
-// counter deltas for the phase plus the cumulative Stats at its end.
+// the phase's own Stats plus the cumulative Stats at its end.
 type PhaseStats = core.PhaseStats
 
 // DefaultConfig returns the paper's machine configuration scaled to
@@ -246,7 +246,7 @@ func (s *Sim) RunToQuiescence() (PhaseStats, error) {
 		return PhaseStats{}, errors.New("swarm: RunToQuiescence after Finish")
 	}
 	if s.b.QueuedTasks() == 0 {
-		return PhaseStats{}, fmt.Errorf("swarm: phase %d has no queued tasks; call Enqueue first", s.b.Phase()+1)
+		return PhaseStats{}, fmt.Errorf("swarm: phase %d has no queued tasks; call Enqueue first", len(s.phases)+1)
 	}
 	ph, err := s.b.RunPhase()
 	if err != nil {
