@@ -72,10 +72,19 @@ func (m *Memory) Store(addr, val uint64) {
 	m.page(addr)[(addr>>WordShift)&(pageWords-1)] = val
 }
 
+// Page returns the words of the page holding addr, materializing the
+// page (zero-filled) on first touch, as Load and Store do. The array is
+// the page itself: a store into it is a store into the memory. The
+// native runtime commits words into pages this way.
+func (m *Memory) Page(addr uint64) *[pageWords]uint64 {
+	return (*[pageWords]uint64)(m.page(addr))
+}
+
 // EachPage calls f with the address of the first word of every
 // materialized page and the page's words, in no particular order. It
-// materializes nothing, and f must only read the words: the native
-// runtime builds its phase-long read view of the frozen memory from them.
+// materializes nothing. The words are the page itself, as Page's are: f
+// may keep them and write into them later, as the native runtime does
+// when it commits words in place.
 func (m *Memory) EachPage(f func(addr uint64, words []uint64)) {
 	for pn, p := range m.pages {
 		f(pn<<pageShift, p)

@@ -13,25 +13,29 @@ import (
 
 var sink uint64
 
-// BenchmarkStoreRead is one speculative read: a word committed this
-// phase (overlay) and a word only the frozen base memory holds (base).
+// BenchmarkStoreRead is one read of the store: a tracked read of a word
+// committed this phase (committed) and of a word only the base memory
+// has written (base), and the earliest attempt's untracked load of the
+// committed word (untracked).
 func BenchmarkStoreRead(b *testing.B) {
 	const addr = uint64(1 << 20)
-	for _, committed := range []bool{true, false} {
-		name := "base"
-		if committed {
-			name = "overlay"
-		}
+	for _, name := range []string{"committed", "base", "untracked"} {
 		b.Run(name, func(b *testing.B) {
 			m := mem.New()
 			m.Store(addr, 1)
 			s := newStore(m)
 			s.beginPhase()
-			if committed {
+			if name != "base" {
 				s.commitWrite(addr, 2)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
+			if name == "untracked" {
+				for i := 0; i < b.N; i++ {
+					sink += s.load(addr)
+				}
+				return
+			}
 			for i := 0; i < b.N; i++ {
 				v, _ := s.read(addr)
 				sink += v
@@ -41,11 +45,11 @@ func BenchmarkStoreRead(b *testing.B) {
 }
 
 // BenchmarkCommitWrite is one committed word, cycling over a page of
-// addresses that already hold overlay words.
+// addresses whose versions a first commit has already allocated.
 func BenchmarkCommitWrite(b *testing.B) {
 	s := newStore(mem.New())
 	s.beginPhase()
-	s.commitWrite(1<<20, 0) // allocate the page's overlay
+	s.commitWrite(1<<20, 0) // materialize the page and its versions
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -187,15 +187,14 @@ func (e *taskEnv) step(n uint64) {
 
 // Load implements guest.Env: read-own-writes, then the read cache, then
 // the committed store (recording the observed version). The earliest
-// attempt reads the store directly, since its words cannot change.
+// attempt loads the value alone, since its words cannot change.
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
 	if i := e.writes.find(addr); i >= 0 {
 		return e.writeVals[i]
 	}
 	if e.earliest {
-		val, _ := e.r.store.read(addr)
-		return val
+		return e.r.store.load(addr)
 	}
 	if i := e.reads.find(addr); i >= 0 {
 		return e.readRecs[i].val

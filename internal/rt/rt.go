@@ -90,9 +90,10 @@ func New(cfg core.Config) (*Runtime, error) {
 // the first RunPhase.
 func (r *Runtime) SetProgram(ft *guest.FnTable) { r.fns, r.fnNames = ft.Fns(), ft.Names() }
 
-// Mem returns the guest memory. Between phases (and before/after the
-// run) it holds exactly the committed state; during a phase it is frozen
-// and must not be accessed.
+// Mem returns the guest memory. Commits store into it in place, so
+// between phases (and before/after the run) it holds exactly the
+// committed state; during a phase the workers read it and the committer
+// writes it, and nothing else may access it.
 func (r *Runtime) Mem() *mem.Memory { return r.base }
 
 // SetupAlloc carves a line-aligned guest region outside any task, like
@@ -128,8 +129,9 @@ func (r *Runtime) QueuedTasks() int {
 }
 
 // RunPhase drains all queued tasks (and their transitive children) to
-// quiescence on cfg.Cores() worker goroutines, then folds committed
-// state into guest memory and reports the phase.
+// quiescence on cfg.Cores() worker goroutines and reports the phase.
+// Each commit has already stored its words in guest memory, so a phase
+// that fails leaves its committed prefix there too.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	if r.running {
 		return core.PhaseStats{}, errors.New("rt: RunPhase re-entered mid-phase")
@@ -159,9 +161,6 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	wg.Wait()
 	r.wallNS += uint64(time.Since(t0))
 	r.running = false
-	// Fold committed words into guest memory even when the phase failed:
-	// its committed prefix is the state Mem promises between phases.
-	r.store.flush()
 
 	s.mu.Lock()
 	err := s.err

@@ -222,33 +222,51 @@ func TestForcedAbort(t *testing.T) {
 // attempt and its load records nothing. It waits until the ts-2 task,
 // dispatched while ts 1 runs, has loaded the same word twice. Those
 // loads are one entry in ts 2's read set, for validation at its commit;
-// the second is served from it.
+// the second is served from it. ts 2 then increments the word. A second
+// phase repeats the run: ts 2's tracked load reads the word phase 1
+// committed, at version 1, and validates, since versions carry across
+// phases.
 func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
 	const word = uint64(1 << 12)
-	loaded := make(chan struct{})
-	var once sync.Once
+	var loaded chan struct{}
+	var once *sync.Once
 	var reads [2]int
+	var seen readRec
 	first := func(e guest.TaskEnv) {
 		e.Load(word)
 		<-loaded
 		reads[0] = len(e.(*taskEnv).reads.addrs)
 	}
 	second := func(e guest.TaskEnv) {
+		v := e.Load(word)
 		e.Load(word)
-		e.Load(word)
-		reads[1] = len(e.(*taskEnv).reads.addrs)
+		env := e.(*taskEnv)
+		reads[1], seen = len(env.reads.addrs), env.readRecs[0]
 		once.Do(func() { close(loaded) })
+		e.Store(word, v+1)
 	}
-	_, ps, err := runProgram(t, testConfig(t, 2, "rt"), []guest.TaskFn{first, second}, []string{"first", "second"},
-		[]guest.TaskDesc{{Fn: 0, TS: 1}, {Fn: 1, TS: 2}})
+	r, err := New(testConfig(t, 2, "rt"))
 	if err != nil {
-		t.Fatalf("RunPhase: %v", err)
+		t.Fatalf("New: %v", err)
 	}
-	if reads != [2]int{0, 1} {
-		t.Errorf("read sets after the loads: ts 1 holds %d, ts 2 holds %d; want 0 and 1", reads[0], reads[1])
-	}
-	if ps.Commits != 2 || ps.Aborts != 0 {
-		t.Errorf("commits = %d, aborts = %d; want 2 and 0", ps.Commits, ps.Aborts)
+	r.SetProgram(program([]guest.TaskFn{first, second}, []string{"first", "second"}))
+	for phase := uint64(1); phase <= 2; phase++ {
+		loaded, once = make(chan struct{}), new(sync.Once)
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 2})
+		ps, err := r.RunPhase()
+		if err != nil {
+			t.Fatalf("phase %d: RunPhase: %v", phase, err)
+		}
+		if reads != [2]int{0, 1} {
+			t.Errorf("phase %d: read sets after the loads: ts 1 holds %d, ts 2 holds %d; want 0 and 1", phase, reads[0], reads[1])
+		}
+		if want := (readRec{val: phase - 1, ver: phase - 1}); seen != want {
+			t.Errorf("phase %d: ts 2 read %+v, want %+v", phase, seen, want)
+		}
+		if ps.Commits != 2 || ps.Aborts != 0 {
+			t.Errorf("phase %d: commits = %d, aborts = %d; want 2 and 0", phase, ps.Commits, ps.Aborts)
+		}
 	}
 }
 

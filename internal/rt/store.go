@@ -7,21 +7,32 @@ import (
 	"github.com/swarm-sim/swarm/internal/mem"
 )
 
-// The versioned store is the runtime's speculative memory system. The
-// base mem.Memory is frozen for the duration of a phase, and every word
-// committed during the phase lives in an overlay of (value, version)
-// pairs. Tasks execute against committed state only — speculative writes
-// stay in the task's private write buffer until its commit — so the
-// overlay is the runtime's single point of cross-task communication:
+// The versioned store is the runtime's speculative memory system. Commits
+// update guest memory in place, as the paper's eager versioning does
+// (§4.3): a committed write stores its value with sync/atomic into the
+// mem.Memory page that holds the word, so every word has one copy, and
+// guest memory holds exactly the committed state whenever no worker runs,
+// with nothing to fold back at phase end. Tasks execute against committed
+// state only — speculative writes stay in the task's private write buffer
+// until its commit — so the store is the runtime's single point of
+// cross-task communication:
 //
-//   - a speculative read returns the overlay word, or the frozen base word
-//     at implicit version 0, and records the version it observed;
+//   - a speculative read returns the word and records its version, the
+//     number of commits that have written it;
 //   - commit-time validation re-reads the versions of every address in
 //     the task's read set; any bump means a conflicting commit slipped
 //     between the read and the commit, and the task aborts and retries
 //     (optimistic concurrency control with a write buffer, after Saad et
 //     al.'s ordered transaction processing);
-//   - a committed write stores the value, then bumps the version.
+//   - a committed write stores the value, then bumps the version;
+//   - the earliest attempt, under which nothing commits, loads the value
+//     alone.
+//
+// Versions live beside the page, one atomic word per guest word, in an
+// array the page's first commit allocates; a page no commit has written
+// is at version 0 throughout. Versions keep counting across phases: a
+// read set never outlives its phase, so validation needs only to see a
+// version change, never a particular value.
 //
 // Reads take no lock. A reader loads a word's version first and its value
 // second; the committer, the only writer, stores the value first and the
@@ -35,20 +46,11 @@ import (
 // list is copy-on-write: a commit that touches a page outside every leaf
 // publishes a new list through an atomic pointer, so readers never lock
 // and any word-aligned address mem.Memory accepts has a slot. A slot holds
-// the page's frozen base words (the read view built at phase start) and,
-// once a commit writes into the page, its overlay.
-//
-// At quiescence flush folds the words committed this phase into the base
-// memory and resets their versions, so between phases (and after the run)
-// guest memory reads exactly like the simulator's committed state. Overlay
-// pages stay allocated for the next phase; a version of 0 marks an overlay
-// word as stale.
+// the page's words, registered at phase start or by the commit that
+// materializes the page, and the page's versions.
 type store struct {
 	base *mem.Memory
 	dir  atomic.Pointer[[]*leaf]
-	// dirty lists the addresses committed this phase, each once.
-	// Committer-only.
-	dirty []uint64
 }
 
 const (
@@ -61,17 +63,9 @@ const (
 	leafPages = 1 << leafBits
 )
 
-// vword is one overlay word: its value and the number of commits that
-// wrote it this phase (version 0: the base word is current).
-type vword struct {
-	ver, val atomic.Uint64
-}
-
-type overlay [pageWords]vword
-
 type slot struct {
-	base *[pageWords]uint64 // nil: the page held no words at phase start
-	over atomic.Pointer[overlay]
+	words atomic.Pointer[[pageWords]uint64]        // nil: the page holds no word yet
+	vers  atomic.Pointer[[pageWords]atomic.Uint64] // nil: no commit has written the page
 }
 
 type leaf struct {
@@ -114,76 +108,80 @@ func (s *store) slotFor(addr uint64) *slot {
 	return &l.slots[addr>>pageShift&(leafPages-1)]
 }
 
-// beginPhase builds the read view of the base memory, which the phase
-// then leaves frozen. Single-threaded: no worker runs.
+// beginPhase registers every page of the base memory, including those
+// the host materialized since the last phase. Single-threaded: no worker
+// runs.
 func (s *store) beginPhase() {
 	s.base.EachPage(func(addr uint64, words []uint64) {
-		for off := 0; off < len(words); off += pageWords {
-			s.slotFor(addr + uint64(off)<<mem.WordShift).base = (*[pageWords]uint64)(words[off:])
-		}
+		s.slotFor(addr).words.Store((*[pageWords]uint64)(words))
 	})
+}
+
+// loadSlot returns addr's slot, or nil, after the misaligned-load check
+// mem.Memory makes.
+func (s *store) loadSlot(addr uint64) *slot {
+	if !mem.WordAligned(addr) {
+		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
+	}
+	return s.slot(addr)
 }
 
 // read returns the committed word at addr and the version the caller
 // observed. Safe for concurrent readers at any time.
 func (s *store) read(addr uint64) (val, ver uint64) {
-	if !mem.WordAligned(addr) {
-		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
-	}
-	sl := s.slot(addr)
+	sl := s.loadSlot(addr)
 	if sl == nil {
 		return 0, 0
 	}
 	i := wordIndex(addr)
-	if ov := sl.over.Load(); ov != nil {
-		w := &ov[i]
-		if ver = w.ver.Load(); ver != 0 {
-			return w.val.Load(), ver
-		}
+	if vs := sl.vers.Load(); vs != nil {
+		ver = vs[i].Load()
 	}
-	if sl.base != nil {
-		return sl.base[i], 0
+	if p := sl.words.Load(); p != nil {
+		val = atomic.LoadUint64(&p[i])
 	}
-	return 0, 0
+	return val, ver
 }
 
-// version returns the current version of addr (0 = untouched base word).
-func (s *store) version(addr uint64) uint64 {
-	if sl := s.slot(addr); sl != nil {
-		if ov := sl.over.Load(); ov != nil {
-			return ov[wordIndex(addr)].ver.Load()
+// load returns the committed word at addr without its version, for the
+// earliest attempt, which no commit can invalidate.
+func (s *store) load(addr uint64) uint64 {
+	if sl := s.loadSlot(addr); sl != nil {
+		if p := sl.words.Load(); p != nil {
+			return atomic.LoadUint64(&p[wordIndex(addr)])
 		}
 	}
 	return 0
 }
 
-// commitWrite publishes one committed word: value first, then the bumped
-// version. Callers serialize commits (the scheduler lock), so this is the
-// only writer.
-func (s *store) commitWrite(addr, val uint64) {
-	sl := s.slotFor(addr)
-	ov := sl.over.Load()
-	if ov == nil {
-		ov = new(overlay)
-		sl.over.Store(ov)
+// version returns the current version of addr.
+func (s *store) version(addr uint64) uint64 {
+	if sl := s.slot(addr); sl != nil {
+		if vs := sl.vers.Load(); vs != nil {
+			return vs[wordIndex(addr)].Load()
+		}
 	}
-	w := &ov[wordIndex(addr)]
-	ver := w.ver.Load()
-	if ver == 0 {
-		s.dirty = append(s.dirty, addr)
-	}
-	w.val.Store(val)
-	w.ver.Store(ver + 1)
+	return 0
 }
 
-// flush folds the words committed this phase into the base memory and
-// marks their overlay words stale. Single-threaded: every worker has
-// joined.
-func (s *store) flush() {
-	for _, addr := range s.dirty {
-		w := &s.slot(addr).over.Load()[wordIndex(addr)]
-		s.base.Store(addr, w.val.Load())
-		w.ver.Store(0)
+// commitWrite publishes one committed word in place: value first, then
+// the bumped version. A page's first commit allocates its versions, and
+// materializes the page in the base memory if no word of it existed.
+// Callers serialize commits (the scheduler lock), so this is the only
+// writer.
+func (s *store) commitWrite(addr, val uint64) {
+	sl := s.slotFor(addr)
+	p := sl.words.Load()
+	if p == nil {
+		p = s.base.Page(addr)
+		sl.words.Store(p)
 	}
-	s.dirty = s.dirty[:0]
+	vs := sl.vers.Load()
+	if vs == nil {
+		vs = new([pageWords]atomic.Uint64)
+		sl.vers.Store(vs)
+	}
+	i := wordIndex(addr)
+	atomic.StoreUint64(&p[i], val)
+	vs[i].Store(vs[i].Load() + 1)
 }

@@ -16,7 +16,9 @@ import (
 // so by then the version has moved on: every pair whose version still
 // matches must be exactly what the commit of that version wrote. One hot
 // word sits in a page no leaf covers when the readers start, so the
-// directory grows under them.
+// directory grows under them. Commits store in place: afterwards, with
+// no flush, the base memory holds each word's last committed value, and
+// its version counts its commits.
 func TestStoreReadsValidate(t *testing.T) {
 	hot := []uint64{1 << 12, 1<<12 + 8, 1 << 40}
 	enc := func(addr, ver uint64) uint64 {
@@ -61,8 +63,10 @@ func TestStoreReadsValidate(t *testing.T) {
 	// Commit until the readers have validated plenty of committed words,
 	// so reads and commits overlap even if the readers start late; the
 	// cap ends the run if the readers stop early.
+	commits := make([]uint64, len(hot))
 	for i := 0; i < 30000 || checked.Load() < 1000 && i < 3_000_000; i++ {
 		a := hot[i%len(hot)]
+		commits[i%len(hot)]++
 		commitMu.Lock()
 		s.commitWrite(a, enc(a, s.version(a)+1))
 		commitMu.Unlock()
@@ -73,24 +77,21 @@ func TestStoreReadsValidate(t *testing.T) {
 		t.Fatalf("readers validated only %d committed words", n)
 	}
 
-	var final []uint64
-	for _, a := range hot {
-		final = append(final, enc(a, s.version(a)))
-	}
-	s.flush()
 	for i, a := range hot {
-		if got := s.base.Load(a); got != final[i] {
-			t.Errorf("flushed %#x = %#x, want %#x", a, got, final[i])
+		if got, want := s.base.Load(a), enc(a, commits[i]); got != want {
+			t.Errorf("memory at %#x = %#x, want the last commit's %#x", a, got, want)
 		}
-		if v := s.version(a); v != 0 {
-			t.Errorf("version of %#x after flush = %d, want 0", a, v)
+		if v := s.version(a); v != commits[i] {
+			t.Errorf("version of %#x = %d, want %d commits", a, v, commits[i])
 		}
 	}
 }
 
 // TestStoreGrowsMidPhase: a task allocates a region past every page (and
 // every directory leaf) present at phase start and writes it; a later
-// task of the same phase must read the committed word back.
+// task of the same phase must read the committed word back. The commit
+// creates the page in guest memory itself, so once RunPhase returns the
+// memory holds the word before any host access touches the page.
 func TestStoreGrowsMidPhase(t *testing.T) {
 	const cell, out = uint64(1 << 12), uint64(1<<12 + 8)
 	const far = leafPages << pageShift // one leaf's span
@@ -114,15 +115,17 @@ func TestStoreGrowsMidPhase(t *testing.T) {
 		if _, err := r.RunPhase(); err != nil {
 			t.Fatalf("cores=%d: RunPhase: %v", cores, err)
 		}
-		a := r.Mem().Load(cell)
+		// Snapshot and Pages materialize nothing, unlike Load.
+		got := r.Mem().Snapshot()
+		a := got[cell]
 		if a < far {
 			t.Fatalf("cores=%d: region at %#x, want past %#x", cores, a, far)
 		}
-		if got := r.Mem().Load(a); got != 99 {
-			t.Errorf("cores=%d: far word = %d, want 99", cores, got)
+		if want := map[uint64]uint64{cell: a, a: 99, out: 100}; !reflect.DeepEqual(got, want) {
+			t.Errorf("cores=%d: memory %v, want %v (far word 99, reader's 100)", cores, got, want)
 		}
-		if got := r.Mem().Load(out); got != 100 {
-			t.Errorf("cores=%d: reader stored %d, want 100", cores, got)
+		if n := r.Mem().Pages(); n != 2 {
+			t.Errorf("cores=%d: %d pages, want the base page and the far one", cores, n)
 		}
 	}
 }
