@@ -190,6 +190,9 @@ func (e *taskEnv) step(n uint64) {
 // attempt loads the value alone, since its words cannot change.
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
+	if !mem.WordAligned(addr) {
+		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
+	}
 	if i := e.writes.find(addr); i >= 0 {
 		return e.writeVals[i]
 	}

@@ -1,7 +1,6 @@
 package rt
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"github.com/swarm-sim/swarm/internal/mem"
@@ -117,19 +116,10 @@ func (s *store) beginPhase() {
 	})
 }
 
-// loadSlot returns addr's slot, or nil, after the misaligned-load check
-// mem.Memory makes.
-func (s *store) loadSlot(addr uint64) *slot {
-	if !mem.WordAligned(addr) {
-		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
-	}
-	return s.slot(addr)
-}
-
 // read returns the committed word at addr and the version the caller
 // observed. Safe for concurrent readers at any time.
 func (s *store) read(addr uint64) (val, ver uint64) {
-	sl := s.loadSlot(addr)
+	sl := s.slot(addr)
 	if sl == nil {
 		return 0, 0
 	}
@@ -146,7 +136,7 @@ func (s *store) read(addr uint64) (val, ver uint64) {
 // load returns the committed word at addr without its version, for the
 // earliest attempt, which no commit can invalidate.
 func (s *store) load(addr uint64) uint64 {
-	if sl := s.loadSlot(addr); sl != nil {
+	if sl := s.slot(addr); sl != nil {
 		if p := sl.words.Load(); p != nil {
 			return atomic.LoadUint64(&p[wordIndex(addr)])
 		}
