@@ -34,14 +34,17 @@ func TestMisalignedPanics(t *testing.T) {
 	}
 }
 
+// TestSparsePages: a page materializes on first touch, through Store or
+// Page, whose array is the page itself.
 func TestSparsePages(t *testing.T) {
 	m := New()
 	m.Store(0, 1)
 	m.Store(1<<40, 2)
-	if m.Pages() != 2 {
-		t.Fatalf("Pages = %d, want 2", m.Pages())
+	m.Page(1 << 50)[1] = 3
+	if m.Pages() != 3 {
+		t.Fatalf("Pages = %d, want 3", m.Pages())
 	}
-	if m.Load(0) != 1 || m.Load(1<<40) != 2 {
+	if m.Load(0) != 1 || m.Load(1<<40) != 2 || m.Load(1<<50+8) != 3 || m.Page(8)[0] != 1 {
 		t.Fatal("cross-page values lost")
 	}
 }

@@ -589,9 +589,9 @@ func TestHintedEnqueue(t *testing.T) {
 	}
 }
 
-// TestFailedPhaseKeepsCommits: a phase that fails still folds its
-// committed prefix into guest memory, which Mem promises holds exactly
-// the committed state between phases.
+// TestFailedPhaseKeepsCommits: a phase that fails leaves its committed
+// prefix in guest memory, which Mem promises holds exactly the committed
+// state between phases.
 func TestFailedPhaseKeepsCommits(t *testing.T) {
 	const cell = uint64(1 << 12)
 	set := func(e guest.TaskEnv) { e.Store(cell, 7) }

@@ -10,11 +10,10 @@ import (
 // update guest memory in place, as the paper's eager versioning does
 // (§4.3): a committed write stores its value with sync/atomic into the
 // mem.Memory page that holds the word, so every word has one copy, and
-// guest memory holds exactly the committed state whenever no worker runs,
-// with nothing to fold back at phase end. Tasks execute against committed
-// state only — speculative writes stay in the task's private write buffer
-// until its commit — so the store is the runtime's single point of
-// cross-task communication:
+// guest memory holds exactly the committed state whenever no worker runs.
+// Tasks execute against committed state only — speculative writes stay
+// in the task's private write buffer until its commit — so the store is
+// the runtime's single point of cross-task communication:
 //
 //   - a speculative read returns the word and records its version, the
 //     number of commits that have written it;

@@ -109,7 +109,7 @@ func TestStoreGrowsMidPhase(t *testing.T) {
 			t.Fatalf("New: %v", err)
 		}
 		r.SetProgram(program([]guest.TaskFn{writer, reader}, []string{"writer", "reader"}))
-		r.Mem().Store(out, 1) // one base page in the phase's read view
+		r.Mem().Store(out, 1) // one page registered at phase start
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 0})
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 1})
 		if _, err := r.RunPhase(); err != nil {
