@@ -52,7 +52,7 @@ type store struct {
 }
 
 const (
-	pageShift = 16 // 64 KB pages, as in mem
+	pageShift = 16 // mem's 64 KB pages (mem.Memory.Page's type checks it)
 	pageWords = 1 << (pageShift - mem.WordShift)
 	// leafBits sizes a directory leaf: 4096 pages cover 256 MB of guest
 	// memory, so the bump allocator's dense heap needs one or two leaves
