@@ -23,6 +23,9 @@
 // but only dispatches tasks at the minimum uncommitted timestamp, the
 // classic conservative ordered schedule: no cross-timestamp speculation,
 // aborts only from same-timestamp conflicts.
+//
+// Each core is a worker goroutine, but a commit-rate controller runs a
+// window of commits on one worker at a time when that commits faster.
 package rt
 
 import (
@@ -67,10 +70,10 @@ type Runtime struct {
 
 // New builds a native runtime for cfg, parked at its initial quiescent
 // point. cfg.Backend "rt-conservative" selects the conservative variant
-// and names the run in Stats; cfg.Cores() bounds worker parallelism;
-// cfg.CommitQPerCore x cfg.Cores() bounds the software commit queue, as
-// in the simulated machine, unless cfg.UnboundedQueues; cfg.DebugChecks
-// enables the commit-time purity re-execution check.
+// and names the run in Stats; cfg.Cores() bounds worker parallelism from
+// above; cfg.CommitQPerCore x cfg.Cores() bounds the software commit
+// queue, as in the simulated machine, unless cfg.UnboundedQueues;
+// cfg.DebugChecks enables the commit-time purity re-execution check.
 func New(cfg core.Config) (*Runtime, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -129,9 +132,10 @@ func (r *Runtime) QueuedTasks() int {
 }
 
 // RunPhase drains all queued tasks (and their transitive children) to
-// quiescence on cfg.Cores() worker goroutines and reports the phase.
-// Each commit has already stored its words in guest memory, so a phase
-// that fails leaves its committed prefix there too.
+// quiescence on cfg.Cores() worker goroutines, in a fresh controller
+// window, and reports the phase. Each commit has already stored its words
+// in guest memory, so a phase that fails leaves its committed prefix
+// there too.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	if r.running {
 		return core.PhaseStats{}, errors.New("rt: RunPhase re-entered mid-phase")
@@ -144,12 +148,12 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	start := r.Snapshot()
 
 	s := r.sched
-	s.mu.Lock()
-	s.done = false
-	s.mu.Unlock()
-
 	r.store.beginPhase()
 	t0 := time.Now()
+	s.mu.Lock()
+	s.done = false
+	s.winStart, s.winEnd = t0, s.commits+modeWindow
+	s.mu.Unlock()
 	var wg sync.WaitGroup
 	for w := range r.cfg.Cores() {
 		wg.Add(1)

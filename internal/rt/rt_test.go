@@ -187,7 +187,9 @@ func TestContendedCounter(t *testing.T) {
 // only, signals the task at ts 1, which waits for that signal before it
 // stores the word. The ts-2 attempt has then read a value its
 // predecessor overwrites, so it must fail validation, abort and rerun
-// against the committed store.
+// against the committed store. Its tasks wait on each other through host
+// state, which a solo window would deadlock: the run must end inside its
+// first window, which is team.
 func TestForcedAbort(t *testing.T) {
 	const word, out = uint64(1 << 12), uint64(1<<12 + 64)
 	loaded := make(chan struct{})
@@ -225,7 +227,9 @@ func TestForcedAbort(t *testing.T) {
 // the second is served from it. ts 2 then increments the word. A second
 // phase repeats the run: ts 2's tracked load reads the word phase 1
 // committed, at version 1, and validates, since versions carry across
-// phases.
+// phases. ts 1 waits on ts 2 through host state, which a solo window
+// would deadlock: each phase must end inside its first window, which is
+// team.
 func TestEarliestAttemptKeepsNoReadSet(t *testing.T) {
 	const word = uint64(1 << 12)
 	var loaded chan struct{}
@@ -708,6 +712,34 @@ func TestAllocsPerTask(t *testing.T) {
 	}
 }
 
+// TestModeWindows runs independent tasks at 2 workers across five
+// controller windows, so each mode runs, is timed and hands over to the
+// other, also under -race, where TestAllocsPerTask skips. Every task
+// commits once, and every word holds 1.
+func TestModeWindows(t *testing.T) {
+	const n = 5 * modeWindow
+	r := independentRuntime(t, 2, n)
+	ps, err := r.RunPhase()
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if ps.Commits != n || ps.Aborts != 0 {
+		t.Errorf("commits = %d, aborts = %d; want %d and 0", ps.Commits, ps.Aborts, n)
+	}
+	words := r.Mem().Snapshot()
+	for addr, v := range words {
+		if v != 1 {
+			t.Errorf("word %#x = %d, want 1", addr, v)
+		}
+	}
+	if len(words) != n {
+		t.Errorf("%d words written, want %d", len(words), n)
+	}
+	if s := r.sched; s.window < 4 || s.teamNS == 0 || s.soloNS == 0 {
+		t.Errorf("%d windows, team %v, solo %v; want at least 4 windows and both modes measured", s.window, s.teamNS, s.soloNS)
+	}
+}
+
 // TestCommitQueueBound: while the earliest task is slow, the other
 // workers run ahead until the commit queue holds CommitQPerCore x Cores
 // finished attempts, and then wait (§4.7). Attempts already running when
@@ -715,7 +747,9 @@ func TestAllocsPerTask(t *testing.T) {
 // lifts the bound. The slow root stays slow by waiting for the quick
 // bodies to run: for a queue's worth of them when bounded, for all of
 // them when unbounded. Neither wait can stall, since nothing commits
-// under the root.
+// under the root. The root waits on the quick tasks through host state,
+// which a solo window would deadlock: the run must end inside its first
+// window, which is team.
 func TestCommitQueueBound(t *testing.T) {
 	const base = uint64(1 << 24)
 	const quick, workers = 1024, 4

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"sync"
+	"time"
 
 	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/vt"
@@ -178,6 +179,28 @@ func (q *readyQueue) pop() *task {
 	return t
 }
 
+// The commit-rate controller runs each window of modeWindow commits in
+// team mode, where every worker dispatches, or in solo mode, where a
+// worker dispatches only while no other holds an attempt: every dispatch
+// is then the earliest attempt and the commit queue stays empty. Tasks of
+// a microsecond commit faster solo, with the scheduler's state and the
+// task data in one CPU's cache; coarse tasks commit faster in a team.
+const (
+	modeWindow  = 2048 // commits per window
+	modeRecheck = 16   // every modeRecheck-th window re-measures the slower mode
+)
+
+// soloWindow reports whether window n, counting from 0, runs solo, given
+// the last measured times of a team and a solo window. Windows 0 and 1
+// measure team and solo; later ones run the faster mode, team on a tie,
+// but every modeRecheck-th runs the other.
+func soloWindow(n uint64, team, solo time.Duration) bool {
+	if n < 2 {
+		return n == 1
+	}
+	return (solo < team) != (n%modeRecheck == 0)
+}
+
 // sched is the software task unit + commit queue: one timestamp-ordered
 // ready queue feeding worker goroutines, one running slot per worker, and
 // a bounded commit queue drained strictly in virtual-time order. One
@@ -185,15 +208,26 @@ func (q *readyQueue) pop() *task {
 // serializes dispatch and commit — the runtime's software stand-in for
 // the simulator's per-tile task units and GVT-gated commit queues. A
 // worker takes the lock once per task: next retires its finished attempt
-// and hands it the next task in one critical section.
+// and hands it the next task in one critical section. Of the Cores()
+// workers, all dispatch in team mode and one at a time in solo mode.
 type sched struct {
 	r  *Runtime
 	mu sync.Mutex
-	// cond parks idle workers. A worker that takes a task while more
-	// work is runnable wakes one idle worker with Signal, which does the
-	// same, so new work fans out one wakeup at a time. Only draining or
-	// poisoning the phase wakes them all.
+	// cond parks idle workers. In team mode, a worker that takes a task
+	// while more work is runnable wakes one idle worker with Signal, which
+	// does the same, so new work fans out one wakeup at a time. Only
+	// draining or poisoning the phase wakes them all.
 	cond sync.Cond
+	// park holds the workers solo mode keeps out. Team mode, draining or
+	// poisoning the phase wakes them all.
+	park sync.Cond
+	// solo is the window's mode. The window began at winStart, after
+	// window others, and ends at commit winEnd; teamNS and soloNS time
+	// the last window of each mode.
+	solo           bool
+	window, winEnd uint64
+	winStart       time.Time
+	teamNS, soloNS time.Duration
 
 	// ready holds runnable tasks.
 	ready readyQueue
@@ -240,6 +274,7 @@ func newSched(r *Runtime, conservative bool) *sched {
 		s.commitCap = math.MaxInt
 	}
 	s.cond.L = &s.mu
+	s.park.L = &s.mu
 	return s
 }
 
@@ -318,7 +353,10 @@ func (s *sched) next(w int, finished *task) *task {
 		s.retireLocked(finished, run)
 	}
 	for s.err == nil && !s.done {
-		if s.runnableLocked() {
+		switch {
+		case s.solo && run != nil:
+			s.park.Wait()
+		case s.runnableLocked():
 			t := s.ready.pop()
 			s.running[w] = t
 			s.dequeues++
@@ -327,17 +365,18 @@ func (s *sched) next(w int, finished *task) *task {
 			// task (§4.7), if no running attempt precedes it: the commit
 			// queue's head always waits on an earlier ready or running task.
 			t.env.earliest = run == nil || before(t, run)
-			if s.runnableLocked() {
+			if !s.solo && s.runnableLocked() {
 				s.cond.Signal()
 			}
 			return t
-		}
-		if s.ready.len() == 0 && len(s.commitQ) == 0 && run == nil {
+		case s.ready.len() == 0 && len(s.commitQ) == 0 && run == nil:
 			s.done = true
 			s.cond.Broadcast()
+			s.park.Broadcast()
 			return nil
+		default:
+			s.cond.Wait()
 		}
-		s.cond.Wait()
 		run = s.minRunningLocked()
 	}
 	return nil
@@ -402,6 +441,7 @@ func (s *sched) failLocked(err error) {
 		s.err = err
 	}
 	s.cond.Broadcast()
+	s.park.Broadcast()
 }
 
 // validLocked checks an attempt's read set against current committed
@@ -497,5 +537,19 @@ func (s *sched) commitLocked(t *task) bool {
 	t.env = nil
 	t.next, s.free = s.free, t
 	s.commits++
+	if s.commits == s.winEnd {
+		// Time the window under its mode and open the next.
+		now := time.Now()
+		if s.solo {
+			s.soloNS = now.Sub(s.winStart)
+		} else {
+			s.teamNS = now.Sub(s.winStart)
+		}
+		s.window++
+		if s.solo = soloWindow(s.window, s.teamNS, s.soloNS); !s.solo {
+			s.park.Broadcast()
+		}
+		s.winStart, s.winEnd = now, s.commits+modeWindow
+	}
 	return true
 }

@@ -3,6 +3,7 @@ package rt
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"github.com/swarm-sim/swarm/internal/tsdom"
 	"github.com/swarm-sim/swarm/internal/vt"
@@ -113,4 +114,32 @@ func vtOf(t *task) any {
 		return nil
 	}
 	return t.vt
+}
+
+// TestSoloWindow pins the controller's choice of mode for a window from
+// the last measured time of each mode.
+func TestSoloWindow(t *testing.T) {
+	const fast, slow = time.Millisecond, 2 * time.Millisecond
+	for _, c := range []struct {
+		name       string
+		n          uint64
+		team, solo time.Duration
+		want       bool
+	}{
+		{"the first window is team", 0, 0, 0, false},
+		{"the first window is team even after a faster solo one", 0, slow, fast, false},
+		{"the second window is solo", 1, fast, 0, true},
+		{"the second window is solo even after a faster team one", 1, fast, slow, true},
+		{"solo was faster", 2, slow, fast, true},
+		{"team was faster", 3, fast, slow, false},
+		{"a tie keeps team", 5, fast, fast, false},
+		{"the 16th window re-measures team", modeRecheck, slow, fast, false},
+		{"the 32nd window re-measures solo", 2 * modeRecheck, fast, slow, true},
+		{"a re-measure after a tie runs solo", 3 * modeRecheck, fast, fast, true},
+		{"the window after a re-measure runs the faster mode", modeRecheck + 1, slow, fast, true},
+	} {
+		if got := soloWindow(c.n, c.team, c.solo); got != c.want {
+			t.Errorf("%s: soloWindow(%d, %v, %v) = %v, want %v", c.name, c.n, c.team, c.solo, got, c.want)
+		}
+	}
 }
