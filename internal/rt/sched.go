@@ -221,9 +221,9 @@ type sched struct {
 	// park holds the workers solo mode keeps out. Team mode, draining or
 	// poisoning the phase wakes them all.
 	park sync.Cond
-	// solo is the window's mode. The window began at winStart, after
-	// window others, and ends at commit winEnd; teamNS and soloNS time
-	// the last window of each mode.
+	// solo is the current window's mode; window counts the windows
+	// before it, which began at winStart and ends at commit winEnd.
+	// teamNS and soloNS time the last window of each mode.
 	solo           bool
 	window, winEnd uint64
 	winStart       time.Time
