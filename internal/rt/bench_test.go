@@ -96,6 +96,43 @@ func BenchmarkAttemptReset(b *testing.B) {
 	}
 }
 
+// BenchmarkAttemptStores is one attempt and its commit: the attempt
+// increments n words, reading each before it stores it, and then reloads
+// all n. The earliest attempt stores in place and its commit keeps the
+// stores; a tracked one records its reads, buffers its stores and reads
+// them back from its write set, and its commit validates the reads and
+// writes the words back.
+func BenchmarkAttemptStores(b *testing.B) {
+	for _, mode := range []string{"earliest", "tracked"} {
+		for _, n := range []uint64{8, 40} {
+			b.Run(fmt.Sprintf("%s/%d", mode, n), func(b *testing.B) {
+				r, base := startedRuntime(b, 1, incArg0, n)
+				s, t := r.sched, new(task)
+				attempt := func() {
+					t.env = s.getEnvLocked(guest.TaskDesc{})
+					t.env.earliest = mode == "earliest"
+					for i := range n {
+						a := base + i*8
+						t.env.Store(a, t.env.Load(a)+1)
+					}
+					for i := range n {
+						sink += t.env.Load(base + i*8)
+					}
+					if !s.commitLocked(t) {
+						b.Fatal("commit failed")
+					}
+				}
+				attempt()
+				b.ReportAllocs()
+				b.ResetTimer()
+				for range b.N {
+					attempt()
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkReadyQueue is one pop of the ready minimum and one push of a
 // later task, in steady state, on the ready-queue traffic of three
 // rt-large cells: bfs keeps two live timestamps about 150 tasks deep,

@@ -20,11 +20,12 @@ const opCap = 1 << 24
 // opCapPanic is the sentinel thrown when a task attempt exhausts opCap.
 type opCapPanic struct{}
 
-// taskEnv implements guest.TaskEnv for one task attempt: reads come from
-// the committed store (recorded in the read set, except in the earliest
-// attempt), writes and child enqueues stay buffered until commit. The
-// DebugChecks commit-time re-execution uses a second taskEnv and compares
-// the buffered write, child and free sets for divergence.
+// taskEnv implements guest.TaskEnv for one task attempt. The earliest
+// attempt loads and stores in place (see store); any other is tracked:
+// it records its reads in a read set and buffers its writes until
+// commit. Child enqueues and frees always wait for the commit. The
+// DebugChecks commit-time re-execution uses a second, tracked taskEnv and
+// compares the write, child and free sets for divergence.
 //
 // A taskEnv is an attempt buffer the scheduler recycles: it takes one from
 // its free list at dispatch, and gets it back when the attempt commits or
@@ -50,7 +51,7 @@ type taskEnv struct {
 	ops       uint64
 	allocd    bool // the attempt called Alloc (see Runtime.recheckLocked)
 	// earliest marks an attempt no uncommitted task precedes. Nothing can
-	// commit under it, so its loads keep no read set.
+	// commit under it, so it keeps no read set and stores in place.
 	earliest bool
 }
 
@@ -185,19 +186,19 @@ func (e *taskEnv) step(n uint64) {
 	}
 }
 
-// Load implements guest.Env: read-own-writes, then the read cache, then
-// the committed store (recording the observed version). The earliest
-// attempt loads the value alone, since its words cannot change.
+// Load implements guest.Env. The earliest attempt, whose own stores are
+// in place, loads the word alone; others read own writes, then the read
+// cache, then the committed store (recording the observed version).
 func (e *taskEnv) Load(addr uint64) uint64 {
 	e.step(1)
 	if !mem.WordAligned(addr) {
 		panic(fmt.Sprintf("mem: misaligned load at %#x", addr))
 	}
-	if i := e.writes.find(addr); i >= 0 {
-		return e.writeVals[i]
-	}
 	if e.earliest {
 		return e.r.store.load(addr)
+	}
+	if i := e.writes.find(addr); i >= 0 {
+		return e.writeVals[i]
 	}
 	if i := e.reads.find(addr); i >= 0 {
 		return e.readRecs[i].val
@@ -208,11 +209,16 @@ func (e *taskEnv) Load(addr uint64) uint64 {
 	return val
 }
 
-// Store implements guest.Env: buffered until commit.
+// Store implements guest.Env: in place, logging the old word, for the
+// earliest attempt, and buffered until commit for any other.
 func (e *taskEnv) Store(addr, val uint64) {
 	e.step(1)
 	if !mem.WordAligned(addr) {
 		panic(fmt.Sprintf("mem: misaligned store at %#x", addr))
+	}
+	if s := e.r.store; e.earliest {
+		s.undo = append(s.undo, undoRec{addr, s.commitWrite(addr, val)})
+		return
 	}
 	if i := e.writes.find(addr); i >= 0 {
 		e.writeVals[i] = val
@@ -220,6 +226,28 @@ func (e *taskEnv) Store(addr, val uint64) {
 	}
 	e.writes.add(addr)
 	e.writeVals = append(e.writeVals, val)
+}
+
+// unplace turns the earliest attempt into a buffered one: its write set
+// comes off the undo log, and memory rolls back to the committed words,
+// newest first. Each restore bumps the version, so no tracked read of an
+// in-place word validates. Under the scheduler lock; a no-op for a
+// tracked attempt.
+func (e *taskEnv) unplace() {
+	if !e.earliest {
+		return
+	}
+	s := e.r.store
+	for _, u := range s.undo {
+		if e.writes.find(u.addr) < 0 {
+			e.writes.add(u.addr)
+			e.writeVals = append(e.writeVals, s.load(u.addr))
+		}
+	}
+	for i := len(s.undo) - 1; i >= 0; i-- {
+		s.commitWrite(s.undo[i].addr, s.undo[i].old)
+	}
+	s.undo, e.earliest = s.undo[:0], false
 }
 
 // Work implements guest.Env. The native runtime executes for real, so

@@ -6,12 +6,14 @@
 // microarchitecture for a software runtime in the style of ordered
 // software transactions (Saad et al.): per-word versioned committed
 // state, per-attempt read sets and write buffers, commit-time
-// validation, abort-and-retry on conflict. Because commits serialize in
-// a deterministic virtual-time order and children take their sequence
-// numbers at the parent's commit, the final guest memory is independent
-// of worker interleaving and must equal the simulator's committed state
-// for pure task bodies — the property the backend differential tests
-// pin down.
+// validation, abort-and-retry on conflict. The earliest uncommitted
+// attempt, which cannot abort, keeps neither: it reads and writes guest
+// memory in place, with an undo log, as §4.3's eager versioning does.
+// Because commits serialize in a deterministic virtual-time order and
+// children take their sequence numbers at the parent's commit, the final
+// guest memory is independent of worker interleaving and must equal the
+// simulator's committed state for pure task bodies — the property the
+// backend differential tests pin down.
 //
 // What rt reports differs from the simulator where the engines differ:
 // there is no simulated clock, so Stats.Cycles stays zero and
@@ -93,10 +95,11 @@ func New(cfg core.Config) (*Runtime, error) {
 // the first RunPhase.
 func (r *Runtime) SetProgram(ft *guest.FnTable) { r.fns, r.fnNames = ft.Fns(), ft.Names() }
 
-// Mem returns the guest memory. Commits store into it in place, so
-// between phases (and before/after the run) it holds exactly the
-// committed state; during a phase the workers read it and the committer
-// writes it, and nothing else may access it.
+// Mem returns the guest memory. Commits and the earliest attempt store
+// into it in place, and a failed phase rolls back an uncommitted earliest
+// attempt's stores, so between phases (and before/after the run) it holds
+// exactly the committed state; during a phase the workers read and write
+// it, and nothing else may access it.
 func (r *Runtime) Mem() *mem.Memory { return r.base }
 
 // SetupAlloc carves a line-aligned guest region outside any task, like
@@ -232,15 +235,17 @@ func (r *Runtime) runBody(fn guest.FnID, env *taskEnv) (panicked bool, pval any)
 // function of guest memory the outcomes must match; divergence means the
 // body consults state outside guest memory (host globals, captured
 // variables, map iteration order) and would behave differently across
-// backends. Attempts that called Alloc are skipped — allocation is host
-// state by design, so re-running it cannot be compared.
+// backends. An in-place attempt's writes first go back to its buffer
+// (unplace), for its commit to re-apply; the re-execution is tracked, so
+// it buffers its own. Attempts that called Alloc are skipped — allocation
+// is host state by design, so re-running it cannot be compared.
 func (r *Runtime) recheckLocked(t *task) error {
 	if t.env.allocd {
 		return nil
 	}
+	t.env.unplace()
 	env := r.sched.getEnvLocked(t.desc)
 	defer r.sched.putEnvLocked(env)
-	env.earliest = true // nothing commits while the lock is held
 	if panicked, pval := r.runBody(t.desc.Fn, env); panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}

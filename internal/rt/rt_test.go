@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"errors"
 	"reflect"
 	"runtime"
 	"strings"
@@ -377,44 +378,57 @@ func TestSetupAllocFree(t *testing.T) {
 // TestImpureTaskDetected is the DebugChecks divergence check: a task
 // whose writes depend on captured host state (not guest memory) commits
 // differently on re-execution and must be reported, not silently
-// committed.
+// committed. At 1 worker the task runs as the earliest attempt and
+// stores in place, so the failed check must also take its store back out
+// of memory.
 func TestImpureTaskDetected(t *testing.T) {
-	hostCounter := uint64(0)
-	impure := func(e guest.TaskEnv) {
-		hostCounter++ // host state: invisible to versioned memory
-		e.Store(1<<12, hostCounter)
-	}
-	cfg := testConfig(t, 4, "rt")
-	cfg.DebugChecks = true
-	_, _, err := runProgram(t, cfg, []guest.TaskFn{impure}, []string{"impure"},
-		[]guest.TaskDesc{{Fn: 0, TS: 0}})
-	if err == nil || !strings.Contains(err.Error(), "diverged") {
-		t.Fatalf("impure task: err = %v, want divergence error naming the task", err)
-	}
-	if err != nil && !strings.Contains(err.Error(), "impure") {
-		t.Errorf("divergence error should name the task: %v", err)
+	const cell = uint64(1 << 12)
+	for _, workers := range []int{1, 4} {
+		hostCounter := uint64(0)
+		impure := func(e guest.TaskEnv) {
+			hostCounter++ // host state: invisible to versioned memory
+			e.Store(cell, hostCounter)
+		}
+		cfg := testConfig(t, workers, "rt")
+		cfg.DebugChecks = true
+		r, _, err := runProgram(t, cfg, []guest.TaskFn{impure}, []string{"impure"},
+			[]guest.TaskDesc{{Fn: 0, TS: 0}})
+		if err == nil || !strings.Contains(err.Error(), "diverged") {
+			t.Fatalf("workers=%d: impure task: err = %v, want divergence error naming the task", workers, err)
+		}
+		if !strings.Contains(err.Error(), "impure") {
+			t.Errorf("workers=%d: divergence error should name the task: %v", workers, err)
+		}
+		if got := r.Mem().Load(cell); got != 0 {
+			t.Errorf("workers=%d: cell = %d after the failed check, want 0: nothing committed", workers, got)
+		}
 	}
 }
 
 // TestPureTaskPassesDebugChecks: the divergence check must not flag a
-// pure program, including one with real conflicts and retries.
+// pure program, including one with real conflicts and retries, and the
+// check's re-execution must leave final memory as the run committed it,
+// at 1 worker, where every attempt stores in place, and at 16.
 func TestPureTaskPassesDebugChecks(t *testing.T) {
 	const cell = uint64(1 << 12)
 	body := func(e guest.TaskEnv) {
 		e.Store(cell, e.Load(cell)+1)
+		e.Store(cell+8, e.Load(cell))
 	}
-	cfg := testConfig(t, 16, "rt")
-	cfg.DebugChecks = true
-	var roots []guest.TaskDesc
-	for i := 0; i < 200; i++ {
-		roots = append(roots, guest.TaskDesc{Fn: 0, TS: 1})
-	}
-	r, _, err := runProgram(t, cfg, []guest.TaskFn{body}, []string{"inc"}, roots)
-	if err != nil {
-		t.Fatalf("pure contended program flagged: %v", err)
-	}
-	if got := r.Mem().Load(cell); got != 200 {
-		t.Errorf("cell = %d, want 200", got)
+	for _, workers := range []int{1, 16} {
+		cfg := testConfig(t, workers, "rt")
+		cfg.DebugChecks = true
+		var roots []guest.TaskDesc
+		for i := 0; i < 200; i++ {
+			roots = append(roots, guest.TaskDesc{Fn: 0, TS: 1})
+		}
+		r, _, err := runProgram(t, cfg, []guest.TaskFn{body}, []string{"inc"}, roots)
+		if err != nil {
+			t.Fatalf("workers=%d: pure contended program flagged: %v", workers, err)
+		}
+		if got, want := r.Mem().Snapshot(), map[uint64]uint64{cell: 200, cell + 8: 200}; !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: memory = %v, want %v", workers, got, want)
+		}
 	}
 }
 
@@ -595,11 +609,14 @@ func TestHintedEnqueue(t *testing.T) {
 
 // TestFailedPhaseKeepsCommits: a phase that fails leaves its committed
 // prefix in guest memory, which Mem promises holds exactly the committed
-// state between phases.
+// state between phases. The runaway task runs as the earliest attempt
+// and stores a second word in place before it spins; the failure must
+// take that store back out.
 func TestFailedPhaseKeepsCommits(t *testing.T) {
-	const cell = uint64(1 << 12)
+	const cell, spun = uint64(1 << 12), uint64(1<<12 + 8)
 	set := func(e guest.TaskEnv) { e.Store(cell, 7) }
 	runaway := func(e guest.TaskEnv) {
+		e.Store(spun, 1)
 		for {
 			e.Work(1 << 16)
 		}
@@ -615,6 +632,93 @@ func TestFailedPhaseKeepsCommits(t *testing.T) {
 	}
 	if got := r.Mem().Load(cell); got != 7 {
 		t.Errorf("committed word = %d after the failed phase, want 7", got)
+	}
+	if got := r.Mem().Load(spun); got != 0 {
+		t.Errorf("the runaway's word = %d after the failed phase, want 0: it never committed", got)
+	}
+}
+
+// TestPoisonedPhaseRollsBackInPlace: on two workers, the ts-1 task is the
+// earliest attempt and stores a word in place over a value the host set
+// up. The ts-2 task, dispatched while ts 1 runs, waits for that store and
+// then poisons the phase, as a failed DebugChecks check can while the
+// earliest attempt runs; ts 1 waits for the poison, so it retires into
+// the failed phase. Memory must then hold only committed words: the host
+// value.
+func TestPoisonedPhaseRollsBackInPlace(t *testing.T) {
+	const word = uint64(1 << 12)
+	stored, poisoned := make(chan struct{}), make(chan struct{})
+	var r *Runtime
+	first := func(e guest.TaskEnv) {
+		e.Store(word, 9)
+		close(stored)
+		<-poisoned
+	}
+	later := func(guest.TaskEnv) {
+		<-stored
+		r.sched.mu.Lock()
+		r.sched.failLocked(errors.New("poisoned by a later attempt"))
+		r.sched.mu.Unlock()
+		close(poisoned)
+	}
+	r, err := New(testConfig(t, 2, "rt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r.SetProgram(program([]guest.TaskFn{first, later}, []string{"first", "later"}))
+	r.Mem().Store(word, 5)
+	r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
+	r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 2})
+	if _, err := r.RunPhase(); err == nil || !strings.Contains(err.Error(), "poisoned") {
+		t.Fatalf("err = %v, want the poison", err)
+	}
+	if got := r.Mem().Snapshot(); !reflect.DeepEqual(got, map[uint64]uint64{word: 5}) {
+		t.Errorf("memory after the failed phase = %v, want only the host's word %#x = 5", got, word)
+	}
+}
+
+// TestTrackedPanicRetriesUnderInPlace: the ts-1 task, the earliest
+// attempt, stores a then b in place; serially a == b whenever ts 2 reads
+// them, and ts 2 panics otherwise. ts 2's first attempt runs between the
+// two stores, reads a torn pair whose versions both still match, and
+// panics. Its reads include a word stored in place, so the panic must
+// count as misspeculation and retry, not crash the run: ts 1 makes its
+// second store only once ts 2 has aborted.
+func TestTrackedPanicRetriesUnderInPlace(t *testing.T) {
+	const a, b = uint64(1 << 12), uint64(1<<12 + 8)
+	stored := make(chan struct{})
+	var r *Runtime
+	first := func(e guest.TaskEnv) {
+		e.Store(a, 1)
+		close(stored)
+		for r.Snapshot().Aborts == 0 {
+			runtime.Gosched()
+		}
+		e.Store(b, 1)
+	}
+	later := func(e guest.TaskEnv) {
+		<-stored
+		if e.Load(a) != e.Load(b) {
+			panic("torn read")
+		}
+		e.Store(b+8, 1)
+	}
+	r, err := New(testConfig(t, 2, "rt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r.SetProgram(program([]guest.TaskFn{first, later}, []string{"first", "later"}))
+	r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
+	r.EnqueueRootDesc(guest.TaskDesc{Fn: 1, TS: 2})
+	ps, err := r.RunPhase()
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if ps.Commits != 2 || ps.Aborts < 1 {
+		t.Errorf("commits = %d, aborts = %d; want 2 commits and at least 1 abort", ps.Commits, ps.Aborts)
+	}
+	if got, want := r.Mem().Snapshot(), map[uint64]uint64{a: 1, b: 1, b + 8: 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("memory = %v, want %v", got, want)
 	}
 }
 

@@ -409,19 +409,22 @@ func (s *sched) abortLocked(t *task) {
 // execution of t. A task that read an inconsistent snapshot can do
 // anything a wrong branch allows — index out of range, misaligned
 // address, runaway loop — so a panic is first treated as suspected
-// misspeculation: if the read set no longer validates, the attempt aborts
-// and retries like any conflict. If the reads were consistent the panic
-// is real: an op-cap overrun becomes a runtime error (infinite loop in
-// guest code), anything else re-panics exactly as it would under the
-// simulator.
+// misspeculation: if the read set no longer validates, or may hold words
+// the running earliest attempt stored in place (which versions cannot
+// tell from committed ones), the attempt aborts and retries like any
+// conflict. If the reads were consistent the panic is real: memory rolls
+// back to the committed words, an op-cap overrun becomes a runtime error
+// (infinite loop in guest code), and anything else re-panics exactly as
+// it would under the simulator.
 func (s *sched) handlePanic(w int, t *task, pval any) {
 	s.mu.Lock()
 	s.running[w] = nil
-	if !s.validLocked(t.env) {
+	if run := s.minRunningLocked(); run != nil && run.env.earliest || !s.validLocked(t.env) {
 		s.abortLocked(t)
 		s.mu.Unlock()
 		return
 	}
+	t.env.unplace()
 	if _, capped := pval.(opCapPanic); capped {
 		s.failLocked(s.r.taskErr(t, "exceeded %d operations in one attempt — likely an infinite loop", uint64(opCap)))
 		s.mu.Unlock()
@@ -458,14 +461,16 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // retireLocked takes a finished attempt. An attempt that precedes every
 // ready, running and queued task commits on the spot, skipping the commit
 // queue (at 1 worker every attempt does); any other, or any attempt of a
-// poisoned phase, joins the queue. Then whatever has become committable
-// commits. run is the earliest running attempt, or nil; the running set
-// cannot change meanwhile.
+// poisoned phase, joins the queue, the earliest attempt after its stores
+// come out of memory. Then whatever has become committable commits. run
+// is the earliest running attempt, or nil; the running set cannot change
+// meanwhile.
 func (s *sched) retireLocked(t, run *task) {
 	first := s.ready.min()
 	if s.err != nil || run != nil && before(run, t) ||
 		first != nil && before(first, t) ||
 		len(s.commitQ) > 0 && before(s.commitQ[0], t) {
+		t.env.unplace()
 		s.commitQ.push(t)
 		s.peakCommitQ = max(s.peakCommitQ, len(s.commitQ))
 	} else if !s.commitLocked(t) {
@@ -493,13 +498,13 @@ func (s *sched) drainLocked(run *task) {
 }
 
 // commitLocked validates and commits t, which no uncommitted task
-// precedes, and recycles its record and attempt buffer. A failed
-// validation aborts and requeues t instead, and commitLocked reports
-// false: t is again the minimum uncommitted task, so nothing else may
-// commit before its retry, which runs as the earliest attempt and always
-// validates. A failed DebugChecks check poisons the phase and also
-// reports false: a commit under an earliest attempt, or a diverging
-// re-execution.
+// precedes, and recycles its record and attempt buffer; the earliest
+// attempt's writes are in memory already. A failed validation aborts and
+// requeues t instead, and commitLocked reports false: t is again the
+// minimum uncommitted task, so nothing else may commit before its retry,
+// which runs as the earliest attempt and always validates. A failed
+// DebugChecks check poisons the phase and also reports false: a commit
+// under an earliest attempt, or a diverging re-execution.
 func (s *sched) commitLocked(t *task) bool {
 	env := t.env
 	if !s.validLocked(env) {
@@ -518,6 +523,7 @@ func (s *sched) commitLocked(t *task) bool {
 			return false
 		}
 	}
+	s.r.store.undo = s.r.store.undo[:0] // keep the earliest attempt's stores
 	for i, addr := range env.writes.addrs {
 		s.r.store.commitWrite(addr, env.writeVals[i])
 	}

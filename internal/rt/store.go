@@ -6,39 +6,42 @@ import (
 	"github.com/swarm-sim/swarm/internal/mem"
 )
 
-// The versioned store is the runtime's speculative memory system. Commits
-// update guest memory in place, as the paper's eager versioning does
-// (§4.3): a committed write stores its value with sync/atomic into the
-// mem.Memory page that holds the word, so every word has one copy, and
-// guest memory holds exactly the committed state whenever no worker runs.
-// Tasks execute against committed state only — speculative writes stay
-// in the task's private write buffer until its commit — so the store is
-// the runtime's single point of cross-task communication:
+// The versioned store is the runtime's speculative memory system. It
+// versions eagerly, as the paper does (§4.3): a write stores its value
+// with sync/atomic into the mem.Memory page that holds the word, so each
+// word has one copy. A tracked attempt buffers its writes until its
+// commit publishes them; the earliest attempt, under which nothing
+// commits, stores in place at once and logs the words it replaces in the
+// undo log, which a failed phase rolls back. Either way guest memory
+// holds exactly the committed state whenever no worker runs. The store
+// is the runtime's single point of cross-task communication:
 //
-//   - a speculative read returns the word and records its version, the
-//     number of commits that have written it;
+//   - a tracked read returns the word and records its version;
 //   - commit-time validation re-reads the versions of every address in
-//     the task's read set; any bump means a conflicting commit slipped
+//     the task's read set; any bump means a conflicting write slipped
 //     between the read and the commit, and the task aborts and retries
 //     (optimistic concurrency control with a write buffer, after Saad et
 //     al.'s ordered transaction processing);
-//   - a committed write stores the value, then bumps the version;
-//   - the earliest attempt, under which nothing commits, loads the value
-//     alone.
+//   - every write, a rollback's too, stores the value, then bumps the
+//     version, so a read of a word the earliest attempt overwrites fails
+//     validation; a read of its final value passes, since the earliest
+//     attempt commits first;
+//   - the earliest attempt loads the value alone.
 //
 // Versions live beside the page, one atomic word per guest word, in an
-// array the page's first commit allocates; a page no commit has written
-// is at version 0 throughout. Versions keep counting across phases: a
-// read set never outlives its phase, so validation needs only to see a
+// array the page's first write allocates; a page nothing has written is
+// at version 0 throughout. Versions keep counting across phases: a read
+// set never outlives its phase, so validation needs only to see a
 // version change, never a particular value.
 //
 // Reads take no lock. A reader loads a word's version first and its value
-// second; the committer, the only writer, stores the value first and the
-// version second. Both are sync/atomic words, so a reader that observes
-// version v also observes the value of v's commit or of a later one. A
-// later value pairs with a stale version, and validation, which holds the
-// lock that serializes commits, sees the later commit's bump and rejects
-// the read: no torn pair can commit.
+// second; the writer stores the value first and the version second, and
+// there is one writer at a time: commits hold the scheduler lock, and
+// nothing commits while the earliest attempt runs. Both are sync/atomic
+// words, so a reader that observes version v also observes the value of
+// v's write or of a later one. A later value pairs with a stale version,
+// and validation, which holds the lock that serializes commits, sees the
+// later bump and rejects the read: no torn pair can commit.
 //
 // The directory maps page numbers to slots in fixed-size leaves. The leaf
 // list is copy-on-write: a commit that touches a page outside every leaf
@@ -49,7 +52,12 @@ import (
 type store struct {
 	base *mem.Memory
 	dir  atomic.Pointer[[]*leaf]
+	// undo logs the word each in-place store of the earliest attempt
+	// replaced, oldest first: one attempt is the earliest at a time.
+	undo []undoRec
 }
+
+type undoRec struct{ addr, old uint64 }
 
 const (
 	pageShift = 16 // mem's 64 KB pages (mem.Memory.Page's type checks it)
@@ -92,7 +100,7 @@ func (s *store) slot(addr uint64) *slot {
 	return nil
 }
 
-// slotFor is slot, adding a leaf when none covers addr. Committer-only.
+// slotFor is slot, adding a leaf when none covers addr. Writer-only.
 func (s *store) slotFor(addr uint64) *slot {
 	if sl := s.slot(addr); sl != nil {
 		return sl
@@ -132,8 +140,8 @@ func (s *store) read(addr uint64) (val, ver uint64) {
 	return val, ver
 }
 
-// load returns the committed word at addr without its version, for the
-// earliest attempt, which no commit can invalidate.
+// load returns the word at addr without its version, for the earliest
+// attempt, which no commit can invalidate.
 func (s *store) load(addr uint64) uint64 {
 	if sl := s.slot(addr); sl != nil {
 		if p := sl.words.Load(); p != nil {
@@ -153,12 +161,12 @@ func (s *store) version(addr uint64) uint64 {
 	return 0
 }
 
-// commitWrite publishes one committed word in place: value first, then
-// the bumped version. A page's first commit allocates its versions, and
-// materializes the page in the base memory if no word of it existed.
-// Callers serialize commits (the scheduler lock), so this is the only
-// writer.
-func (s *store) commitWrite(addr, val uint64) {
+// commitWrite publishes one word in place, value first and then the
+// bumped version, and returns the word it replaced. A page's first write
+// allocates its versions, and materializes the page in the base memory if
+// no word of it existed. Its callers are the one writer: a commit, under
+// the scheduler lock, or the earliest attempt.
+func (s *store) commitWrite(addr, val uint64) (old uint64) {
 	sl := s.slotFor(addr)
 	p := sl.words.Load()
 	if p == nil {
@@ -171,6 +179,8 @@ func (s *store) commitWrite(addr, val uint64) {
 		sl.vers.Store(vs)
 	}
 	i := wordIndex(addr)
+	old = p[i]
 	atomic.StoreUint64(&p[i], val)
 	vs[i].Store(vs[i].Load() + 1)
+	return old
 }
