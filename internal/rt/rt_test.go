@@ -683,15 +683,18 @@ func TestPoisonedPhaseRollsBackInPlace(t *testing.T) {
 // two stores, reads a torn pair whose versions both still match, and
 // panics. Its reads include a word stored in place, so the panic must
 // count as misspeculation and retry, not crash the run: ts 1 makes its
-// second store only once ts 2 has aborted.
+// second store only once ts 2 has aborted, or has read a and b equal,
+// which fails the test instead of hanging it.
 func TestTrackedPanicRetriesUnderInPlace(t *testing.T) {
 	const a, b = uint64(1 << 12), uint64(1<<12 + 8)
 	stored := make(chan struct{})
+	var torn atomic.Uint64
+	var clean atomic.Bool
 	var r *Runtime
 	first := func(e guest.TaskEnv) {
 		e.Store(a, 1)
 		close(stored)
-		for r.Snapshot().Aborts == 0 {
+		for r.Snapshot().Aborts == 0 && !clean.Load() {
 			runtime.Gosched()
 		}
 		e.Store(b, 1)
@@ -699,8 +702,10 @@ func TestTrackedPanicRetriesUnderInPlace(t *testing.T) {
 	later := func(e guest.TaskEnv) {
 		<-stored
 		if e.Load(a) != e.Load(b) {
+			torn.Add(1)
 			panic("torn read")
 		}
+		clean.Store(true)
 		e.Store(b+8, 1)
 	}
 	r, err := New(testConfig(t, 2, "rt"))
@@ -714,8 +719,8 @@ func TestTrackedPanicRetriesUnderInPlace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunPhase: %v", err)
 	}
-	if ps.Commits != 2 || ps.Aborts < 1 {
-		t.Errorf("commits = %d, aborts = %d; want 2 commits and at least 1 abort", ps.Commits, ps.Aborts)
+	if n := torn.Load(); ps.Commits != 2 || ps.Aborts < n || n < 1 {
+		t.Errorf("commits = %d, aborts = %d, torn reads = %d; want 2 commits and at least 1 torn read, each retried", ps.Commits, ps.Aborts, n)
 	}
 	if got, want := r.Mem().Snapshot(), map[uint64]uint64{a: 1, b: 1, b + 8: 1}; !reflect.DeepEqual(got, want) {
 		t.Errorf("memory = %v, want %v", got, want)
