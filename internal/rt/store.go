@@ -44,10 +44,10 @@ import (
 // later bump and rejects the read: no torn pair can commit.
 //
 // The directory maps page numbers to slots in fixed-size leaves. The leaf
-// list is copy-on-write: a commit that touches a page outside every leaf
+// list is copy-on-write: a write that touches a page outside every leaf
 // publishes a new list through an atomic pointer, so readers never lock
 // and any word-aligned address mem.Memory accepts has a slot. A slot holds
-// the page's words, registered at phase start or by the commit that
+// the page's words, registered at phase start or by the write that
 // materializes the page, and the page's versions.
 type store struct {
 	base *mem.Memory
@@ -71,7 +71,7 @@ const (
 
 type slot struct {
 	words atomic.Pointer[[pageWords]uint64]        // nil: the page holds no word yet
-	vers  atomic.Pointer[[pageWords]atomic.Uint64] // nil: no commit has written the page
+	vers  atomic.Pointer[[pageWords]atomic.Uint64] // nil: nothing has written the page
 }
 
 type leaf struct {
