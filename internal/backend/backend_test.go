@@ -94,9 +94,9 @@ func TestHoistedBuildValidation(t *testing.T) {
 	}
 }
 
-// TestSharedConfigValidation: malformed configurations are rejected with
-// the core package's error text regardless of backend, and an unknown
-// backend name lists the valid ones.
+// TestSharedConfigValidation: malformed configurations, an unknown mapper
+// among them, are rejected with the core package's error text regardless
+// of backend, and an unknown backend name lists the valid ones.
 func TestSharedConfigValidation(t *testing.T) {
 	for _, name := range append([]string{""}, Names()...) {
 		cfg := config(name)
@@ -104,6 +104,12 @@ func TestSharedConfigValidation(t *testing.T) {
 		_, err := New(cfg, counterBuild(1))
 		if err == nil || !strings.Contains(err.Error(), "core: invalid machine size") {
 			t.Errorf("backend %q: zero-tiles err = %v", name, err)
+		}
+		cfg = config(name)
+		cfg.Mapper = "bogus"
+		_, err = New(cfg, counterBuild(1))
+		if want := `core: unknown mapper "bogus" (valid: hint, random)`; err == nil || err.Error() != want {
+			t.Errorf("backend %q: unknown-mapper err = %v, want %s", name, err, want)
 		}
 	}
 	cfg := config("turbo")

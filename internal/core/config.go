@@ -123,15 +123,19 @@ func (c Config) TaskQPerTile() int { return c.TaskQPerCore * c.CoresPerTile }
 // CommitQPerTile returns the per-tile commit queue capacity.
 func (c Config) CommitQPerTile() int { return c.CommitQPerCore * c.CoresPerTile }
 
-// Validate normalizes and checks the configuration: machine geometry and
-// queue capacities. NewMachine applies it for the simulator and rt.New
-// for the native runtime, so a bad Config is rejected with an identical
-// error on every backend. Backend names are checked by internal/backend.
+// Validate normalizes and checks the configuration: machine geometry,
+// queue capacities and the mapper name. NewMachine applies it for the
+// simulator and rt.New for the native runtime, so a bad Config is
+// rejected with an identical error on every backend. Backend names are
+// checked by internal/backend.
 func (c *Config) Validate() error { return c.validate() }
 
 func (c *Config) validate() error {
 	if c.Tiles <= 0 || c.CoresPerTile <= 0 {
 		return fmt.Errorf("core: invalid machine size %dx%d", c.Tiles, c.CoresPerTile)
+	}
+	if err := CheckMapper(c.Mapper); err != nil {
+		return err
 	}
 	if !c.UnboundedQueues {
 		if c.TaskQPerTile() < 2*c.SpillBatch {

@@ -36,17 +36,28 @@ type mapper interface {
 // Config.Mapper / -mapper values), default first.
 func MapperNames() []string { return []string{"random", "hint"} }
 
-// newMapper builds the policy named by cfg.Mapper ("" selects random).
-func newMapper(name string) (mapper, error) {
-	switch name {
-	case "", "random":
-		return &randomMapper{}, nil
-	case "hint":
-		return &hintMapper{}, nil
+// CheckMapper reports whether name selects a task-mapping policy (""
+// selects random and is valid); the error lists the valid names.
+// Config.Validate applies it, so every engine rejects an unknown mapper
+// with the same error.
+func CheckMapper(name string) error {
+	if name == "" || slices.Contains(MapperNames(), name) {
+		return nil
 	}
 	valid := MapperNames()
 	slices.Sort(valid)
-	return nil, fmt.Errorf("core: unknown mapper %q (valid: %s)", name, strings.Join(valid, ", "))
+	return fmt.Errorf("core: unknown mapper %q (valid: %s)", name, strings.Join(valid, ", "))
+}
+
+// newMapper builds the policy named by cfg.Mapper ("" selects random).
+func newMapper(name string) (mapper, error) {
+	if err := CheckMapper(name); err != nil {
+		return nil, err
+	}
+	if name == "hint" {
+		return &hintMapper{}, nil
+	}
+	return &randomMapper{}, nil
 }
 
 // randomMapper reproduces the paper's uniform-random enqueue placement.

@@ -53,18 +53,9 @@ func ResolveApps(flagVal string) ([]string, error) {
 }
 
 // ValidateMapper checks a task-mapping policy name against the registered
-// policies ("" selects the default and is valid).
-func ValidateMapper(name string) error {
-	if name == "" {
-		return nil
-	}
-	for _, m := range core.MapperNames() {
-		if m == name {
-			return nil
-		}
-	}
-	return fmt.Errorf("unknown mapper %q (valid: %s)", name, optionList(core.MapperNames()))
-}
+// policies ("" selects the default and is valid). It is the check every
+// engine's Config.Validate makes, but fails before any input generation.
+func ValidateMapper(name string) error { return core.CheckMapper(name) }
 
 // ValidateCores checks that a core count builds a legal machine: the CMP
 // is tiled 4 cores per tile (machines under 4 cores are one smaller

@@ -90,11 +90,11 @@ func TestValidatorMessagesSorted(t *testing.T) {
 		{"app-empty", func() error { _, err := ResolveApps(""); return err }(),
 			`no app named (valid: ` + appList + `; a comma list; or all)`},
 		{"mapper", ValidateMapper("rnd"),
-			`unknown mapper "rnd" (valid: hint, random)`},
+			`core: unknown mapper "rnd" (valid: hint, random)`},
 		{"mapper-stealing", ValidateMapper("stealing"),
-			`unknown mapper "stealing" (valid: hint, random)`},
+			`core: unknown mapper "stealing" (valid: hint, random)`},
 		{"mapper-roundrobin", ValidateMapper("roundrobin"),
-			`unknown mapper "roundrobin" (valid: hint, random)`},
+			`core: unknown mapper "roundrobin" (valid: hint, random)`},
 		{"backend", ValidateBackend("native"),
 			`unknown backend "native" (valid: rt, rt-conservative, sim)`},
 	}

@@ -107,9 +107,9 @@ func BenchmarkAttemptStores(b *testing.B) {
 		for _, n := range []uint64{8, 40} {
 			b.Run(fmt.Sprintf("%s/%d", mode, n), func(b *testing.B) {
 				r, base := startedRuntime(b, 1, incArg0, n)
-				s, t := r.sched, new(task)
+				t := new(task)
 				attempt := func() {
-					t.env = s.getEnvLocked(guest.TaskDesc{})
+					t.env = r.getEnvLocked(guest.TaskDesc{})
 					t.env.earliest = mode == "earliest"
 					for i := range n {
 						a := base + i*8
@@ -118,7 +118,7 @@ func BenchmarkAttemptStores(b *testing.B) {
 					for i := range n {
 						sink += t.env.Load(base + i*8)
 					}
-					if !s.commitLocked(t) {
+					if !r.commitLocked(t) {
 						b.Fatal("commit failed")
 					}
 				}

@@ -209,15 +209,19 @@ func (e *taskEnv) Load(addr uint64) uint64 {
 	return val
 }
 
-// Store implements guest.Env: in place, logging the old word, for the
-// earliest attempt, and buffered until commit for any other.
+// Store implements guest.Env: in place for the earliest attempt, logging
+// the old word unless the log's last record is this word's already, and
+// buffered until commit for any other.
 func (e *taskEnv) Store(addr, val uint64) {
 	e.step(1)
 	if !mem.WordAligned(addr) {
 		panic(fmt.Sprintf("mem: misaligned store at %#x", addr))
 	}
 	if s := e.r.store; e.earliest {
-		s.undo = append(s.undo, undoRec{addr, s.commitWrite(addr, val)})
+		old := s.commitWrite(addr, val)
+		if n := len(s.undo); n == 0 || s.undo[n-1].addr != addr {
+			s.undo = append(s.undo, undoRec{addr, old})
+		}
 		return
 	}
 	if i := e.writes.find(addr); i >= 0 {

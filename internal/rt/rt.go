@@ -33,6 +33,7 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 	"time"
@@ -52,22 +53,79 @@ var errGuestPanic = errors.New("rt: guest task panicked")
 // EnqueueRootDesc, Snapshot, ...), so backend.New builds and programs
 // both engines through one sequence. Like the machine it runs one
 // program, phase by phase.
+//
+// Runtime is also its own task unit and commit queue (sched.go): one
+// timestamp-ordered ready queue feeding worker goroutines, one running
+// slot per worker, and a bounded commit queue drained strictly in
+// virtual-time order. One mutex guards them all; tasks execute outside
+// the lock, so the lock only serializes dispatch and commit — the
+// runtime's software stand-in for the simulator's per-tile task units
+// and GVT-gated commit queues. A worker takes the lock once per task:
+// next retires its finished attempt and hands it the next task in one
+// critical section. Of the Cores() workers, all dispatch in team mode
+// and one at a time in solo mode.
 type Runtime struct {
-	cfg  core.Config
-	name string
+	cfg core.Config
 
 	base   *mem.Memory
 	heap   *mem.Allocator
 	heapMu sync.Mutex
 	store  *store
-	sched  *sched
 
 	fns     []guest.TaskFn
 	fnNames []string
 
-	running bool
+	inPhase bool
 	phase   int // RunPhase calls so far: the running phase's index
 	wallNS  uint64
+
+	mu sync.Mutex
+	// cond holds the waiting workers: the idle ones, and those a solo
+	// window keeps out. A worker that takes a task while more work is
+	// runnable wakes one with Signal, which does the same, so new work
+	// fans out one wakeup at a time. Only draining or poisoning the phase
+	// wakes them all.
+	cond sync.Cond
+	// solo is the current window's mode; window counts the windows
+	// before it, which began at winStart and ends at commit winEnd.
+	// teamNS and soloNS time the last window of each mode.
+	solo           bool
+	window, winEnd uint64
+	winStart       time.Time
+	teamNS, soloNS time.Duration
+
+	// ready holds runnable tasks.
+	ready readyQueue
+	// running[w] is worker w's dispatched, not-yet-finished attempt, or
+	// nil.
+	running []*task
+	// commitQ holds executed tasks awaiting their turn to validate and
+	// commit in virtual-time order.
+	commitQ taskHeap
+	// commitCap is the commit queue's capacity, the simulator's
+	// CommitQPerCore x Cores (math.MaxInt under UnboundedQueues). A full
+	// queue admits only tasks that precede its head (§4.7).
+	commitCap int
+	// peakCommitQ is the commit queue's high-water mark.
+	peakCommitQ int
+	// envs holds recycled attempt buffers, and free heads a list of
+	// recycled and not yet used task records linked through task.next.
+	envs []*taskEnv
+	free *task
+
+	// conservative restricts dispatch to tasks at the minimum uncommitted
+	// timestamp (level-synchronous waves): no task runs ahead of virtual
+	// time, so aborts only come from same-timestamp conflicts.
+	conservative bool
+
+	seqCtr uint64
+	done   bool
+	err    error
+
+	commits, aborts uint64
+	// enqueues counts committed children, not root injections: as in the
+	// simulator, only a task's enqueue is a task event.
+	enqueues, dequeues uint64
 }
 
 // New builds a native runtime for cfg, parked at its initial quiescent
@@ -81,13 +139,18 @@ func New(cfg core.Config) (*Runtime, error) {
 		return nil, err
 	}
 	r := &Runtime{
-		cfg:  cfg,
-		name: cfg.Backend,
-		base: mem.New(),
-		heap: mem.NewAllocator(),
+		cfg:          cfg,
+		base:         mem.New(),
+		heap:         mem.NewAllocator(),
+		running:      make([]*task, cfg.Cores()),
+		commitCap:    cfg.CommitQPerCore * cfg.Cores(),
+		conservative: cfg.Backend == "rt-conservative",
+	}
+	if cfg.UnboundedQueues {
+		r.commitCap = math.MaxInt
 	}
 	r.store = newStore(r.base)
-	r.sched = newSched(r, cfg.Backend == "rt-conservative")
+	r.cond.L = &r.mu
 	return r, nil
 }
 
@@ -122,16 +185,16 @@ func (r *Runtime) SetupFree(addr, nBytes uint64) {
 // EnqueueRootDesc queues a root task. Roots take sequence numbers in
 // enqueue order, which fixes the deterministic virtual-time total order.
 func (r *Runtime) EnqueueRootDesc(d guest.TaskDesc) {
-	r.sched.mu.Lock()
-	r.sched.enqueueLocked(d)
-	r.sched.mu.Unlock()
+	r.mu.Lock()
+	r.enqueueLocked(d)
+	r.mu.Unlock()
 }
 
 // QueuedTasks returns the number of runnable queued tasks.
 func (r *Runtime) QueuedTasks() int {
-	r.sched.mu.Lock()
-	defer r.sched.mu.Unlock()
-	return r.sched.ready.len()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.ready.len()
 }
 
 // RunPhase drains all queued tasks (and their transitive children) to
@@ -140,23 +203,22 @@ func (r *Runtime) QueuedTasks() int {
 // in guest memory, so a phase that fails leaves its committed prefix
 // there too.
 func (r *Runtime) RunPhase() (core.PhaseStats, error) {
-	if r.running {
+	if r.inPhase {
 		return core.PhaseStats{}, errors.New("rt: RunPhase re-entered mid-phase")
 	}
-	if r.sched.err != nil {
-		return core.PhaseStats{}, r.sched.err
+	if r.err != nil {
+		return core.PhaseStats{}, r.err
 	}
-	r.running = true
+	r.inPhase = true
 	r.phase++
 	start := r.Snapshot()
 
-	s := r.sched
 	r.store.beginPhase()
 	t0 := time.Now()
-	s.mu.Lock()
-	s.done = false
-	s.winStart, s.winEnd = t0, s.commits+modeWindow
-	s.mu.Unlock()
+	r.mu.Lock()
+	r.done = false
+	r.winStart, r.winEnd = t0, r.commits+modeWindow
+	r.mu.Unlock()
 	var wg sync.WaitGroup
 	for w := range r.cfg.Cores() {
 		wg.Add(1)
@@ -167,13 +229,9 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	}
 	wg.Wait()
 	r.wallNS += uint64(time.Since(t0))
-	r.running = false
-
-	s.mu.Lock()
-	err := s.err
-	s.mu.Unlock()
-	if err != nil {
-		return core.PhaseStats{}, err
+	r.inPhase = false
+	if r.err != nil {
+		return core.PhaseStats{}, r.err
 	}
 	return core.PhaseOf(r.phase, start, r.Snapshot()), nil
 }
@@ -182,18 +240,17 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 // Simulator-only fields (Cycles, cache, NoC, occupancies) stay zero; the
 // native metric is WallNS.
 func (r *Runtime) Snapshot() core.Stats {
-	s := r.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return core.Stats{
-		Backend:  r.name,
+		Backend:  r.cfg.Backend,
 		Cores:    r.cfg.Cores(),
 		Tiles:    r.cfg.Tiles,
 		WallNS:   r.wallNS,
-		Commits:  s.commits,
-		Aborts:   s.aborts,
-		Enqueues: s.enqueues,
-		Dequeues: s.dequeues,
+		Commits:  r.commits,
+		Aborts:   r.aborts,
+		Enqueues: r.enqueues,
+		Dequeues: r.dequeues,
 		Mapper:   r.cfg.Mapper,
 	}
 }
@@ -204,13 +261,13 @@ func (r *Runtime) Snapshot() core.Stats {
 func (r *Runtime) work(w int) {
 	var finished *task
 	for {
-		t := r.sched.next(w, finished)
+		t := r.next(w, finished)
 		if t == nil {
 			return
 		}
 		finished = nil
 		if panicked, pval := r.runBody(t.desc.Fn, t.env); panicked {
-			r.sched.handlePanic(w, t, pval)
+			r.handlePanic(w, t, pval)
 			continue
 		}
 		finished = t
@@ -244,8 +301,8 @@ func (r *Runtime) recheckLocked(t *task) error {
 		return nil
 	}
 	t.env.unplace()
-	env := r.sched.getEnvLocked(t.desc)
-	defer r.sched.putEnvLocked(env)
+	env := r.getEnvLocked(t.desc)
+	defer r.putEnvLocked(env)
 	if panicked, pval := r.runBody(t.desc.Fn, env); panicked {
 		return r.taskErr(t, "panicked on committed re-execution: %v (impure task body?)", pval)
 	}

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -286,16 +287,15 @@ func TestDebugChecksCommitUnderEarliest(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	r.SetProgram(program([]guest.TaskFn{func(guest.TaskEnv) {}}, []string{"nop"}))
-	s := r.sched
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.running[1] = &task{desc: guest.TaskDesc{TS: 1}, env: s.getEnvLocked(guest.TaskDesc{TS: 1})}
-	s.running[1].env.earliest = true
-	if s.commitLocked(&task{desc: guest.TaskDesc{TS: 2}, env: s.getEnvLocked(guest.TaskDesc{TS: 2})}) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.running[1] = &task{desc: guest.TaskDesc{TS: 1}, env: r.getEnvLocked(guest.TaskDesc{TS: 1})}
+	r.running[1].env.earliest = true
+	if r.commitLocked(&task{desc: guest.TaskDesc{TS: 2}, env: r.getEnvLocked(guest.TaskDesc{TS: 2})}) {
 		t.Fatal("a task committed under the earliest attempt")
 	}
-	if s.err == nil || !strings.Contains(s.err.Error(), "nop(ts=1) ran as the earliest attempt") {
-		t.Errorf("err = %v, want the earliest attempt named", s.err)
+	if r.err == nil || !strings.Contains(r.err.Error(), "nop(ts=1) ran as the earliest attempt") {
+		t.Errorf("err = %v, want the earliest attempt named", r.err)
 	}
 }
 
@@ -610,13 +610,15 @@ func TestHintedEnqueue(t *testing.T) {
 // TestFailedPhaseKeepsCommits: a phase that fails leaves its committed
 // prefix in guest memory, which Mem promises holds exactly the committed
 // state between phases. The runaway task runs as the earliest attempt
-// and stores a second word in place before it spins; the failure must
-// take that store back out.
+// and stores a second word in place twice before it spins; the failure
+// must take those stores back out, although the undo log keeps only the
+// first.
 func TestFailedPhaseKeepsCommits(t *testing.T) {
 	const cell, spun = uint64(1 << 12), uint64(1<<12 + 8)
 	set := func(e guest.TaskEnv) { e.Store(cell, 7) }
 	runaway := func(e guest.TaskEnv) {
 		e.Store(spun, 1)
+		e.Store(spun, 2)
 		for {
 			e.Work(1 << 16)
 		}
@@ -627,14 +629,40 @@ func TestFailedPhaseKeepsCommits(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "infinite loop") {
 		t.Fatalf("err = %v, want op-cap error", err)
 	}
-	if c := r.Snapshot().Commits; c != 1 || r.running {
-		t.Fatalf("commits = %d, running = %v; want 1 commit, quiesced", c, r.running)
+	if c := r.Snapshot().Commits; c != 1 || r.inPhase {
+		t.Fatalf("commits = %d, in phase = %v; want 1 commit, quiesced", c, r.inPhase)
 	}
 	if got := r.Mem().Load(cell); got != 7 {
 		t.Errorf("committed word = %d after the failed phase, want 7", got)
 	}
 	if got := r.Mem().Load(spun); got != 0 {
 		t.Errorf("the runaway's word = %d after the failed phase, want 0: it never committed", got)
+	}
+}
+
+// TestRepeatedStoresKeepOneUndoRecord: the earliest attempt logs the
+// word each in-place store replaced, but a run of stores to one word
+// needs only its first record, the one rollback restores last. A body
+// that stores one word 1,024 times leaves one record in the log.
+func TestRepeatedStoresKeepOneUndoRecord(t *testing.T) {
+	const word = uint64(1 << 12)
+	records := -1
+	body := func(e guest.TaskEnv) {
+		for i := range uint64(1024) {
+			e.Store(word, i+1)
+		}
+		records = len(e.(*taskEnv).r.store.undo)
+	}
+	r, _, err := runProgram(t, testConfig(t, 1, "rt"), []guest.TaskFn{body}, []string{"repeat"},
+		[]guest.TaskDesc{{Fn: 0, TS: 1}})
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if records != 1 {
+		t.Errorf("the undo log holds %d records after 1,024 stores to one word, want 1", records)
+	}
+	if got := r.Mem().Load(word); got != 1024 {
+		t.Errorf("word = %d, want 1024", got)
 	}
 }
 
@@ -656,9 +684,9 @@ func TestPoisonedPhaseRollsBackInPlace(t *testing.T) {
 	}
 	later := func(guest.TaskEnv) {
 		<-stored
-		r.sched.mu.Lock()
-		r.sched.failLocked(errors.New("poisoned by a later attempt"))
-		r.sched.mu.Unlock()
+		r.mu.Lock()
+		r.failLocked(errors.New("poisoned by a later attempt"))
+		r.mu.Unlock()
 		close(poisoned)
 	}
 	r, err := New(testConfig(t, 2, "rt"))
@@ -844,8 +872,54 @@ func TestModeWindows(t *testing.T) {
 	if len(words) != n {
 		t.Errorf("%d words written, want %d", len(words), n)
 	}
-	if s := r.sched; s.window < 4 || s.teamNS == 0 || s.soloNS == 0 {
-		t.Errorf("%d windows, team %v, solo %v; want at least 4 windows and both modes measured", s.window, s.teamNS, s.soloNS)
+	if r.window < 4 || r.teamNS == 0 || r.soloNS == 0 {
+		t.Errorf("%d windows, team %v, solo %v; want at least 4 windows and both modes measured", r.window, r.teamNS, r.soloNS)
+	}
+}
+
+// TestSoloToTeamHandover pins the wakeup at a switch from a solo window
+// to a team one, at 2 workers. The controller is preset so that the
+// phase's first window runs solo and its second team. In the solo window
+// one worker runs every task while the other waits; the second window's
+// first task then waits, for at most 10 s, until the next task has run,
+// which only the other worker can run: the switch must wake it.
+func TestSoloToTeamHandover(t *testing.T) {
+	const n = modeWindow + 2
+	var ranNext, timedOut atomic.Bool
+	body := func(e guest.TaskEnv) {
+		switch e.Timestamp() {
+		case modeWindow:
+			deadline := time.Now().Add(10 * time.Second)
+			for !ranNext.Load() {
+				if time.Now().After(deadline) {
+					timedOut.Store(true)
+					break
+				}
+				runtime.Gosched()
+			}
+		case modeWindow + 1:
+			ranNext.Store(true)
+		}
+		incArg0(e)
+	}
+	r, base := startedRuntime(t, 2, body, n)
+	for i := range uint64(n) {
+		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: i, Args: [3]uint64{base + i*8}})
+	}
+	// Window 2 runs solo. Team measured faster, so window 3 runs team.
+	r.solo, r.window, r.teamNS, r.soloNS = true, 2, time.Nanosecond, time.Hour
+	ps, err := r.RunPhase()
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if timedOut.Load() {
+		t.Fatal("the second window's first task waited 10 s for the next one: the switch to team woke no worker")
+	}
+	if ps.Commits != n || ps.Aborts != 0 {
+		t.Errorf("commits = %d, aborts = %d; want %d and 0", ps.Commits, ps.Aborts, n)
+	}
+	if r.window != 3 || r.solo {
+		t.Errorf("the phase ended in window %d, solo = %v; want window 3, team", r.window, r.solo)
 	}
 }
 
@@ -895,7 +969,7 @@ func TestCommitQueueBound(t *testing.T) {
 		if ps.Commits != quick+1 {
 			t.Fatalf("unbounded=%v: %d commits, want %d", unbounded, ps.Commits, quick+1)
 		}
-		peak := r.sched.peakCommitQ
+		peak := r.peakCommitQ
 		t.Logf("unbounded=%v: commit queue peaked at %d, capacity %d", unbounded, peak, capacity)
 		if unbounded && peak <= capacity {
 			t.Errorf("unbounded: commit queue peaked at %d, want more than %d", peak, capacity)

@@ -1,9 +1,7 @@
 package rt
 
 import (
-	"math"
 	"math/bits"
-	"sync"
 	"time"
 
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -201,108 +199,31 @@ func soloWindow(n uint64, team, solo time.Duration) bool {
 	return (solo < team) != (n%modeRecheck == 0)
 }
 
-// sched is the software task unit + commit queue: one timestamp-ordered
-// ready queue feeding worker goroutines, one running slot per worker, and
-// a bounded commit queue drained strictly in virtual-time order. One
-// mutex guards it all; tasks execute outside the lock, so the lock only
-// serializes dispatch and commit — the runtime's software stand-in for
-// the simulator's per-tile task units and GVT-gated commit queues. A
-// worker takes the lock once per task: next retires its finished attempt
-// and hands it the next task in one critical section. Of the Cores()
-// workers, all dispatch in team mode and one at a time in solo mode.
-type sched struct {
-	r  *Runtime
-	mu sync.Mutex
-	// cond parks idle workers. In team mode, a worker that takes a task
-	// while more work is runnable wakes one idle worker with Signal, which
-	// does the same, so new work fans out one wakeup at a time. Only
-	// draining or poisoning the phase wakes them all.
-	cond sync.Cond
-	// park holds the workers solo mode keeps out. Team mode, draining or
-	// poisoning the phase wakes them all.
-	park sync.Cond
-	// solo is the current window's mode; window counts the windows
-	// before it, which began at winStart and ends at commit winEnd.
-	// teamNS and soloNS time the last window of each mode.
-	solo           bool
-	window, winEnd uint64
-	winStart       time.Time
-	teamNS, soloNS time.Duration
-
-	// ready holds runnable tasks.
-	ready readyQueue
-	// running[w] is worker w's dispatched, not-yet-finished attempt, or
-	// nil.
-	running []*task
-	// commitQ holds executed tasks awaiting their turn to validate and
-	// commit in virtual-time order.
-	commitQ taskHeap
-	// commitCap is the commit queue's capacity, the simulator's
-	// CommitQPerCore x Cores (math.MaxInt under UnboundedQueues). A full
-	// queue admits only tasks that precede its head (§4.7).
-	commitCap int
-	// peakCommitQ is the commit queue's high-water mark.
-	peakCommitQ int
-	// envs holds recycled attempt buffers, and free heads a list of
-	// recycled and not yet used task records linked through task.next.
-	envs []*taskEnv
-	free *task
-
-	// conservative restricts dispatch to tasks at the minimum uncommitted
-	// timestamp (level-synchronous waves): no task runs ahead of virtual
-	// time, so aborts only come from same-timestamp conflicts.
-	conservative bool
-
-	seqCtr uint64
-	done   bool
-	err    error
-
-	commits, aborts uint64
-	// enqueues counts committed children, not root injections: as in the
-	// simulator, only a task's enqueue is a task event.
-	enqueues, dequeues uint64
-}
-
-func newSched(r *Runtime, conservative bool) *sched {
-	s := &sched{
-		r:            r,
-		running:      make([]*task, r.cfg.Cores()),
-		commitCap:    r.cfg.CommitQPerCore * r.cfg.Cores(),
-		conservative: conservative,
-	}
-	if r.cfg.UnboundedQueues {
-		s.commitCap = math.MaxInt
-	}
-	s.cond.L = &s.mu
-	s.park.L = &s.mu
-	return s
-}
-
 // enqueueLocked admits a new descriptor in a free task record, carving a
 // slab of 64 records when none is free, and assigns the next sequence
 // number. Callers are single-threaded (setup) or hold the commit path's
 // serialization (child enqueue at parent commit), so sequence assignment
 // is deterministic.
-func (s *sched) enqueueLocked(d guest.TaskDesc) {
-	s.seqCtr++
-	if s.free == nil {
+func (r *Runtime) enqueueLocked(d guest.TaskDesc) {
+	r.seqCtr++
+	if r.free == nil {
 		slab := make([]task, 64)
 		for i := range slab {
-			slab[i].next, s.free = s.free, &slab[i]
+			slab[i].next, r.free = r.free, &slab[i]
 		}
 	}
-	t := s.free
-	s.free, t.next = t.next, nil
+	t := r.free
+	r.free, t.next = t.next, nil
 	t.desc = d
-	t.vt = vt.Time{TS: d.TS, Path: d.Path, Cycle: s.seqCtr}
-	s.ready.push(t)
+	t.vt = vt.Time{TS: d.TS, Path: d.Path, Cycle: r.seqCtr}
+	r.ready.push(t)
 }
 
 // minRunningLocked returns the earliest running attempt, or nil. It
 // scans one slot per worker.
-func (s *sched) minRunningLocked() *task {
+func (r *Runtime) minRunningLocked() *task {
 	var best *task
-	for _, t := range s.running {
+	for _, t := range r.running {
 		if t != nil && (best == nil || before(t, best)) {
 			best = t
 		}
@@ -310,99 +231,102 @@ func (s *sched) minRunningLocked() *task {
 	return best
 }
 
-// runnableLocked reports whether the ready minimum may dispatch now.
-// While the commit queue is full, only a task that precedes its head may
-// run, and otherwise the worker waits: the software form of the
-// simulator's full-commit-queue stall (§4.7). The minimum uncommitted
-// task always passes, so the bound cannot deadlock. Beyond that,
-// speculative mode dispatches regardless of what is still uncommitted.
-// Conservative mode holds the task back until its timestamp is the
-// minimum uncommitted timestamp. That frontier is deliberately
-// timestamp-only: a conservative wave spans a whole timestamp slot
-// including its nested fork subtasks, which may run concurrently within
-// the wave; the commit queue still retires them in full virtual-time
-// order.
-func (s *sched) runnableLocked() bool {
-	first := s.ready.min()
+// runnableLocked reports whether the ready minimum may dispatch now,
+// given run, the earliest running attempt or nil. A solo window admits
+// no task while any attempt runs. While the commit queue is full, only a
+// task that precedes its head may run, and otherwise the worker waits:
+// the software form of the simulator's full-commit-queue stall (§4.7).
+// The minimum uncommitted task always passes, so the bound cannot
+// deadlock. Beyond that, speculative mode dispatches regardless of what
+// is still uncommitted. Conservative mode holds the task back until its
+// timestamp is the minimum uncommitted timestamp. That frontier is
+// deliberately timestamp-only: a conservative wave spans a whole
+// timestamp slot including its nested fork subtasks, which may run
+// concurrently within the wave; the commit queue still retires them in
+// full virtual-time order.
+func (r *Runtime) runnableLocked(run *task) bool {
+	if r.solo && run != nil {
+		return false
+	}
+	first := r.ready.min()
 	if first == nil {
 		return false
 	}
-	if len(s.commitQ) >= s.commitCap && !before(first, s.commitQ[0]) {
+	if len(r.commitQ) >= r.commitCap && !before(first, r.commitQ[0]) {
 		return false
 	}
-	if !s.conservative {
+	if !r.conservative {
 		return true
 	}
-	if run := s.minRunningLocked(); run != nil && run.vt.TS < first.vt.TS {
+	if run != nil && run.vt.TS < first.vt.TS {
 		return false
 	}
-	return len(s.commitQ) == 0 || s.commitQ[0].vt.TS >= first.vt.TS
+	return len(r.commitQ) == 0 || r.commitQ[0].vt.TS >= first.vt.TS
 }
 
 // next retires the calling worker's finished attempt, if any, and blocks
 // until it can hand worker w a task, or returns nil when the phase is
 // drained (or poisoned by err).
-func (s *sched) next(w int, finished *task) *task {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (r *Runtime) next(w int, finished *task) *task {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	// run is the earliest running attempt. Until this worker waits, only
 	// its own slot changes.
-	s.running[w] = nil
-	run := s.minRunningLocked()
+	r.running[w] = nil
+	run := r.minRunningLocked()
 	if finished != nil {
-		s.retireLocked(finished, run)
+		r.retireLocked(finished, run)
 	}
-	for s.err == nil && !s.done {
+	for r.err == nil && !r.done {
 		switch {
-		case s.solo && run != nil:
-			s.park.Wait()
-		case s.runnableLocked():
-			t := s.ready.pop()
-			s.running[w] = t
-			s.dequeues++
-			t.env = s.getEnvLocked(t.desc)
+		case r.runnableLocked(run):
+			t := r.ready.pop()
+			r.running[w] = t
+			r.dequeues++
+			t.env = r.getEnvLocked(t.desc)
 			// The ready minimum t is the earliest uncommitted task, the GVT
 			// task (§4.7), if no running attempt precedes it: the commit
 			// queue's head always waits on an earlier ready or running task.
-			t.env.earliest = run == nil || before(t, run)
-			if !s.solo && s.runnableLocked() {
-				s.cond.Signal()
+			if t.env.earliest = run == nil || before(t, run); t.env.earliest {
+				run = t
+			}
+			if r.runnableLocked(run) {
+				r.cond.Signal()
 			}
 			return t
-		case s.ready.len() == 0 && len(s.commitQ) == 0 && run == nil:
-			s.done = true
-			s.cond.Broadcast()
-			s.park.Broadcast()
+		case r.ready.len() == 0 && len(r.commitQ) == 0 && run == nil:
+			r.done = true
+			r.cond.Broadcast()
 			return nil
 		default:
-			s.cond.Wait()
+			r.cond.Wait()
 		}
-		run = s.minRunningLocked()
+		run = r.minRunningLocked()
 	}
 	return nil
 }
 
 // getEnvLocked takes an attempt buffer from the free list, reset for an
 // attempt of desc.
-func (s *sched) getEnvLocked(desc guest.TaskDesc) *taskEnv {
-	n := len(s.envs)
+func (r *Runtime) getEnvLocked(desc guest.TaskDesc) *taskEnv {
+	n := len(r.envs)
 	if n == 0 {
-		return newTaskEnv(s.r, desc)
+		return newTaskEnv(r, desc)
 	}
-	e := s.envs[n-1]
-	s.envs = s.envs[:n-1]
+	e := r.envs[n-1]
+	r.envs = r.envs[:n-1]
 	e.reset(desc)
 	return e
 }
 
-func (s *sched) putEnvLocked(e *taskEnv) { s.envs = append(s.envs, e) }
+func (r *Runtime) putEnvLocked(e *taskEnv) { r.envs = append(r.envs, e) }
 
 // abortLocked discards t's attempt and makes t runnable again.
-func (s *sched) abortLocked(t *task) {
-	s.aborts++
-	s.putEnvLocked(t.env)
+func (r *Runtime) abortLocked(t *task) {
+	r.aborts++
+	r.putEnvLocked(t.env)
 	t.env = nil
-	s.ready.side.push(t)
+	r.ready.side.push(t)
 }
 
 // handlePanic resolves a panic thrown during worker w's speculative
@@ -416,42 +340,39 @@ func (s *sched) abortLocked(t *task) {
 // back to the committed words, an op-cap overrun becomes a runtime error
 // (infinite loop in guest code), and anything else re-panics exactly as
 // it would under the simulator.
-func (s *sched) handlePanic(w int, t *task, pval any) {
-	s.mu.Lock()
-	s.running[w] = nil
-	if run := s.minRunningLocked(); run != nil && run.env.earliest || !s.validLocked(t.env) {
-		s.abortLocked(t)
-		s.mu.Unlock()
+func (r *Runtime) handlePanic(w int, t *task, pval any) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.running[w] = nil
+	if run := r.minRunningLocked(); run != nil && run.env.earliest || !r.validLocked(t.env) {
+		r.abortLocked(t)
 		return
 	}
 	t.env.unplace()
 	if _, capped := pval.(opCapPanic); capped {
-		s.failLocked(s.r.taskErr(t, "exceeded %d operations in one attempt — likely an infinite loop", uint64(opCap)))
-		s.mu.Unlock()
+		r.failLocked(r.taskErr(t, "exceeded %d operations in one attempt — likely an infinite loop", uint64(opCap)))
 		return
 	}
-	s.failLocked(nil) // poison the phase so peers stop before the repanic
-	s.mu.Unlock()
+	r.failLocked(nil) // poison the phase so peers stop before the repanic
 	panic(pval)
 }
 
 // failLocked poisons the phase with its first error and wakes everyone.
-func (s *sched) failLocked(err error) {
-	if s.err == nil {
+func (r *Runtime) failLocked(err error) {
+	if r.err == nil {
 		if err == nil {
 			err = errGuestPanic
 		}
-		s.err = err
+		r.err = err
 	}
-	s.cond.Broadcast()
-	s.park.Broadcast()
+	r.cond.Broadcast()
 }
 
 // validLocked checks an attempt's read set against current committed
-// versions. Commits only happen under s.mu, so the check is stable.
-func (s *sched) validLocked(env *taskEnv) bool {
+// versions. Commits only happen under r.mu, so the check is stable.
+func (r *Runtime) validLocked(env *taskEnv) bool {
 	for i, addr := range env.reads.addrs {
-		if s.r.store.version(addr) != env.readRecs[i].ver {
+		if r.store.version(addr) != env.readRecs[i].ver {
 			return false
 		}
 	}
@@ -465,18 +386,18 @@ func (s *sched) validLocked(env *taskEnv) bool {
 // come out of memory. Then whatever has become committable commits. run
 // is the earliest running attempt, or nil; the running set cannot change
 // meanwhile.
-func (s *sched) retireLocked(t, run *task) {
-	first := s.ready.min()
-	if s.err != nil || run != nil && before(run, t) ||
+func (r *Runtime) retireLocked(t, run *task) {
+	first := r.ready.min()
+	if r.err != nil || run != nil && before(run, t) ||
 		first != nil && before(first, t) ||
-		len(s.commitQ) > 0 && before(s.commitQ[0], t) {
+		len(r.commitQ) > 0 && before(r.commitQ[0], t) {
 		t.env.unplace()
-		s.commitQ.push(t)
-		s.peakCommitQ = max(s.peakCommitQ, len(s.commitQ))
-	} else if !s.commitLocked(t) {
+		r.commitQ.push(t)
+		r.peakCommitQ = max(r.peakCommitQ, len(r.commitQ))
+	} else if !r.commitLocked(t) {
 		return
 	}
-	s.drainLocked(run)
+	r.drainLocked(run)
 }
 
 // drainLocked commits the committable prefix of the commit queue: a task
@@ -484,14 +405,14 @@ func (s *sched) retireLocked(t, run *task) {
 // the commit sequence strictly ordered by virtual time — the software
 // equivalent of GVT-gated commit (§4.2). run is the earliest running
 // attempt, or nil.
-func (s *sched) drainLocked(run *task) {
-	for len(s.commitQ) > 0 && s.err == nil {
-		head := s.commitQ[0]
-		if first := s.ready.min(); run != nil && before(run, head) || first != nil && before(first, head) {
+func (r *Runtime) drainLocked(run *task) {
+	for len(r.commitQ) > 0 && r.err == nil {
+		head := r.commitQ[0]
+		if first := r.ready.min(); run != nil && before(run, head) || first != nil && before(first, head) {
 			return
 		}
-		s.commitQ.pop()
-		if !s.commitLocked(head) {
+		r.commitQ.pop()
+		if !r.commitLocked(head) {
 			return
 		}
 	}
@@ -505,57 +426,55 @@ func (s *sched) drainLocked(run *task) {
 // which runs as the earliest attempt and always validates. A failed
 // DebugChecks check poisons the phase and also reports false: a commit
 // under an earliest attempt, or a diverging re-execution.
-func (s *sched) commitLocked(t *task) bool {
+func (r *Runtime) commitLocked(t *task) bool {
 	env := t.env
-	if !s.validLocked(env) {
-		s.abortLocked(t)
+	if !r.validLocked(env) {
+		r.abortLocked(t)
 		return false
 	}
-	if s.r.cfg.DebugChecks {
-		for _, run := range s.running {
+	if r.cfg.DebugChecks {
+		for _, run := range r.running {
 			if run != nil && run.env.earliest {
-				s.failLocked(s.r.taskErr(run, "ran as the earliest attempt while a task committed"))
+				r.failLocked(r.taskErr(run, "ran as the earliest attempt while a task committed"))
 				return false
 			}
 		}
-		if err := s.r.recheckLocked(t); err != nil {
-			s.failLocked(err)
+		if err := r.recheckLocked(t); err != nil {
+			r.failLocked(err)
 			return false
 		}
 	}
-	s.r.store.undo = s.r.store.undo[:0] // keep the earliest attempt's stores
+	r.store.undo = r.store.undo[:0] // keep the earliest attempt's stores
 	for i, addr := range env.writes.addrs {
-		s.r.store.commitWrite(addr, env.writeVals[i])
+		r.store.commitWrite(addr, env.writeVals[i])
 	}
 	for _, d := range env.children {
-		s.enqueueLocked(d)
+		r.enqueueLocked(d)
 	}
-	s.enqueues += uint64(len(env.children))
+	r.enqueues += uint64(len(env.children))
 	if len(env.frees) > 0 {
-		s.r.heapMu.Lock()
+		r.heapMu.Lock()
 		for _, f := range env.frees {
-			s.r.heap.Free(0, f.addr, f.n)
+			r.heap.Free(0, f.addr, f.n)
 		}
-		s.r.heap.ReleaseQuarantine(0)
-		s.r.heapMu.Unlock()
+		r.heap.ReleaseQuarantine(0)
+		r.heapMu.Unlock()
 	}
-	s.putEnvLocked(env)
+	r.putEnvLocked(env)
 	t.env = nil
-	t.next, s.free = s.free, t
-	s.commits++
-	if s.commits == s.winEnd {
+	t.next, r.free = r.free, t
+	r.commits++
+	if r.commits == r.winEnd {
 		// Time the window under its mode and open the next.
 		now := time.Now()
-		if s.solo {
-			s.soloNS = now.Sub(s.winStart)
+		if r.solo {
+			r.soloNS = now.Sub(r.winStart)
 		} else {
-			s.teamNS = now.Sub(s.winStart)
+			r.teamNS = now.Sub(r.winStart)
 		}
-		s.window++
-		if s.solo = soloWindow(s.window, s.teamNS, s.soloNS); !s.solo {
-			s.park.Broadcast()
-		}
-		s.winStart, s.winEnd = now, s.commits+modeWindow
+		r.window++
+		r.solo = soloWindow(r.window, r.teamNS, r.soloNS)
+		r.winStart, r.winEnd = now, r.commits+modeWindow
 	}
 	return true
 }

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/guest"
 	"github.com/swarm-sim/swarm/internal/tsdom"
 	"github.com/swarm-sim/swarm/internal/vt"
 )
@@ -140,6 +142,56 @@ func TestSoloWindow(t *testing.T) {
 	} {
 		if got := soloWindow(c.n, c.team, c.solo); got != c.want {
 			t.Errorf("%s: soloWindow(%d, %v, %v) = %v, want %v", c.name, c.n, c.team, c.solo, got, c.want)
+		}
+	}
+}
+
+// TestRunnableLocked table-tests the one dispatch test, given the
+// earliest running attempt: a solo window admits no task while an
+// attempt runs, a full commit queue admits only a task that precedes its
+// head (§4.7), and rt-conservative holds a task back behind an earlier
+// running or queued timestamp.
+func TestRunnableLocked(t *testing.T) {
+	for _, c := range []struct {
+		name, backend string
+		solo          bool
+		ready         []uint64 // ready timestamps
+		run           uint64   // the running attempt's timestamp, 0 for none
+		queued        []uint64 // commit-queue timestamps; the queue holds 2
+		want          bool
+	}{
+		{"solo with a running attempt", "rt", true, []uint64{5}, 1, nil, false},
+		{"solo with none and a task ready", "rt", true, []uint64{5}, 0, nil, true},
+		{"solo with none and no task ready", "rt", true, nil, 0, nil, false},
+		{"team with a running attempt", "rt", false, []uint64{5}, 1, nil, true},
+		{"a full queue admits a task before its head", "rt", false, []uint64{5}, 0, []uint64{6, 7}, true},
+		{"a full queue holds back a task after its head", "rt", false, []uint64{8}, 0, []uint64{6, 7}, false},
+		{"a queue with room admits a task after its head", "rt", false, []uint64{8}, 0, []uint64{6}, true},
+		{"speculative runs ahead of a running attempt", "rt", false, []uint64{5}, 4, nil, true},
+		{"conservative holds back behind an earlier running timestamp", "rt-conservative", false, []uint64{5}, 4, nil, false},
+		{"conservative runs beside a running attempt at its timestamp", "rt-conservative", false, []uint64{5}, 5, nil, true},
+		{"conservative holds back behind an earlier queued timestamp", "rt-conservative", false, []uint64{5}, 0, []uint64{4}, false},
+	} {
+		cfg := core.DefaultConfig(2)
+		cfg.Backend = c.backend
+		r, err := New(cfg)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		r.solo, r.commitCap = c.solo, 2
+		for _, ts := range c.queued {
+			r.enqueueLocked(guest.TaskDesc{TS: ts})
+			r.commitQ.push(r.ready.pop())
+		}
+		for _, ts := range c.ready {
+			r.enqueueLocked(guest.TaskDesc{TS: ts})
+		}
+		var run *task
+		if c.run != 0 {
+			run = &task{vt: vt.Time{TS: c.run}}
+		}
+		if got := r.runnableLocked(run); got != c.want {
+			t.Errorf("%s: runnableLocked = %v, want %v", c.name, got, c.want)
 		}
 	}
 }

@@ -53,7 +53,8 @@ type store struct {
 	base *mem.Memory
 	dir  atomic.Pointer[[]*leaf]
 	// undo logs the word each in-place store of the earliest attempt
-	// replaced, oldest first: one attempt is the earliest at a time.
+	// replaced, oldest first, skipping a store to the word logged last:
+	// one attempt is the earliest at a time.
 	undo []undoRec
 }
 
