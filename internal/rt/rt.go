@@ -26,8 +26,8 @@
 // classic conservative ordered schedule: no cross-timestamp speculation,
 // aborts only from same-timestamp conflicts.
 //
-// Each core is a worker goroutine, but a commit-rate controller runs a
-// window of commits on one worker at a time when that commits faster.
+// Runtime is its own scheduler, with a worker goroutine per core; for a
+// window of commits it runs one at a time when that commits faster.
 package rt
 
 import (
@@ -62,11 +62,8 @@ var errGuestPanic = errors.New("rt: guest task panicked")
 // runtime's software stand-in for the simulator's per-tile task units
 // and GVT-gated commit queues. A worker takes the lock once per task:
 // next retires its finished attempt and hands it the next task in one
-// critical section. Of the Cores() workers, all dispatch in team mode
-// and one at a time in solo mode.
+// critical section.
 type Runtime struct {
-	cfg core.Config
-
 	base   *mem.Memory
 	heap   *mem.Allocator
 	heapMu sync.Mutex
@@ -75,9 +72,13 @@ type Runtime struct {
 	fns     []guest.TaskFn
 	fnNames []string
 
-	inPhase bool
-	phase   int // RunPhase calls so far: the running phase's index
+	inPhase bool // a RunPhase is running
+	phase   int  // RunPhase calls so far: the running phase's index
 	wallNS  uint64
+
+	// cfg, read-only in a phase, keeps the fields a running task reads
+	// (store, fns) off the cache lines that the lock's holder writes.
+	cfg core.Config
 
 	mu sync.Mutex
 	// cond holds the waiting workers: the idle ones, and those a solo

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -193,5 +194,18 @@ func TestRunnableLocked(t *testing.T) {
 		if got := r.runnableLocked(run); got != c.want {
 			t.Errorf("%s: runnableLocked = %v, want %v", c.name, got, c.want)
 		}
+	}
+}
+
+// TestRuntimeLayout: the fields a worker reads while it runs a task
+// outside the lock, store and fns, end at least 128 bytes before mu, the
+// first field the lock's holder writes, so they share neither a cache
+// line nor the adjacent line that x86 prefetchers fetch with it. With
+// them next to mu, rt-large ran about 1.4% slower at 2 workers.
+func TestRuntimeLayout(t *testing.T) {
+	var r Runtime
+	end := max(unsafe.Offsetof(r.store)+unsafe.Sizeof(r.store), unsafe.Offsetof(r.fns)+unsafe.Sizeof(r.fns))
+	if gap := unsafe.Offsetof(r.mu) - end; unsafe.Offsetof(r.mu) < end || gap < 128 {
+		t.Errorf("store and fns end at byte %d, mu starts at %d: want mu at least 128 bytes after them", end, unsafe.Offsetof(r.mu))
 	}
 }
