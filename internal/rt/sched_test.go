@@ -201,7 +201,7 @@ func TestRunnableLocked(t *testing.T) {
 // outside the lock, store and fns, end at least 128 bytes before mu, the
 // first field the lock's holder writes, so they share neither a cache
 // line nor the adjacent line that x86 prefetchers fetch with it. With
-// them next to mu, rt-large ran about 1.4% slower at 2 workers.
+// them next to mu, rt-large ran 1.0% slower at 2 workers.
 func TestRuntimeLayout(t *testing.T) {
 	var r Runtime
 	end := max(unsafe.Offsetof(r.store)+unsafe.Sizeof(r.store), unsafe.Offsetof(r.fns)+unsafe.Sizeof(r.fns))
