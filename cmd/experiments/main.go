@@ -51,13 +51,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := harness.ValidateMapper(*mapper); err != nil {
+	if err := core.CheckMapper(*mapper); err != nil {
 		log.Fatal(err)
 	}
 	if err := harness.ValidateCores(*maxCores); err != nil {
 		log.Fatal(err)
 	}
-	if err := harness.ValidateBackend(*backendF); err != nil {
+	if err := backend.CheckName(*backendF); err != nil {
 		log.Fatal(err)
 	}
 

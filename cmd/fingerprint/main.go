@@ -72,15 +72,15 @@ func main() {
 // validate checks the selector flags against the registries before any
 // cell runs, as the other CLIs do, and returns the app names and core
 // counts to sweep.
-func validate(apps, cores, mapper, backend string) ([]string, []int, error) {
+func validate(apps, cores, mapper, engine string) ([]string, []int, error) {
 	names, err := harness.ResolveApps(apps)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := harness.ValidateMapper(mapper); err != nil {
+	if err := core.CheckMapper(mapper); err != nil {
 		return nil, nil, err
 	}
-	if err := harness.ValidateBackend(backend); err != nil {
+	if err := backend.CheckName(engine); err != nil {
 		return nil, nil, err
 	}
 	var counts []int

@@ -13,6 +13,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/bloom"
@@ -328,7 +329,47 @@ func (s *Suite) Fig13(warehouses []int, cores, txns int) ([]SiloWarehousePoint, 
 	return out, err
 }
 
-// ----------------------------------------------------------------- Table 5 --
+// ----------------------------------------------------- sensitivity studies --
+
+// variant is one configuration of a sensitivity study: a name for
+// progress and error messages, and a tweak of the suite's configuration.
+// A nil tweak is the default configuration, whose runs the cached
+// defaultRun shares with the scaling series and every other study.
+type variant struct {
+	name  string
+	tweak func(*core.Config)
+}
+
+// runs measures every (variant, benchmark) cell at one core count,
+// fanning the grid over the pool, and returns the runs indexed by
+// variant, then benchmark in suite order. Every sensitivity study below
+// is computed from it.
+func (s *Suite) runs(cores int, variants []variant) ([][]core.Stats, error) {
+	nb := len(s.Benchmarks)
+	out := make([][]core.Stats, len(variants))
+	for i := range out {
+		out[i] = make([]core.Stats, nb)
+	}
+	err := s.pool.Run(len(variants)*nb,
+		func(i int) string {
+			return fmt.Sprintf("%s %s@%dc", variants[i/nb].name, s.Benchmarks[i%nb].Name(), cores)
+		},
+		func(i int) (err error) {
+			v, b, st := variants[i/nb], s.Benchmarks[i%nb], &out[i/nb][i%nb]
+			if v.tweak == nil {
+				*st, err = s.defaultRun(b, cores)
+			} else {
+				cfg := s.config(cores)
+				v.tweak(&cfg)
+				*st, err = b.RunSwarm(cfg)
+			}
+			if err != nil {
+				err = fmt.Errorf("%s %s@%dc: %w", b.Name(), v.name, cores, err)
+			}
+			return err
+		})
+	return out, err
+}
 
 // Table5Row reports gmean speedups under progressive idealizations.
 type Table5Row struct {
@@ -339,76 +380,37 @@ type Table5Row struct {
 }
 
 // Table5 applies the paper's idealizations: unbounded queues, then a
-// zero-cycle memory system, at 1 core and at maxCores. Every
-// (variant, benchmark) pair runs concurrently; the baseline variant
-// shares the suite's cached default-config runs.
+// zero-cycle memory system, at 1 core and at maxCores.
 func (s *Suite) Table5(maxCores int) ([]Table5Row, error) {
-	type variant struct {
-		name  string
-		tweak func(*core.Config)
-	}
 	variants := []variant{
-		{"Swarm baseline", func(c *core.Config) {}},
+		{"Swarm baseline", nil},
 		{"+ unbounded queues", func(c *core.Config) { c.UnboundedQueues = true }},
 		{"+ 0-cycle mem system", func(c *core.Config) {
 			c.UnboundedQueues = true
 			c.Cache.ZeroLatency = true
 		}},
 	}
-	nb := len(s.Benchmarks)
-	type pairResult struct{ cycles1, cyclesN uint64 }
-	cells := make([]pairResult, len(variants)*nb)
-	err := s.pool.Run(len(cells),
-		func(i int) string {
-			return fmt.Sprintf("table5[%s] %s", variants[i/nb].name, s.Benchmarks[i%nb].Name())
-		},
-		func(i int) error {
-			v, b := variants[i/nb], s.Benchmarks[i%nb]
-			run := func(cores int) (core.Stats, error) {
-				if i/nb == 0 {
-					// The baseline variant's tweak is a no-op: share the
-					// cached default-config runs.
-					return s.defaultRun(b, cores)
-				}
-				cfg := s.config(cores)
-				v.tweak(&cfg)
-				return b.RunSwarm(cfg)
-			}
-			st1, err := run(1)
-			if err != nil {
-				return fmt.Errorf("%s %s 1c: %w", b.Name(), v.name, err)
-			}
-			stN, err := run(maxCores)
-			if err != nil {
-				return fmt.Errorf("%s %s %dc: %w", b.Name(), v.name, maxCores, err)
-			}
-			cells[i] = pairResult{st1.Cycles, stN.Cycles}
-			return nil
-		})
+	one, err := s.runs(1, variants)
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]Table5Row, 0, len(variants))
+	many, err := s.runs(maxCores, variants)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Table5Row, len(variants))
 	for vi, v := range variants {
 		var sp1, spN, spSelf []float64
-		for bi := range s.Benchmarks {
-			c := cells[vi*nb+bi]
-			b1 := float64(cells[bi].cycles1) // variant 0 = baseline
-			sp1 = append(sp1, ratio(b1, float64(c.cycles1)))
-			spN = append(spN, ratio(b1, float64(c.cyclesN)))
-			spSelf = append(spSelf, ratio(float64(c.cycles1), float64(c.cyclesN)))
+		for bi, base := range one[0] {
+			b1, c1, cN := float64(base.Cycles), float64(one[vi][bi].Cycles), float64(many[vi][bi].Cycles)
+			sp1 = append(sp1, ratio(b1, c1))
+			spN = append(spN, ratio(b1, cN))
+			spSelf = append(spSelf, ratio(c1, cN))
 		}
-		rows = append(rows, Table5Row{
-			Config:       v.name,
-			OneCore:      gmean(sp1),
-			SixtyFour:    gmean(spN),
-			SelfRelative: gmean(spSelf),
-		})
+		rows[vi] = Table5Row{Config: v.name, OneCore: gmean(sp1), SixtyFour: gmean(spN), SelfRelative: gmean(spSelf)}
 	}
 	return rows, nil
 }
-
-// ----------------------------------------------------------- Fig 17 sweeps --
 
 // SweepPoint is one sensitivity measurement: performance relative to the
 // default configuration.
@@ -417,56 +419,24 @@ type SweepPoint struct {
 	Perf  []float64 // per app, relative to default config
 }
 
-// sweepVariant is one sensitivity-sweep configuration point.
-type sweepVariant struct {
-	label  string // SweepPoint label
-	errTag string // config description for error messages
-	tweak  func(*core.Config)
-}
-
-// sweep measures every (variant, benchmark) cell concurrently and reports
-// performance relative to the (cached) default configuration.
-func (s *Suite) sweep(cores int, variants []sweepVariant) ([]SweepPoint, error) {
-	nb := len(s.Benchmarks)
-	cycles := make([]uint64, len(variants)*nb)
-	// Task layout: the first nb tasks are the shared baseline runs, the
-	// rest the sweep grid; the deduplicating cache keeps baselines from
-	// being simulated twice even when another sweep already ran them.
-	err := s.pool.Run(nb+len(variants)*nb,
-		func(i int) string {
-			if i < nb {
-				return fmt.Sprintf("base %s@%dc", s.Benchmarks[i].Name(), cores)
-			}
-			i -= nb
-			return fmt.Sprintf("%s %s", variants[i/nb].errTag, s.Benchmarks[i%nb].Name())
-		},
-		func(i int) error {
-			if i < nb {
-				_, err := s.defaultRun(s.Benchmarks[i], cores)
-				return err
-			}
-			i -= nb
-			v, b := variants[i/nb], s.Benchmarks[i%nb]
-			cfg := s.config(cores)
-			v.tweak(&cfg)
-			st, err := b.RunSwarm(cfg)
-			if err != nil {
-				return fmt.Errorf("%s %s: %w", b.Name(), v.errTag, err)
-			}
-			cycles[i] = st.Cycles
-			return nil
-		})
+// sweep reports each point's performance relative to the default
+// configuration. A point's name is its label; progress and errors name
+// it param=label.
+func (s *Suite) sweep(cores int, param string, points []variant) ([]SweepPoint, error) {
+	variants := []variant{{"base", nil}}
+	for _, p := range points {
+		variants = append(variants, variant{param + "=" + p.name, p.tweak})
+	}
+	runs, err := s.runs(cores, variants)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(variants))
-	for vi, v := range variants {
-		pt := SweepPoint{Label: v.label}
-		for bi, b := range s.Benchmarks {
-			base, _ := s.defaultRun(b, cores) // cached above
-			pt.Perf = append(pt.Perf, ratio(float64(base.Cycles), float64(cycles[vi*nb+bi])))
+	out := make([]SweepPoint, len(points))
+	for i, p := range points {
+		out[i].Label = p.name
+		for bi, base := range runs[0] {
+			out[i].Perf = append(out[i].Perf, ratio(float64(base.Cycles), float64(runs[i+1][bi].Cycles)))
 		}
-		out[vi] = pt
 	}
 	return out, nil
 }
@@ -474,104 +444,58 @@ func (s *Suite) sweep(cores int, variants []sweepVariant) ([]SweepPoint, error) 
 // CommitQueueSweep reproduces Fig 17(a): performance vs aggregate commit
 // queue entries (0 = unbounded).
 func (s *Suite) CommitQueueSweep(cores int, totals []int) ([]SweepPoint, error) {
-	variants := make([]sweepVariant, len(totals))
+	points := make([]variant, len(totals))
 	for i, tot := range totals {
-		v := sweepVariant{
-			label:  fmt.Sprintf("%d", tot),
-			errTag: fmt.Sprintf("cq=%d", tot),
-			tweak: func(cfg *core.Config) {
-				if tot == 0 {
-					// Unbounded commit queues only: emulate with a huge cap.
-					cfg.CommitQPerCore = 1 << 20
-				} else {
-					cfg.CommitQPerCore = tot / cfg.Cores()
-					if cfg.CommitQPerCore < 1 {
-						cfg.CommitQPerCore = 1
-					}
-				}
-			},
-		}
+		points[i] = variant{fmt.Sprint(tot), func(cfg *core.Config) {
+			cfg.CommitQPerCore = max(tot/cfg.Cores(), 1)
+		}}
 		if tot == 0 {
-			v.label = "INF"
+			// Unbounded commit queues only: emulate with a huge cap.
+			points[i] = variant{"INF", func(cfg *core.Config) { cfg.CommitQPerCore = 1 << 20 }}
 		}
-		variants[i] = v
 	}
-	return s.sweep(cores, variants)
+	return s.sweep(cores, "cq", points)
 }
 
 // BloomSweep reproduces Fig 17(b): performance vs signature configuration.
 func (s *Suite) BloomSweep(cores int, cfgs []bloom.Config) ([]SweepPoint, error) {
-	variants := make([]sweepVariant, len(cfgs))
+	points := make([]variant, len(cfgs))
 	for i, bc := range cfgs {
-		variants[i] = sweepVariant{
-			label:  bc.String(),
-			errTag: fmt.Sprintf("bloom=%v", bc),
-			tweak:  func(cfg *core.Config) { cfg.Bloom = bc },
-		}
+		points[i] = variant{bc.String(), func(cfg *core.Config) { cfg.Bloom = bc }}
 	}
-	return s.sweep(cores, variants)
+	return s.sweep(cores, "bloom", points)
 }
 
 // GVTSweep reproduces the §6.4 GVT-period sensitivity study.
 func (s *Suite) GVTSweep(cores int, periods []uint64) ([]SweepPoint, error) {
-	variants := make([]sweepVariant, len(periods))
+	points := make([]variant, len(periods))
 	for i, p := range periods {
-		variants[i] = sweepVariant{
-			label:  fmt.Sprintf("%d", p),
-			errTag: fmt.Sprintf("gvt=%d", p),
-			tweak:  func(cfg *core.Config) { cfg.GVTPeriod = p },
-		}
+		points[i] = variant{fmt.Sprint(p), func(cfg *core.Config) { cfg.GVTPeriod = p }}
 	}
-	return s.sweep(cores, variants)
+	return s.sweep(cores, "gvt", points)
 }
 
 // CanaryStudy reproduces the §6.3 canary-precision comparison: per-line vs
-// per-set canary virtual times (global check reduction and speedup), one
-// worker per benchmark.
+// per-set canary virtual times (global check reduction and speedup).
 func (s *Suite) CanaryStudy(cores int) (checkReduction, gmeanSpeedup float64, err error) {
-	type cell struct {
-		red    float64
-		hasRed bool
-		sp     float64
-	}
-	cs := make([]cell, len(s.Benchmarks))
-	err = s.pool.Run(len(s.Benchmarks),
-		func(i int) string { return "canary " + s.Benchmarks[i].Name() },
-		func(i int) error {
-			b := s.Benchmarks[i]
-			st, err := s.defaultRun(b, cores)
-			if err != nil {
-				return err
-			}
-			cfgP := s.config(cores)
-			cfgP.Cache.CanaryPerLine = true
-			stP, err := b.RunSwarm(cfgP)
-			if err != nil {
-				return err
-			}
-			c := cell{sp: ratio(float64(st.Cycles), float64(stP.Cycles))}
-			if g := float64(st.Cache.GlobalChecks); g > 0 {
-				c.red = 1 - float64(stP.Cache.GlobalChecks)/g
-				c.hasRed = true
-			}
-			cs[i] = c
-			return nil
-		})
+	runs, err := s.runs(cores, []variant{
+		{"base", nil},
+		{"canary=line", func(cfg *core.Config) { cfg.Cache.CanaryPerLine = true }},
+	})
 	if err != nil {
 		return 0, 0, err
 	}
-	var reds, sps []float64
-	for _, c := range cs {
-		if c.hasRed {
-			reds = append(reds, c.red)
+	var sum, n float64
+	var sps []float64
+	for bi, st := range runs[0] {
+		stP := runs[1][bi]
+		if g := float64(st.Cache.GlobalChecks); g > 0 {
+			sum += 1 - float64(stP.Cache.GlobalChecks)/g
+			n++
 		}
-		sps = append(sps, c.sp)
+		sps = append(sps, ratio(float64(st.Cycles), float64(stP.Cycles)))
 	}
-	var sum float64
-	for _, r := range reds {
-		sum += r
-	}
-	return ratio(sum, float64(len(reds))), gmean(sps), nil
+	return ratio(sum, n), gmean(sps), nil
 }
 
 // ----------------------------------------------------------- mapper sweep --
@@ -589,48 +513,30 @@ type MapperPoint struct {
 	Imbalance float64 // per-tile task queue occupancy, max/mean
 }
 
-// MapperSweep measures every (mapper, app) cell at a fixed core count,
-// fanning the grid over the pool. Points come back grouped by mapper in
-// the order given, apps in suite order; speedups are relative to the
-// "random" policy (which should be part of mappers).
+// MapperSweep measures every (mapper, app) cell at a fixed core count.
+// Points come back grouped by mapper in the order given, apps in suite
+// order; speedups are relative to the "random" policy, and 0 when
+// mappers does not include it.
 func (s *Suite) MapperSweep(cores int, mappers []string) ([]MapperPoint, error) {
-	nb := len(s.Benchmarks)
-	pts := make([]MapperPoint, len(mappers)*nb)
-	err := s.pool.Run(len(pts),
-		func(i int) string {
-			return fmt.Sprintf("mapper=%s %s@%dc", mappers[i/nb], s.Benchmarks[i%nb].Name(), cores)
-		},
-		func(i int) error {
-			name, b := mappers[i/nb], s.Benchmarks[i%nb]
-			cfg := core.DefaultConfig(cores)
-			cfg.Mapper = name
-			cfg.Backend = s.backendName
-			st, err := b.RunSwarm(cfg)
-			if err != nil {
-				return fmt.Errorf("%s mapper=%s: %w", b.Name(), name, err)
-			}
-			pts[i] = MapperPoint{
-				Mapper:    name,
-				App:       b.Name(),
-				Cycles:    st.Cycles,
-				Aborts:    st.Aborts,
-				NoCBytes:  st.TotalTrafficBytes(),
-				Imbalance: st.TaskQOccImbalance(),
-			}
-			return nil
-		})
+	variants := make([]variant, len(mappers))
+	for i, name := range mappers {
+		variants[i] = variant{"mapper=" + name, func(cfg *core.Config) { cfg.Mapper = name }}
+	}
+	runs, err := s.runs(cores, variants)
 	if err != nil {
 		return nil, err
 	}
-	// Speedups vs the random cells (0 when random was not swept).
-	randomCycles := map[string]uint64{}
-	for _, p := range pts {
-		if p.Mapper == "random" {
-			randomCycles[p.App] = p.Cycles
+	random := slices.Index(mappers, "random")
+	var pts []MapperPoint
+	for mi, name := range mappers {
+		for bi, st := range runs[mi] {
+			pt := MapperPoint{Mapper: name, App: s.Benchmarks[bi].Name(), Cycles: st.Cycles, Aborts: st.Aborts,
+				NoCBytes: st.TotalTrafficBytes(), Imbalance: st.TaskQOccImbalance()}
+			if random >= 0 {
+				pt.Speedup = ratio(float64(runs[random][bi].Cycles), float64(st.Cycles))
+			}
+			pts = append(pts, pt)
 		}
-	}
-	for i := range pts {
-		pts[i].Speedup = ratio(float64(randomCycles[pts[i].App]), float64(pts[i].Cycles))
 	}
 	return pts, nil
 }

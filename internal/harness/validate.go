@@ -5,9 +5,7 @@ import (
 	"sort"
 	"strings"
 
-	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
-	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/noc"
 )
 
@@ -21,7 +19,8 @@ func optionList(names []string) string {
 }
 
 // Up-front flag/request validation, shared by the CLIs and the swarmd
-// daemon (-scale values go through bench.ParseScale). Before these
+// daemon (-scale, -mapper and -backend values go through
+// bench.ParseScale, core.CheckMapper and backend.CheckName). Before these
 // helpers, an invalid -app/-mapper/-scale surfaced only once a run
 // reached the code that consumed it — after input generation, sometimes
 // mid-sweep — as a context-free error. Validating against the registries
@@ -52,11 +51,6 @@ func ResolveApps(flagVal string) ([]string, error) {
 	return names, nil
 }
 
-// ValidateMapper checks a task-mapping policy name against the registered
-// policies ("" selects the default and is valid). It is the check every
-// engine's Config.Validate makes, but fails before any input generation.
-func ValidateMapper(name string) error { return core.CheckMapper(name) }
-
 // ValidateCores checks that a core count builds a legal machine: the CMP
 // is tiled 4 cores per tile (machines under 4 cores are one smaller
 // tile; see noc.Tiling), so the count must be 1-4 or a multiple of 4.
@@ -67,9 +61,3 @@ func ValidateCores(n int) error {
 	}
 	return fmt.Errorf("invalid core count %d (valid: 1, 2, 3, 4, or any multiple of 4)", n)
 }
-
-// ValidateBackend checks an execution-backend name against the engines
-// the backend layer can build ("" selects the default simulator and is
-// valid). It is the check backend.New makes, but fails before any input
-// generation.
-func ValidateBackend(name string) error { return backend.CheckName(name) }

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
+	"github.com/swarm-sim/swarm/internal/core"
 )
 
 // TestValidateFlags is the table-driven sweep over the three user-facing
@@ -55,11 +57,11 @@ func TestValidateFlags(t *testing.T) {
 		case "app":
 			_, err = ResolveApps(tc.value)
 		case "mapper":
-			err = ValidateMapper(tc.value)
+			err = core.CheckMapper(tc.value)
 		case "scale":
 			_, err = bench.ParseScale(tc.value)
 		case "backend":
-			err = ValidateBackend(tc.value)
+			err = backend.CheckName(tc.value)
 		}
 		if (err != nil) != tc.wantErr {
 			t.Errorf("-%s=%q: err = %v, wantErr = %v", tc.flag, tc.value, err, tc.wantErr)
@@ -89,13 +91,13 @@ func TestValidatorMessagesSorted(t *testing.T) {
 			`unknown app "nope" (valid: ` + appList + `; a comma list; or all)`},
 		{"app-empty", func() error { _, err := ResolveApps(""); return err }(),
 			`no app named (valid: ` + appList + `; a comma list; or all)`},
-		{"mapper", ValidateMapper("rnd"),
+		{"mapper", core.CheckMapper("rnd"),
 			`core: unknown mapper "rnd" (valid: hint, random)`},
-		{"mapper-stealing", ValidateMapper("stealing"),
+		{"mapper-stealing", core.CheckMapper("stealing"),
 			`core: unknown mapper "stealing" (valid: hint, random)`},
-		{"mapper-roundrobin", ValidateMapper("roundrobin"),
+		{"mapper-roundrobin", core.CheckMapper("roundrobin"),
 			`core: unknown mapper "roundrobin" (valid: hint, random)`},
-		{"backend", ValidateBackend("native"),
+		{"backend", backend.CheckName("native"),
 			`unknown backend "native" (valid: rt, rt-conservative, sim)`},
 	}
 	for _, tc := range tests {

@@ -20,6 +20,11 @@ const opCap = 1 << 24
 // opCapPanic is the sentinel thrown when a task attempt exhausts opCap.
 type opCapPanic struct{}
 
+// undoCap bounds the undo log: an earliest attempt that fills it unplaces
+// itself and finishes tracked. It is still the minimum uncommitted task,
+// so nothing commits before it and its unrecorded reads stay valid.
+const undoCap = 1 << 16
+
 // taskEnv implements guest.TaskEnv for one task attempt. The earliest
 // attempt loads and stores in place (see store); any other is tracked:
 // it records its reads in a read set and buffers its writes until
@@ -221,6 +226,11 @@ func (e *taskEnv) Store(addr, val uint64) {
 		old := s.commitWrite(addr, val)
 		if n := len(s.undo); n == 0 || s.undo[n-1].addr != addr {
 			s.undo = append(s.undo, undoRec{addr, old})
+			if n+1 == undoCap {
+				e.r.mu.Lock()
+				e.unplace()
+				e.r.mu.Unlock()
+			}
 		}
 		return
 	}

@@ -666,6 +666,94 @@ func TestRepeatedStoresKeepOneUndoRecord(t *testing.T) {
 	}
 }
 
+// alternate stores words a and b in turn, 1<<17 times each, and returns
+// the undo log's peak length, read after every store. Each store
+// replaces a word other than the one logged last, so none is skipped.
+func alternate(e guest.TaskEnv, a, b uint64) (peak int) {
+	s := e.(*taskEnv).r.store
+	for i := range uint64(1 << 17) {
+		e.Store(a, i+1)
+		peak = max(peak, len(s.undo))
+		e.Store(b, i+1)
+		peak = max(peak, len(s.undo))
+	}
+	return peak
+}
+
+// TestAlternatingStoresBoundTheUndoLog: the earliest attempt stores two
+// words alternately, 1<<18 stores in all. At undoCap records it must
+// finish as a tracked attempt, so the log never holds more, and still
+// commit its last values. A later task sums the two words; on two
+// workers it may read them while they are in place, and then the
+// rollback's version bumps must fail its reads.
+func TestAlternatingStoresBoundTheUndoLog(t *testing.T) {
+	const a, b, sum = uint64(1 << 12), uint64(1<<12 + 8), uint64(1<<12 + 16)
+	for _, workers := range []int{1, 2} {
+		peak := -1
+		body := func(e guest.TaskEnv) { peak = alternate(e, a, b) }
+		add := func(e guest.TaskEnv) { e.Store(sum, e.Load(a)+e.Load(b)) }
+		r, _, err := runProgram(t, testConfig(t, workers, "rt"),
+			[]guest.TaskFn{body, add}, []string{"alternate", "add"},
+			[]guest.TaskDesc{{Fn: 0, TS: 1}, {Fn: 1, TS: 2}})
+		if err != nil {
+			t.Fatalf("workers=%d: RunPhase: %v", workers, err)
+		}
+		if peak > undoCap {
+			t.Errorf("workers=%d: the undo log peaked at %d records, want at most %d", workers, peak, undoCap)
+		}
+		if got, want := r.Mem().Snapshot(), map[uint64]uint64{a: 1 << 17, b: 1 << 17, sum: 1 << 18}; !reflect.DeepEqual(got, want) {
+			t.Errorf("workers=%d: memory = %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestAlternatingRunawayRollsBack: an earliest attempt that outgrows the
+// undo log and then spins to the op cap leaves the host's words in
+// memory, although it stored them in place before it finished tracked.
+func TestAlternatingRunawayRollsBack(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spins ~16M guest ops")
+	}
+	const a, b = uint64(1 << 12), uint64(1<<12 + 8)
+	runaway := func(e guest.TaskEnv) {
+		alternate(e, a, b)
+		for {
+			e.Work(1 << 16)
+		}
+	}
+	r, err := New(testConfig(t, 1, "rt"))
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	r.SetProgram(program([]guest.TaskFn{runaway}, []string{"spin"}))
+	r.Mem().Store(a, 5)
+	r.Mem().Store(b, 6)
+	r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: 1})
+	if _, err := r.RunPhase(); err == nil || !strings.Contains(err.Error(), "infinite loop") {
+		t.Fatalf("err = %v, want op-cap error", err)
+	}
+	if got, want := r.Mem().Snapshot(), map[uint64]uint64{a: 5, b: 6}; !reflect.DeepEqual(got, want) {
+		t.Errorf("memory after the failed phase = %v, want the host's words %v", got, want)
+	}
+}
+
+// TestAlternatingStoresPassDebugChecks: an attempt that finishes tracked
+// after outgrowing the undo log commits under DebugChecks, whose
+// re-execution buffers every store from the start.
+func TestAlternatingStoresPassDebugChecks(t *testing.T) {
+	const a, b = uint64(1 << 12), uint64(1<<12 + 8)
+	cfg := testConfig(t, 1, "rt")
+	cfg.DebugChecks = true
+	body := func(e guest.TaskEnv) { alternate(e, a, b) }
+	r, _, err := runProgram(t, cfg, []guest.TaskFn{body}, []string{"alternate"}, []guest.TaskDesc{{Fn: 0, TS: 1}})
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if got, want := r.Mem().Snapshot(), map[uint64]uint64{a: 1 << 17, b: 1 << 17}; !reflect.DeepEqual(got, want) {
+		t.Errorf("memory = %v, want %v", got, want)
+	}
+}
+
 // TestPoisonedPhaseRollsBackInPlace: on two workers, the ts-1 task is the
 // earliest attempt and stores a word in place over a value the host set
 // up. The ts-2 task, dispatched while ts 1 runs, waits for that store and

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/swarm-sim/swarm/internal/backend"
 	"github.com/swarm-sim/swarm/internal/bench"
 	"github.com/swarm-sim/swarm/internal/core"
 	"github.com/swarm-sim/swarm/internal/harness"
@@ -83,10 +84,10 @@ func (j JobSpec) Validate() error {
 	if err := harness.ValidateCores(j.Cores); err != nil {
 		return err
 	}
-	if err := harness.ValidateMapper(j.Mapper); err != nil {
+	if err := core.CheckMapper(j.Mapper); err != nil {
 		return err
 	}
-	if err := harness.ValidateBackend(j.Backend); err != nil {
+	if err := backend.CheckName(j.Backend); err != nil {
 		return err
 	}
 	if j.Phases && !meta.Phased {

@@ -368,9 +368,12 @@ func TestConcurrentSubmissionsByteIdentical(t *testing.T) {
 				r.idx, r.csv, want[r.idx])
 		}
 	}
-	// The duplicates must have deduplicated: one computation per distinct
-	// spec, everything else a hit.
+	// Every submission completed, and the duplicates deduplicated: one
+	// computation per distinct spec, everything else a hit.
 	vars := d.adminVars(t)
+	if vars["jobs_completed"] != int64(len(specs)*dup) {
+		t.Fatalf("jobs_completed = %d, want %d (one per submission)", vars["jobs_completed"], len(specs)*dup)
+	}
 	if vars["cache_misses"] != int64(len(specs)) {
 		t.Fatalf("cache_misses = %d, want %d (one per distinct spec)", vars["cache_misses"], len(specs))
 	}
