@@ -2,6 +2,7 @@ package bench
 
 import (
 	"sort"
+	"sync"
 
 	"github.com/swarm-sim/swarm/internal/frontier"
 	"github.com/swarm-sim/swarm/internal/guest"
@@ -21,6 +22,10 @@ type Silo struct {
 	runner
 	sc   tpcc.Scale
 	txns []tpcc.Txn
+	// ref loads the expected final state, the host replay of txns in
+	// order, built once by the first verification (see reference).
+	refOnce sync.Once
+	ref     func(uint64) uint64
 }
 
 func init() {
@@ -57,11 +62,17 @@ func (b *Silo) Name() string { return "silo" }
 // timestamps [i<<tsBits, (i+1)<<tsBits)).
 const tsBits = 6
 
-// verify checks the final tables word for word against the host replay
-// of the transactions in order.
+// reference returns the loader of the host replay of the transactions in
+// order, replaying them at the first call. Every run of b, on any engine
+// and from any goroutine, is checked against that one replay.
+func (b *Silo) reference() func(uint64) uint64 {
+	b.refOnce.Do(func() { _, b.ref = tpcc.Reference(b.sc, b.txns) })
+	return b.ref
+}
+
+// verify checks the final tables word for word against the reference.
 func (b *Silo) verify(load func(uint64) uint64, l *tpcc.Layout) error {
-	_, refLoad := tpcc.Reference(b.sc, b.txns)
-	return l.CompareExact(load, refLoad)
+	return l.CompareExact(load, b.reference())
 }
 
 // ---------------------------------------------------------------- Swarm --
@@ -637,8 +648,7 @@ func (b *Silo) ParallelApp() ParallelApp {
 			}
 		},
 		Verify: func(load func(uint64) uint64) error {
-			_, refLoad := tpcc.Reference(b.sc, b.txns)
-			return l.CompareCommutative(load, refLoad)
+			return l.CompareCommutative(load, b.reference())
 		},
 	}
 }

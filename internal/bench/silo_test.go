@@ -1,9 +1,12 @@
 package bench
 
 import (
+	"strings"
+	"sync"
 	"testing"
 
 	"github.com/swarm-sim/swarm/internal/core"
+	"github.com/swarm-sim/swarm/internal/tpcc"
 )
 
 func TestSiloSerial(t *testing.T) {
@@ -68,5 +71,65 @@ func TestSiloSwarmOneWarehouse(t *testing.T) {
 	t.Logf("silo 1wh swarm 16c speedup %.1fx (aborts=%d commits=%d)", sp, st16.Aborts, st16.Commits)
 	if sp < 2.5 {
 		t.Errorf("silo 16-core speedup %.2fx < 2.5x with one warehouse", sp)
+	}
+}
+
+// TestSiloSharedReference: one Silo checks every run against one host
+// replay, built at its first verification. A correct run verifies twice,
+// two runs from two goroutines at once verify (run under -race in CI),
+// and the serial and software-parallel runs of the same instance verify
+// too. A run with one corrupted order-line word fails, and the error
+// names the table.
+func TestSiloSharedReference(t *testing.T) {
+	b := NewSilo(2, 80, 5)
+	app := b.SwarmApp()
+	bk, err := app.Backend(core.DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bk.RunPhase(); err != nil {
+		t.Fatal(err)
+	}
+	load := bk.Mem().Load
+	for i := range 2 {
+		if err := app.Verify(load); err != nil {
+			t.Fatalf("verification %d: %v", i+1, err)
+		}
+	}
+	// A guest memory is not safe for concurrent loads, so each goroutine
+	// verifies a run of its own.
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errs[i] = b.RunSwarm(core.DefaultConfig(2))
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Errorf("concurrent run %d: %v", i+1, err)
+		}
+	}
+	if _, err := b.RunSerial(1); err != nil {
+		t.Errorf("serial run: %v", err)
+	}
+	if _, err := RunParallel(b, 4); err != nil {
+		t.Errorf("software-parallel run: %v", err)
+	}
+
+	l, _ := tpcc.Reference(b.sc, b.txns)
+	bad := l.OLAddr(0, 0, 0, 0) + tpcc.FOLAmount*8
+	corrupted := func(a uint64) uint64 {
+		if a == bad {
+			return load(a) + 1
+		}
+		return load(a)
+	}
+	err = app.Verify(corrupted)
+	if err == nil || !strings.Contains(err.Error(), "tpcc: orderline tuple") {
+		t.Errorf("a corrupted order-line word verified with error %v, want a tpcc orderline mismatch", err)
 	}
 }

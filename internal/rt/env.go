@@ -53,7 +53,9 @@ type taskEnv struct {
 	writeVals []uint64
 	children  []guest.TaskDesc
 	frees     []span
-	ops       uint64
+	// ops counts the attempt's operations against opCap, and work the
+	// modeled Work among them, which rt does not execute.
+	ops, work uint64
 	allocd    bool // the attempt called Alloc (see Runtime.recheckLocked)
 	// earliest marks an attempt no uncommitted task precedes. Nothing can
 	// commit under it, so it keeps no read set and stores in place.
@@ -181,7 +183,7 @@ func (e *taskEnv) reset(desc guest.TaskDesc) {
 	e.writeVals = e.writeVals[:0]
 	e.children = e.children[:0]
 	e.frees = e.frees[:0]
-	e.ops, e.allocd, e.earliest = 0, false, false
+	e.ops, e.work, e.allocd, e.earliest = 0, 0, false, false
 }
 
 func (e *taskEnv) step(n uint64) {
@@ -267,7 +269,7 @@ func (e *taskEnv) unplace() {
 // Work implements guest.Env. The native runtime executes for real, so
 // modeled compute cycles cost nothing here; they still count against the
 // op cap so a loop spinning on Work alone cannot livelock an attempt.
-func (e *taskEnv) Work(n uint64) { e.step(n) }
+func (e *taskEnv) Work(n uint64) { e.step(n); e.work += n }
 
 // Alloc implements guest.Env. Allocation is shared mutable host state,
 // so it is mutex-guarded; an aborted attempt leaks its allocations (the

@@ -87,13 +87,17 @@ type Runtime struct {
 	// fans out one wakeup at a time. Only draining or poisoning the phase
 	// wakes them all.
 	cond sync.Cond
-	// solo is the current window's mode; window counts the windows
-	// before it, which began at winStart and ends at commit winEnd.
-	// teamNS and soloNS time the last window of each mode.
-	solo           bool
-	window, winEnd uint64
-	winStart       time.Time
-	teamNS, soloNS time.Duration
+	// solo is the current window's mode, and trial marks a window that
+	// re-measures the mode not kept. window counts the windows before
+	// it, which began at winStart, ends at commit winEnd and has
+	// committed winOps operations. perOp is the kept mode's last time
+	// per operation in ns; the next re-measure is window recheck, gap
+	// windows after the last.
+	solo, trial            bool
+	window, winEnd, winOps uint64
+	recheck, gap           uint64
+	winStart               time.Time
+	perOp                  float64
 
 	// ready holds runnable tasks.
 	ready readyQueue
@@ -218,7 +222,7 @@ func (r *Runtime) RunPhase() (core.PhaseStats, error) {
 	t0 := time.Now()
 	r.mu.Lock()
 	r.done = false
-	r.winStart, r.winEnd = t0, r.commits+modeWindow
+	r.winStart, r.winEnd, r.winOps = t0, r.commits+modeWindow, 0
 	r.mu.Unlock()
 	var wg sync.WaitGroup
 	for w := range r.cfg.Cores() {

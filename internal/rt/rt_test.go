@@ -938,9 +938,10 @@ func TestAllocsPerTask(t *testing.T) {
 }
 
 // TestModeWindows runs independent tasks at 2 workers across five
-// controller windows, so each mode runs, is timed and hands over to the
-// other, also under -race, where TestAllocsPerTask skips. Every task
-// commits once, and every word holds 1.
+// controller windows, so team window 0 is timed, solo window 1
+// re-measures and the mode hands over, also under -race, where
+// TestAllocsPerTask skips. Every task commits once, and every word holds
+// 1.
 func TestModeWindows(t *testing.T) {
 	const n = 5 * modeWindow
 	r := independentRuntime(t, 2, n)
@@ -960,14 +961,42 @@ func TestModeWindows(t *testing.T) {
 	if len(words) != n {
 		t.Errorf("%d words written, want %d", len(words), n)
 	}
-	if r.window < 4 || r.teamNS == 0 || r.soloNS == 0 {
-		t.Errorf("%d windows, team %v, solo %v; want at least 4 windows and both modes measured", r.window, r.teamNS, r.soloNS)
+	if r.window < 4 || r.perOp <= 0 || r.gap < modeRecheck {
+		t.Errorf("%d windows, %v ns per operation, gap %d; want at least 4 windows, a time and a re-measure",
+			r.window, r.perOp, r.gap)
+	}
+}
+
+// TestLosingRecheckEndsEarly: a re-measure ends at its first clock read,
+// modeCheck commits in, once it costs more per operation than the kept
+// mode, instead of running a whole window. The phase's first window is
+// preset to re-measure solo against a kept team time of 1 ns per
+// operation, which no task matches; the window after it, team, then
+// opens at commit modeCheck, and the gap to the next re-measure doubles.
+func TestLosingRecheckEndsEarly(t *testing.T) {
+	const n = modeWindow
+	r := independentRuntime(t, 2, n)
+	r.solo, r.trial, r.perOp, r.gap = true, true, 1, modeRecheck
+	ps, err := r.RunPhase()
+	if err != nil {
+		t.Fatalf("RunPhase: %v", err)
+	}
+	if ps.Commits != n || ps.Aborts != 0 {
+		t.Errorf("commits = %d, aborts = %d; want %d and 0", ps.Commits, ps.Aborts, n)
+	}
+	if r.window != 1 || r.solo || r.trial || r.gap != 2*modeRecheck || r.perOp != 1 {
+		t.Errorf("window %d, solo = %v, trial = %v, gap %d, %v ns per operation; want window 1 of team, gap %d, 1 ns",
+			r.window, r.solo, r.trial, r.gap, r.perOp, 2*modeRecheck)
+	}
+	if start := r.winEnd - modeWindow; start != modeCheck {
+		t.Errorf("the re-measure ended at commit %d, want %d", start, modeCheck)
 	}
 }
 
 // TestSoloToTeamHandover pins the wakeup at a switch from a solo window
 // to a team one, at 2 workers. The controller is preset so that the
-// phase's first window runs solo and its second team. In the solo window
+// phase's first window runs solo, the kept mode, and its second
+// re-measures team. In the solo window
 // one worker runs every task while the other waits; the second window's
 // first task then waits, for at most 10 s, until the next task has run,
 // which only the other worker can run: the switch must wake it.
@@ -994,8 +1023,8 @@ func TestSoloToTeamHandover(t *testing.T) {
 	for i := range uint64(n) {
 		r.EnqueueRootDesc(guest.TaskDesc{Fn: 0, TS: i, Args: [3]uint64{base + i*8}})
 	}
-	// Window 2 runs solo. Team measured faster, so window 3 runs team.
-	r.solo, r.window, r.teamNS, r.soloNS = true, 2, time.Nanosecond, time.Hour
+	// Window 2 runs solo, and window 3 re-measures team.
+	r.solo, r.window, r.recheck = true, 2, 3
 	ps, err := r.RunPhase()
 	if err != nil {
 		t.Fatalf("RunPhase: %v", err)
@@ -1006,8 +1035,9 @@ func TestSoloToTeamHandover(t *testing.T) {
 	if ps.Commits != n || ps.Aborts != 0 {
 		t.Errorf("commits = %d, aborts = %d; want %d and 0", ps.Commits, ps.Aborts, n)
 	}
-	if r.window != 3 || r.solo {
-		t.Errorf("the phase ended in window %d, solo = %v; want window 3, team", r.window, r.solo)
+	if r.window != 3 || r.solo || !r.trial {
+		t.Errorf("the phase ended in window %d, solo = %v, trial = %v; want window 3, a team re-measure",
+			r.window, r.solo, r.trial)
 	}
 }
 

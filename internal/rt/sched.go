@@ -185,18 +185,35 @@ func (q *readyQueue) pop() *task {
 // task data in one CPU's cache; coarse tasks commit faster in a team.
 const (
 	modeWindow  = 2048 // commits per window
-	modeRecheck = 16   // every modeRecheck-th window re-measures the slower mode
+	modeCheck   = 256  // commits between a re-measure's clock reads
+	modeRecheck = 16   // windows from a re-measure that won to the next
+	modeBackoff = 256  // the longest gap, which each lost re-measure doubles
 )
 
-// soloWindow reports whether window n, counting from 0, runs solo, given
-// the last measured times of a team and a solo window. Windows 0 and 1
-// measure team and solo; later ones run the faster mode, team on a tie,
-// but every modeRecheck-th runs the other.
-func soloWindow(n uint64, team, solo time.Duration) bool {
-	if n < 2 {
-		return n == 1
+// windowLocked runs at the last commit of a window and every modeCheck
+// commits of a re-measure, at time now, and times the window per
+// committed operation. A window of the kept mode records its time. A
+// re-measure that costs more, or as much, ends at once and lost: the mode
+// stays and the gap to the next re-measure doubles. One that costs less
+// at its last commit wins: the mode switches and the gap is modeRecheck.
+// Window 0 runs team and window 1 re-measures solo.
+func (r *Runtime) windowLocked(now time.Time) {
+	perOp := float64(now.Sub(r.winStart)) / float64(r.winOps)
+	switch {
+	case !r.trial:
+		r.perOp = perOp
+	case perOp >= r.perOp:
+		r.solo, r.gap = !r.solo, min(max(2*r.gap, modeRecheck), modeBackoff)
+		r.recheck = r.window + r.gap
+	case r.commits != r.winEnd:
+		return
+	default:
+		r.perOp, r.gap, r.recheck = perOp, modeRecheck, r.window+modeRecheck
 	}
-	return (solo < team) != (n%modeRecheck == 0)
+	r.window++
+	r.trial = r.window >= r.recheck
+	r.solo = r.solo != r.trial
+	r.winStart, r.winEnd, r.winOps = now, r.commits+modeWindow, 0
 }
 
 // enqueueLocked admits a new descriptor in a free task record, carving a
@@ -290,7 +307,7 @@ func (r *Runtime) next(w int, finished *task) *task {
 			if t.env.earliest = run == nil || before(t, run); t.env.earliest {
 				run = t
 			}
-			if r.runnableLocked(run) {
+			if !r.solo && r.runnableLocked(run) {
 				r.cond.Signal()
 			}
 			return t
@@ -460,21 +477,13 @@ func (r *Runtime) commitLocked(t *task) bool {
 		r.heap.ReleaseQuarantine(0)
 		r.heapMu.Unlock()
 	}
+	r.winOps += env.ops - env.work + 1
 	r.putEnvLocked(env)
 	t.env = nil
 	t.next, r.free = r.free, t
 	r.commits++
-	if r.commits == r.winEnd {
-		// Time the window under its mode and open the next.
-		now := time.Now()
-		if r.solo {
-			r.soloNS = now.Sub(r.winStart)
-		} else {
-			r.teamNS = now.Sub(r.winStart)
-		}
-		r.window++
-		r.solo = soloWindow(r.window, r.teamNS, r.soloNS)
-		r.winStart, r.winEnd = now, r.commits+modeWindow
+	if r.commits == r.winEnd || r.trial && (r.winEnd-r.commits)%modeCheck == 0 {
+		r.windowLocked(time.Now())
 	}
 	return true
 }

@@ -119,30 +119,73 @@ func vtOf(t *task) any {
 	return t.vt
 }
 
-// TestSoloWindow pins the controller's choice of mode for a window from
-// the last measured time of each mode.
-func TestSoloWindow(t *testing.T) {
-	const fast, slow = time.Millisecond, 2 * time.Millisecond
+// TestWindowLocked table-tests the controller's step at a window's last
+// commit and at a re-measure's checks, on preset state: the window has
+// committed 1,000 operations, in ns nanoseconds. A window of the kept
+// mode records its time per operation, and the window after it
+// re-measures the other mode once it is due; a re-measure that costs
+// less at its last commit switches the mode and resets the gap to
+// modeRecheck; one that costs more or as much, at its end or at an
+// earlier check, keeps the mode and doubles the gap, up to modeBackoff;
+// one that costs less at an earlier check runs on.
+func TestWindowLocked(t *testing.T) {
+	type state struct {
+		solo, trial   bool
+		window, gap   uint64
+		recheck, left uint64 // left: commits to the window's end
+		perOp         float64
+	}
 	for _, c := range []struct {
-		name       string
-		n          uint64
-		team, solo time.Duration
-		want       bool
+		name     string
+		in       state
+		ns       time.Duration
+		want     state
+		newStart bool // a new window opened at the step's time
 	}{
-		{"the first window is team", 0, 0, 0, false},
-		{"the first window is team even after a faster solo one", 0, slow, fast, false},
-		{"the second window is solo", 1, fast, 0, true},
-		{"the second window is solo even after a faster team one", 1, fast, slow, true},
-		{"solo was faster", 2, slow, fast, true},
-		{"team was faster", 3, fast, slow, false},
-		{"a tie keeps team", 5, fast, fast, false},
-		{"the 16th window re-measures team", modeRecheck, slow, fast, false},
-		{"the 32nd window re-measures solo", 2 * modeRecheck, fast, slow, true},
-		{"a re-measure after a tie runs solo", 3 * modeRecheck, fast, fast, true},
-		{"the window after a re-measure runs the faster mode", modeRecheck + 1, slow, fast, true},
+		{"window 0 records its time, and window 1 re-measures solo",
+			state{}, 5000,
+			state{solo: true, trial: true, window: 1, left: modeWindow, perOp: 5}, true},
+		{"a kept team window records its time",
+			state{window: 3, gap: 16, recheck: 17, perOp: 9}, 5000,
+			state{window: 4, gap: 16, recheck: 17, left: modeWindow, perOp: 5}, true},
+		{"a kept solo window before a re-measure opens it in team mode",
+			state{solo: true, window: 16, gap: 16, recheck: 17, perOp: 9}, 5000,
+			state{trial: true, window: 17, gap: 16, recheck: 17, left: modeWindow, perOp: 5}, true},
+		{"a faster re-measure switches the mode at its end and resets the gap",
+			state{solo: true, trial: true, window: 1, gap: 64, perOp: 10}, 5000,
+			state{solo: true, window: 2, gap: modeRecheck, recheck: 1 + modeRecheck, left: modeWindow, perOp: 5}, true},
+		{"a slower re-measure keeps the mode at its end and doubles the gap",
+			state{solo: true, trial: true, window: 1, gap: 16, perOp: 2}, 5000,
+			state{window: 2, gap: 32, recheck: 33, left: modeWindow, perOp: 2}, true},
+		{"a tie keeps the mode",
+			state{trial: true, window: 1, gap: 16, perOp: 5}, 5000,
+			state{solo: true, window: 2, gap: 32, recheck: 33, left: modeWindow, perOp: 5}, true},
+		{"the first lost re-measure sets the gap to modeRecheck",
+			state{solo: true, trial: true, window: 1, perOp: 2}, 5000,
+			state{window: 2, gap: modeRecheck, recheck: 1 + modeRecheck, left: modeWindow, perOp: 2}, true},
+		{"a slower re-measure is cut short at a check",
+			state{solo: true, trial: true, window: 7, gap: 64, left: modeWindow - modeCheck, perOp: 2}, 5000,
+			state{window: 8, gap: 128, recheck: 135, left: modeWindow, perOp: 2}, true},
+		{"the gap stops doubling at modeBackoff",
+			state{solo: true, trial: true, window: 9, gap: modeBackoff, left: modeCheck, perOp: 2}, 5000,
+			state{window: 10, gap: modeBackoff, recheck: 9 + modeBackoff, left: modeWindow, perOp: 2}, true},
+		{"a faster re-measure runs on at a check",
+			state{solo: true, trial: true, window: 7, gap: 64, left: modeCheck, perOp: 10}, 5000,
+			state{solo: true, trial: true, window: 7, gap: 64, left: modeCheck, perOp: 10}, false},
 	} {
-		if got := soloWindow(c.n, c.team, c.solo); got != c.want {
-			t.Errorf("%s: soloWindow(%d, %v, %v) = %v, want %v", c.name, c.n, c.team, c.solo, got, c.want)
+		const commits = 1 << 20
+		start := time.Unix(0, 0)
+		r := &Runtime{solo: c.in.solo, trial: c.in.trial, window: c.in.window, gap: c.in.gap,
+			recheck: c.in.recheck, perOp: c.in.perOp, commits: commits, winEnd: commits + c.in.left,
+			winStart: start, winOps: 1000}
+		now := start.Add(c.ns)
+		r.windowLocked(now)
+		got := state{r.solo, r.trial, r.window, r.gap, r.recheck, r.winEnd - commits, r.perOp}
+		if got != c.want {
+			t.Errorf("%s:\n got %+v\nwant %+v", c.name, got, c.want)
+		}
+		if opened := r.winStart.Equal(now) && r.winOps == 0; opened != c.newStart {
+			t.Errorf("%s: new window opened = %v, want %v", c.name, opened, c.newStart)
 		}
 	}
 }

@@ -2,30 +2,45 @@ package tpcc
 
 import "fmt"
 
-// hostEnv is a zero-cost guest.Env over a plain map: the reference
-// executor's memory.
+// hostBase is the reference executor's first address.
+const hostBase = 1 << 20
+
+// hostEnv is a zero-cost guest.Env over a dense word array: the reference
+// executor's memory, with the word at address a in mem[(a-hostBase)/8].
+// Alloc grows it; a word never allocated loads as 0.
 type hostEnv struct {
-	mem map[uint64]uint64
+	mem []uint64
 	brk uint64
 }
 
-func newHostEnv() *hostEnv { return &hostEnv{mem: make(map[uint64]uint64), brk: 1 << 20} }
+func newHostEnv() *hostEnv { return &hostEnv{brk: hostBase} }
 
-func (h *hostEnv) Load(a uint64) uint64  { return h.mem[a] }
-func (h *hostEnv) Store(a, v uint64)     { h.mem[a] = v }
-func (h *hostEnv) Work(uint64)           {}
-func (h *hostEnv) Alloc(n uint64) uint64 { a := h.brk; h.brk += (n + 63) &^ 63; return a }
-func (h *hostEnv) Free(uint64, uint64)   {}
+func (h *hostEnv) Load(a uint64) uint64 {
+	if i := (a - hostBase) / 8; i < uint64(len(h.mem)) {
+		return h.mem[i]
+	}
+	return 0
+}
+func (h *hostEnv) Store(a, v uint64) { h.mem[(a-hostBase)/8] = v }
+func (h *hostEnv) Work(uint64)       {}
+func (h *hostEnv) Alloc(n uint64) uint64 {
+	a := h.brk
+	h.brk += (n + 63) &^ 63
+	h.mem = append(h.mem, make([]uint64, (h.brk-a)/8)...)
+	return a
+}
+func (h *hostEnv) Free(uint64, uint64) {}
 
 // Reference executes all transactions in order on a host-side copy of the
 // database and returns the layout plus a loader for the expected state.
+// The loader only reads, so any number of goroutines may share it.
 func Reference(sc Scale, txns []Txn) (*Layout, func(addr uint64) uint64) {
 	env := newHostEnv()
 	l := Pack(sc, txns, env.Alloc, env.Store)
 	for i := range txns {
 		ExecTxn(env, l, uint64(i))
 	}
-	return l, func(a uint64) uint64 { return env.mem[a] }
+	return l, env.Load
 }
 
 // tupleRegions enumerates every (tableName, firstTuple, tupleCount) region.
