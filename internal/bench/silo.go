@@ -22,10 +22,10 @@ type Silo struct {
 	runner
 	sc   tpcc.Scale
 	txns []tpcc.Txn
-	// ref loads the expected final state, the host replay of txns in
-	// order, built once by the first verification (see reference).
-	refOnce sync.Once
-	ref     func(uint64) uint64
+	// reference returns the loader of the host replay of txns in order,
+	// replaying them at its first call. Every run of b, on any engine and
+	// from any goroutine, is checked against that one replay.
+	reference func() func(uint64) uint64
 }
 
 func init() {
@@ -51,6 +51,10 @@ func init() {
 func NewSilo(warehouses, txns int, seed int64) *Silo {
 	sc := tpcc.DefaultScale(warehouses, txns)
 	b := &Silo{sc: sc, txns: tpcc.Generate(sc, txns, seed)}
+	b.reference = sync.OnceValue(func() func(uint64) uint64 {
+		_, load := tpcc.Reference(b.sc, b.txns)
+		return load
+	})
 	b.runner = runner{b}
 	return b
 }
@@ -61,14 +65,6 @@ func (b *Silo) Name() string { return "silo" }
 // tsBits is the per-transaction timestamp range (tasks of txn i use
 // timestamps [i<<tsBits, (i+1)<<tsBits)).
 const tsBits = 6
-
-// reference returns the loader of the host replay of the transactions in
-// order, replaying them at the first call. Every run of b, on any engine
-// and from any goroutine, is checked against that one replay.
-func (b *Silo) reference() func(uint64) uint64 {
-	b.refOnce.Do(func() { _, b.ref = tpcc.Reference(b.sc, b.txns) })
-	return b.ref
-}
 
 // verify checks the final tables word for word against the reference.
 func (b *Silo) verify(load func(uint64) uint64, l *tpcc.Layout) error {

@@ -192,11 +192,12 @@ const (
 
 // windowLocked runs at the last commit of a window and every modeCheck
 // commits of a re-measure, at time now, and times the window per
-// committed operation. A window of the kept mode records its time. A
-// re-measure that costs more, or as much, ends at once and lost: the mode
-// stays and the gap to the next re-measure doubles. One that costs less
-// at its last commit wins: the mode switches and the gap is modeRecheck.
-// Window 0 runs team and window 1 re-measures solo.
+// committed operation, modeled Work excluded. A window of the kept mode
+// records its time. A re-measure that costs as much or more loses at
+// once: the kept mode resumes, and the gap to the next re-measure
+// doubles, up to modeBackoff. One that still costs less at its last
+// commit wins: its mode is kept from then on, and the gap is
+// modeRecheck. Window 0 runs team and window 1 re-measures solo.
 func (r *Runtime) windowLocked(now time.Time) {
 	perOp := float64(now.Sub(r.winStart)) / float64(r.winOps)
 	switch {
