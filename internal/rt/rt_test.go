@@ -940,8 +940,8 @@ func TestAllocsPerTask(t *testing.T) {
 // TestModeWindows runs independent tasks at 2 workers across five
 // controller windows, so team window 0 is timed, solo window 1
 // re-measures and the mode hands over, also under -race, where
-// TestAllocsPerTask skips. Every task commits once, and every word holds
-// 1.
+// TestAllocsPerTask skips. Every task commits once, and every word
+// holds 1.
 func TestModeWindows(t *testing.T) {
 	const n = 5 * modeWindow
 	r := independentRuntime(t, 2, n)
@@ -996,10 +996,10 @@ func TestLosingRecheckEndsEarly(t *testing.T) {
 // TestSoloToTeamHandover pins the wakeup at a switch from a solo window
 // to a team one, at 2 workers. The controller is preset so that the
 // phase's first window runs solo, the kept mode, and its second
-// re-measures team. In the solo window
-// one worker runs every task while the other waits; the second window's
-// first task then waits, for at most 10 s, until the next task has run,
-// which only the other worker can run: the switch must wake it.
+// re-measures team. In the solo window one worker runs every task while
+// the other waits; the second window's first task then waits, for at
+// most 10 s, until the next task has run, which only the other worker
+// can run: the switch must wake it.
 func TestSoloToTeamHandover(t *testing.T) {
 	const n = modeWindow + 2
 	var ranNext, timedOut atomic.Bool

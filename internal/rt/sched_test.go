@@ -121,7 +121,7 @@ func vtOf(t *task) any {
 
 // TestWindowLocked table-tests the controller's step at a window's last
 // commit and at a re-measure's checks, on preset state: the window has
-// committed 1,000 operations, in ns nanoseconds. A window of the kept
+// committed 1,000 operations in 5 µs, 5 ns each. A window of the kept
 // mode records its time per operation, and the window after it
 // re-measures the other mode once it is due; a re-measure that costs
 // less at its last commit switches the mode and resets the gap to
@@ -137,40 +137,38 @@ func TestWindowLocked(t *testing.T) {
 	}
 	for _, c := range []struct {
 		name     string
-		in       state
-		ns       time.Duration
-		want     state
+		in, want state
 		newStart bool // a new window opened at the step's time
 	}{
 		{"window 0 records its time, and window 1 re-measures solo",
-			state{}, 5000,
+			state{},
 			state{solo: true, trial: true, window: 1, left: modeWindow, perOp: 5}, true},
 		{"a kept team window records its time",
-			state{window: 3, gap: 16, recheck: 17, perOp: 9}, 5000,
+			state{window: 3, gap: 16, recheck: 17, perOp: 9},
 			state{window: 4, gap: 16, recheck: 17, left: modeWindow, perOp: 5}, true},
 		{"a kept solo window before a re-measure opens it in team mode",
-			state{solo: true, window: 16, gap: 16, recheck: 17, perOp: 9}, 5000,
+			state{solo: true, window: 16, gap: 16, recheck: 17, perOp: 9},
 			state{trial: true, window: 17, gap: 16, recheck: 17, left: modeWindow, perOp: 5}, true},
 		{"a faster re-measure switches the mode at its end and resets the gap",
-			state{solo: true, trial: true, window: 1, gap: 64, perOp: 10}, 5000,
+			state{solo: true, trial: true, window: 1, gap: 64, perOp: 10},
 			state{solo: true, window: 2, gap: modeRecheck, recheck: 1 + modeRecheck, left: modeWindow, perOp: 5}, true},
 		{"a slower re-measure keeps the mode at its end and doubles the gap",
-			state{solo: true, trial: true, window: 1, gap: 16, perOp: 2}, 5000,
+			state{solo: true, trial: true, window: 1, gap: 16, perOp: 2},
 			state{window: 2, gap: 32, recheck: 33, left: modeWindow, perOp: 2}, true},
 		{"a tie keeps the mode",
-			state{trial: true, window: 1, gap: 16, perOp: 5}, 5000,
+			state{trial: true, window: 1, gap: 16, perOp: 5},
 			state{solo: true, window: 2, gap: 32, recheck: 33, left: modeWindow, perOp: 5}, true},
 		{"the first lost re-measure sets the gap to modeRecheck",
-			state{solo: true, trial: true, window: 1, perOp: 2}, 5000,
+			state{solo: true, trial: true, window: 1, perOp: 2},
 			state{window: 2, gap: modeRecheck, recheck: 1 + modeRecheck, left: modeWindow, perOp: 2}, true},
 		{"a slower re-measure is cut short at a check",
-			state{solo: true, trial: true, window: 7, gap: 64, left: modeWindow - modeCheck, perOp: 2}, 5000,
+			state{solo: true, trial: true, window: 7, gap: 64, left: modeWindow - modeCheck, perOp: 2},
 			state{window: 8, gap: 128, recheck: 135, left: modeWindow, perOp: 2}, true},
 		{"the gap stops doubling at modeBackoff",
-			state{solo: true, trial: true, window: 9, gap: modeBackoff, left: modeCheck, perOp: 2}, 5000,
+			state{solo: true, trial: true, window: 9, gap: modeBackoff, left: modeCheck, perOp: 2},
 			state{window: 10, gap: modeBackoff, recheck: 9 + modeBackoff, left: modeWindow, perOp: 2}, true},
 		{"a faster re-measure runs on at a check",
-			state{solo: true, trial: true, window: 7, gap: 64, left: modeCheck, perOp: 10}, 5000,
+			state{solo: true, trial: true, window: 7, gap: 64, left: modeCheck, perOp: 10},
 			state{solo: true, trial: true, window: 7, gap: 64, left: modeCheck, perOp: 10}, false},
 	} {
 		const commits = 1 << 20
@@ -178,7 +176,7 @@ func TestWindowLocked(t *testing.T) {
 		r := &Runtime{solo: c.in.solo, trial: c.in.trial, window: c.in.window, gap: c.in.gap,
 			recheck: c.in.recheck, perOp: c.in.perOp, commits: commits, winEnd: commits + c.in.left,
 			winStart: start, winOps: 1000}
-		now := start.Add(c.ns)
+		now := start.Add(5 * time.Microsecond)
 		r.windowLocked(now)
 		got := state{r.solo, r.trial, r.window, r.gap, r.recheck, r.winEnd - commits, r.perOp}
 		if got != c.want {
